@@ -4,9 +4,15 @@
 // AutoPipe adds to a training job (the paper reports < 1% CPU).
 #include <benchmark/benchmark.h>
 
+#include <ostream>
+#include <streambuf>
+#include <string>
+#include <vector>
+
 #include "autopipe/features.hpp"
 #include "common/profile.hpp"
 #include "autopipe/meta_network.hpp"
+#include "common/trace.hpp"
 #include "models/zoo.hpp"
 #include "partition/neighborhood.hpp"
 #include "partition/pipedream_planner.hpp"
@@ -224,6 +230,81 @@ void BM_ProfilerAggOverhead(benchmark::State& state) {
   state.SetLabel(enabled ? "enabled" : "disabled");
 }
 BENCHMARK(BM_ProfilerAggOverhead)->Arg(0)->Arg(1);
+
+/// Counter names of a 5x2 cluster's NICs, as the flow network emits them.
+std::vector<std::string> nic_load_names() {
+  std::vector<std::string> names;
+  for (int server = 0; server < 5; ++server) {
+    for (const char* dir : {"tx", "rx"}) {
+      names.push_back("load:server" + std::to_string(server) + ".nic." + dir);
+    }
+  }
+  return names;
+}
+
+/// Per-event cost reported as the inverse rate of `events` per iteration.
+benchmark::Counter ns_per_event(double events) {
+  return benchmark::Counter(
+      events, benchmark::Counter::kIsIterationInvariantRate |
+                  benchmark::Counter::kInvert);
+}
+
+void BM_TraceRecordCounter(benchmark::State& state) {
+  // The trace's most common event (58% of a traced vgg16 run): a load:
+  // counter from the flow network's re-rate.
+  constexpr int kEvents = 4096;
+  const std::vector<std::string> names = nic_load_names();
+  trace::TraceRecorder rec;
+  rec.set_enabled(true);
+  for (auto _ : state) {
+    for (int i = 0; i < kEvents; ++i) {
+      rec.counter(trace::Category::kComm, names[i % names.size()], i * 1e-3,
+                  1.25e9 / (1 + i % 7));
+    }
+    state.PauseTiming();
+    rec.clear();
+    state.ResumeTiming();
+  }
+  state.counters["ns_per_event"] = ns_per_event(kEvents);
+}
+BENCHMARK(BM_TraceRecordCounter);
+
+/// Discards what is written, so the text sink's formatting is all that is
+/// timed.
+class NullBuffer : public std::streambuf {
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+  int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
+};
+
+void BM_TraceWriteText(benchmark::State& state) {
+  // The text sink over a traced run's event mix: per flow a 'b' with bytes
+  // and path, two load: counters and an 'e', plus an fp span.
+  const std::vector<std::string> names = nic_load_names();
+  trace::TraceRecorder rec;
+  rec.set_enabled(true);
+  for (int i = 0; i < 2048; ++i) {
+    const double t = i * 1e-3;
+    rec.async_begin(trace::Category::kComm, "flow", i, t,
+                    {trace::arg("bytes", 4.5e6 + i),
+                     trace::arg("path", "server0.nic.tx,server1.nic.rx")});
+    rec.counter(trace::Category::kComm, names[i % names.size()], t,
+                1.25e9 / (1 + i % 7));
+    rec.counter(trace::Category::kComm, names[(i + 1) % names.size()], t,
+                1.25e9 / (1 + i % 5));
+    rec.async_end(trace::Category::kComm, "flow", i, t + 5e-4);
+    rec.complete(trace::Category::kCompute, "fp", t, t + 2e-4, i % 10, 0,
+                 {trace::arg("batch", i), trace::arg("micro", 32)});
+  }
+  NullBuffer sink;
+  std::ostream os(&sink);
+  for (auto _ : state) rec.write_text(os);
+  state.counters["ns_per_event"] =
+      ns_per_event(static_cast<double>(rec.size()));
+}
+BENCHMARK(BM_TraceWriteText);
 
 void BM_ExecutorIteration(benchmark::State& state) {
   const auto model = models::alexnet();

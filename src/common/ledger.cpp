@@ -1,8 +1,8 @@
 #include "common/ledger.hpp"
 
-#include <ostream>
+#include <string_view>
 
-#include "common/trace.hpp"
+#include "common/text_writer.hpp"
 
 namespace autopipe::trace {
 
@@ -68,16 +68,27 @@ bool DecisionLedger::all_resolved() const {
 namespace {
 
 // "-" marks an absent optional value in the text form.
-std::string opt_str(const std::string& s) { return s.empty() ? "-" : s; }
+std::string_view opt_str(const std::string& s) {
+  return s.empty() ? std::string_view("-") : std::string_view(s);
+}
 
-std::string opt_speed(double v) { return v < 0 ? "-" : format_double(v); }
+/// A realized speed; negative means unmeasured.
+struct OptSpeed {
+  double value;
+};
+TextWriter& operator<<(TextWriter& out, OptSpeed speed) {
+  return speed.value < 0 ? out << '-' : out << General{speed.value};
+}
 
-std::string q_list(const std::vector<double>& qs) {
-  if (qs.empty()) return "-";
-  std::string out;
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    if (i) out += ',';
-    out += format_double(qs[i]);
+/// The RL arbiter's Q-values, comma-joined.
+struct QList {
+  const std::vector<double>& values;
+};
+TextWriter& operator<<(TextWriter& out, QList q) {
+  if (q.values.empty()) return out << '-';
+  for (std::size_t i = 0; i < q.values.size(); ++i) {
+    if (i) out << ',';
+    out << General{q.values[i]};
   }
   return out;
 }
@@ -85,38 +96,41 @@ std::string q_list(const std::vector<double>& qs) {
 }  // namespace
 
 void DecisionLedger::write_text(std::ostream& os) const {
-  os << "ledger v1 model=" << opt_str(model_) << " batch=" << batches_
-     << " workers=" << workers_ << " decisions=" << records_.size() << "\n";
+  TextWriter out(os);
+  out << "ledger v1 model=" << opt_str(model_) << " batch=" << batches_
+      << " workers=" << workers_ << " decisions=" << records_.size() << "\n";
   for (const DecisionRecord& r : records_) {
-    os << "decision id=" << r.id << " t=" << format_double(r.time)
-       << " iter=" << r.iteration << " kind=" << opt_str(r.kind)
-       << " digest=" << opt_str(r.digest) << " workers=" << r.num_workers
-       << " iter_time=" << format_double(r.iteration_time)
-       << " current=" << opt_str(r.current)
-       << " current_pred=" << format_double(r.current_pred);
-    if (r.job > 0) os << " job=" << r.job;
-    os << "\n";
+    out << "decision id=" << r.id << " t=" << General{r.time}
+        << " iter=" << r.iteration << " kind=" << opt_str(r.kind)
+        << " digest=" << opt_str(r.digest) << " workers=" << r.num_workers
+        << " iter_time=" << General{r.iteration_time}
+        << " current=" << opt_str(r.current)
+        << " current_pred=" << General{r.current_pred};
+    if (r.job > 0) out << " job=" << r.job;
+    out << "\n";
     for (std::size_t i = 0; i < r.candidates.size(); ++i) {
       const CandidateScore& c = r.candidates[i];
-      os << "cand id=" << r.id << " n=" << i << " part=" << opt_str(c.partition)
-         << " pred=" << format_double(c.predicted_speed)
-         << " cost_fine=" << format_double(c.cost_fine)
-         << " cost_stw=" << format_double(c.cost_stw)
-         << " skip=" << (c.skipped ? 1 : 0) << "\n";
+      out << "cand id=" << r.id << " n=" << i
+          << " part=" << opt_str(c.partition)
+          << " pred=" << General{c.predicted_speed}
+          << " cost_fine=" << General{c.cost_fine}
+          << " cost_stw=" << General{c.cost_stw}
+          << " skip=" << (c.skipped ? 1 : 0) << "\n";
     }
-    os << "choice id=" << r.id << " action=" << decision_action_name(r.action)
-       << " target=" << opt_str(r.target)
-       << " pred=" << format_double(r.chosen_pred)
-       << " best=" << format_double(r.best_pred)
-       << " cost=" << format_double(r.cost_seconds)
-       << " arbiter=" << opt_str(r.arbiter)
-       << " explore=" << (r.explored ? 1 : 0) << " q=" << q_list(r.q_values)
-       << "\n";
-    os << "outcome id=" << r.id
-       << " status=" << outcome_status_name(r.outcome.status)
-       << " realized=" << opt_speed(r.outcome.realized_speed)
-       << " window=" << r.outcome.window_iterations
-       << " reason=" << opt_str(r.outcome.reason) << "\n";
+    out << "choice id=" << r.id
+        << " action=" << decision_action_name(r.action)
+        << " target=" << opt_str(r.target)
+        << " pred=" << General{r.chosen_pred}
+        << " best=" << General{r.best_pred}
+        << " cost=" << General{r.cost_seconds}
+        << " arbiter=" << opt_str(r.arbiter)
+        << " explore=" << (r.explored ? 1 : 0) << " q=" << QList{r.q_values}
+        << "\n";
+    out << "outcome id=" << r.id
+        << " status=" << outcome_status_name(r.outcome.status)
+        << " realized=" << OptSpeed{r.outcome.realized_speed}
+        << " window=" << r.outcome.window_iterations
+        << " reason=" << opt_str(r.outcome.reason) << "\n";
   }
 }
 

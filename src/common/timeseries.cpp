@@ -1,11 +1,10 @@
 #include "common/timeseries.hpp"
 
-#include <ostream>
 #include <set>
 
 #include "common/expect.hpp"
 #include "common/metrics.hpp"
-#include "common/trace.hpp"
+#include "common/text_writer.hpp"
 
 namespace autopipe::trace {
 
@@ -46,18 +45,19 @@ void TimeSeriesSampler::write_text(std::ostream& os) const {
   for (const Sample& s : samples_)
     for (const auto& [name, value] : s.values) columns.insert(name);
 
-  os << "autopipe-ts-v1 interval=" << format_double(interval_)
-     << " rows=" << samples_.size() << " columns=" << columns.size() + 1
-     << "\n";
-  os << "col time\n";
-  for (const std::string& name : columns) os << "col " << name << "\n";
+  TextWriter out(os);
+  out << "autopipe-ts-v1 interval=" << General{interval_}
+      << " rows=" << samples_.size() << " columns=" << columns.size() + 1
+      << "\n";
+  out << "col time\n";
+  for (const std::string& name : columns) out << "col " << name << "\n";
   for (const Sample& s : samples_) {
-    os << format_double(s.time);
+    out << General{s.time};
     for (const std::string& name : columns) {
       const auto it = s.values.find(name);
-      os << " " << format_double(it == s.values.end() ? 0.0 : it->second);
+      out << ' ' << General{it == s.values.end() ? 0.0 : it->second};
     }
-    os << "\n";
+    out << '\n';
   }
 }
 

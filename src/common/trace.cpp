@@ -1,9 +1,12 @@
 #include "common/trace.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <cstring>
+#include <functional>
 #include <ostream>
 #include <set>
-#include <utility>
+
+#include "common/text_writer.hpp"
 
 namespace autopipe::trace {
 
@@ -21,9 +24,19 @@ const char* category_name(Category category) {
 }
 
 std::string format_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  return buf;
+  char buf[kMaxGeneralChars];
+  return std::string(buf, write_general(buf, value));
+}
+
+Field::operator Arg() const {
+  Arg decoded{std::string(key), {}};
+  switch (kind) {
+    case Kind::kInt: decoded.value = std::to_string(i); break;
+    case Kind::kUint: decoded.value = std::to_string(u); break;
+    case Kind::kDouble: decoded.value = format_double(d); break;
+    case Kind::kString: decoded.value = std::string(text); break;
+  }
+  return decoded;
 }
 
 const std::string* Event::find_arg(const std::string& key) const {
@@ -35,222 +48,268 @@ const std::string* Event::find_arg(const std::string& key) const {
 
 #if AUTOPIPE_TRACING
 
-std::uint64_t TraceRecorder::record(Event ev, std::uint64_t cause) {
-  ev.eid = next_eid_++;
-  ev.cause = cause == kAmbient ? current_cause_ : cause;
-  if (ev.cause == ev.eid) ev.cause = 0;  // never self-caused
-  current_cause_ = ev.eid;
-  const std::uint64_t eid = ev.eid;
-  events_.push_back(std::move(ev));
+std::uint32_t TraceRecorder::intern(std::string_view text) {
+  if (slots_.size() < 2 * (strings_.size() + 1)) {
+    rehash(std::max<std::size_t>(64, 2 * slots_.size()));
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = std::hash<std::string_view>{}(text) & mask;
+  for (; slots_[slot] != 0; slot = (slot + 1) & mask) {
+    if (strings_[slots_[slot] - 1] == text) return slots_[slot] - 1;
+  }
+  // First sighting: copy the bytes into the current chunk, starting a new
+  // one when they do not fit.
+  constexpr std::size_t kChunkBytes = 4096;
+  if (chunks_.empty() ||
+      static_cast<std::size_t>(chunk_end_ - chunk_next_) < text.size()) {
+    const std::size_t bytes = std::max(kChunkBytes, text.size());
+    chunk_next_ = chunks_.emplace_back(new char[bytes]).get();
+    chunk_end_ = chunk_next_ + bytes;
+  }
+  std::copy(text.begin(), text.end(), chunk_next_);
+  strings_.emplace_back(chunk_next_, text.size());
+  chunk_next_ += text.size();
+  slots_[slot] = static_cast<std::uint32_t>(strings_.size());
+  return slots_[slot] - 1;
+}
+
+void TraceRecorder::rehash(std::size_t slots) {
+  slots_.assign(slots, 0);
+  const std::size_t mask = slots - 1;
+  for (std::size_t id = 0; id < strings_.size(); ++id) {
+    std::size_t slot = std::hash<std::string_view>{}(strings_[id]) & mask;
+    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<std::uint32_t>(id + 1);
+  }
+}
+
+Field TraceRecorder::load(const StoredField& stored) const {
+  Field f;
+  f.key = text(stored.key);
+  f.kind = stored.kind;
+  if (stored.kind == Field::Kind::kString) {
+    f.text = text(stored.string);
+  } else {
+    std::memcpy(&f.u, &stored.number, sizeof f.u);
+  }
+  return f;
+}
+
+std::uint64_t TraceRecorder::record(Category category, char phase,
+                                    std::string_view name, double ts,
+                                    double span, std::uint64_t id, int pid,
+                                    int tid, const Fields& fields,
+                                    std::uint64_t cause) {
+  const std::uint64_t eid = next_eid_++;
+  cause = cause == kAmbient ? current_cause_ : cause;
+  if (cause == eid) cause = 0;  // never self-caused
+  current_cause_ = eid;
+  records_.push_back({.ts = ts, .span = span, .id = id, .eid = eid,
+                      .cause = cause, .name = intern(name),
+                      .first_field = static_cast<std::uint32_t>(fields_.size()),
+                      .pid = pid, .tid = tid, .category = category,
+                      .phase = phase,
+                      .field_count = static_cast<std::uint8_t>(fields.size())});
+  for (const Field& f : fields) {
+    StoredField& stored = fields_.emplace_back();
+    stored.key = intern(f.key);
+    stored.kind = f.kind;
+    if (f.kind == Field::Kind::kString) {
+      stored.string = intern(f.text);
+    } else {
+      std::memcpy(&stored.number, &f.u, sizeof stored.number);
+    }
+  }
   return eid;
 }
 
-std::uint64_t TraceRecorder::complete(Category category, std::string name,
-                                      double ts_begin, double ts_end, int pid,
-                                      int tid, Args args,
-                                      std::uint64_t cause) {
-  if (!enabled_) return 0;
-  Event ev;
-  ev.category = category;
-  ev.phase = 'X';
-  ev.name = std::move(name);
-  ev.ts = ts_begin;
-  ev.dur = ts_end - ts_begin;
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.args = std::move(args);
-  return record(std::move(ev), cause);
-}
-
-std::uint64_t TraceRecorder::instant(Category category, std::string name,
-                                     double ts, int pid, int tid, Args args,
-                                     std::uint64_t cause) {
-  if (!enabled_) return 0;
-  Event ev;
-  ev.category = category;
-  ev.phase = 'i';
-  ev.name = std::move(name);
-  ev.ts = ts;
-  ev.pid = pid;
-  ev.tid = tid;
-  ev.args = std::move(args);
-  return record(std::move(ev), cause);
-}
-
-void TraceRecorder::counter(Category category, std::string name, double ts,
-                            double value, int pid) {
+void TraceRecorder::counter(Category category, std::string_view name,
+                            double ts, double value, int pid) {
   if (!enabled_) return;
-  Event ev;
-  ev.category = category;
-  ev.phase = 'C';
-  ev.name = std::move(name);
-  ev.ts = ts;
-  ev.value = value;
-  ev.pid = pid;
-  events_.push_back(std::move(ev));
+  records_.push_back({.ts = ts, .span = value, .id = 0, .eid = 0, .cause = 0,
+                      .name = intern(name),
+                      .first_field = static_cast<std::uint32_t>(fields_.size()),
+                      .pid = pid, .tid = 0, .category = category,
+                      .phase = 'C', .field_count = 0});
 }
 
-std::uint64_t TraceRecorder::async_begin(Category category, std::string name,
-                                         std::uint64_t id, double ts,
-                                         Args args, std::uint64_t cause) {
-  if (!enabled_) return 0;
-  Event ev;
-  ev.category = category;
-  ev.phase = 'b';
-  ev.name = std::move(name);
-  ev.ts = ts;
-  ev.id = id;
-  ev.pid = kPidNetwork;
-  ev.args = std::move(args);
-  return record(std::move(ev), cause);
+void TraceRecorder::clear() {
+  records_.clear();
+  fields_.clear();
+  strings_.clear();
+  chunks_.clear();
+  slots_.clear();
+  next_eid_ = 1;
+  current_cause_ = 0;
 }
 
-std::uint64_t TraceRecorder::async_end(Category category, std::string name,
-                                       std::uint64_t id, double ts, Args args,
-                                       std::uint64_t cause) {
-  if (!enabled_) return 0;
-  Event ev;
-  ev.category = category;
-  ev.phase = 'e';
-  ev.name = std::move(name);
-  ev.ts = ts;
-  ev.id = id;
-  ev.pid = kPidNetwork;
-  ev.args = std::move(args);
-  return record(std::move(ev), cause);
-}
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+std::vector<Event> TraceRecorder::events() const {
+  std::vector<Event> out;
+  out.reserve(records_.size());
+  for (const Record& r : records_) {
+    Event& ev = out.emplace_back();
+    ev.category = r.category;
+    ev.phase = r.phase;
+    ev.name = text(r.name);
+    ev.ts = r.ts;
+    if (r.phase == 'X') ev.dur = r.span;
+    if (r.phase == 'C') ev.value = r.span;
+    ev.id = r.id;
+    ev.pid = r.pid;
+    ev.tid = r.tid;
+    ev.eid = r.eid;
+    ev.cause = r.cause;
+    ev.args.reserve(r.field_count);
+    for (const StoredField& f : fields_of(r)) ev.args.push_back(load(f));
   }
   return out;
 }
 
-/// Chrome timestamps are microseconds; keep sub-microsecond digits.
-std::string micros_str(double seconds) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds * 1e6);
-  return buf;
+namespace {
+
+/// A typed value as both sinks print it: integers as std::to_string does,
+/// doubles as "%.9g", strings verbatim.
+void put_value(TextWriter& out, const Field& f) {
+  switch (f.kind) {
+    case Field::Kind::kInt: out << f.i; break;
+    case Field::Kind::kUint: out << f.u; break;
+    case Field::Kind::kDouble: out << General{f.d}; break;
+    case Field::Kind::kString: out << f.text; break;
+  }
 }
 
-std::string seconds_str(double seconds) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9f", seconds);
-  return buf;
+/// `s` as a quoted JSON string.
+void put_json_string(TextWriter& out, std::string_view s) {
+  out << '"';
+  std::size_t plain = 0;  // start of the run not yet written
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
+    switch (c) {
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\t': escape = "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out << s.substr(plain, i - plain);
+    if (escape != nullptr) {
+      out << escape;
+    } else {
+      constexpr char kHex[] = "0123456789abcdef";
+      out << "\\u00" << kHex[c >> 4] << kHex[c & 0xf];
+    }
+    plain = i + 1;
+  }
+  out << s.substr(plain) << '"';
 }
+
+/// Chrome timestamps are microseconds; keep sub-microsecond digits.
+Fixed micros(double seconds) { return Fixed{seconds * 1e6, 3}; }
 
 }  // namespace
 
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
+  TextWriter out(os);
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   // Name the synthetic process rows so the viewer is self-explanatory.
-  const std::pair<int, const char*> named[] = {
-      {kPidNetwork, "network"},
-      {kPidControl, "control"},
-      {kPidResource, "resources"},
-  };
   std::set<int> worker_pids;
-  for (const Event& ev : events_) {
-    if (ev.pid < kPidNetwork) worker_pids.insert(ev.pid);
+  for (const Record& r : records_) {
+    if (r.pid < kPidNetwork) worker_pids.insert(r.pid);
   }
-  auto metadata = [&](int pid, const std::string& name) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
+  const char* separator = "\n";
+  auto metadata = [&](int pid) -> TextWriter& {
+    out << separator << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
+        << pid << ",\"tid\":0,\"args\":{\"name\":\"";
+    separator = ",\n";
+    return out;
   };
-  for (const auto& [pid, name] : named) metadata(pid, name);
-  for (int pid : worker_pids) metadata(pid, "worker " + std::to_string(pid));
+  metadata(kPidNetwork) << "network\"}}";
+  metadata(kPidControl) << "control\"}}";
+  metadata(kPidResource) << "resources\"}}";
+  for (int pid : worker_pids) metadata(pid) << "worker " << pid << "\"}}";
 
-  for (const Event& ev : events_) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"" << json_escape(ev.name) << "\",\"cat\":\""
-       << category_name(ev.category) << "\",\"ph\":\"" << ev.phase
-       << "\",\"ts\":" << micros_str(ev.ts);
-    if (ev.phase == 'X') os << ",\"dur\":" << micros_str(ev.dur);
-    if (ev.phase == 'b' || ev.phase == 'e') os << ",\"id\":" << ev.id;
-    os << ",\"pid\":" << ev.pid << ",\"tid\":" << ev.tid;
-    if (ev.phase == 'C') {
-      os << ",\"args\":{\"value\":" << format_double(ev.value) << "}";
-    } else if (!ev.args.empty()) {
-      os << ",\"args\":{";
-      for (std::size_t i = 0; i < ev.args.size(); ++i) {
-        if (i) os << ",";
-        os << "\"" << json_escape(ev.args[i].key) << "\":\""
-           << json_escape(ev.args[i].value) << "\"";
+  for (const Record& r : records_) {
+    out << ",\n{\"name\":";
+    put_json_string(out, text(r.name));
+    out << ",\"cat\":\"" << category_name(r.category) << "\",\"ph\":\""
+        << r.phase << "\",\"ts\":" << micros(r.ts);
+    if (r.phase == 'X') out << ",\"dur\":" << micros(r.span);
+    if (r.phase == 'b' || r.phase == 'e') out << ",\"id\":" << r.id;
+    out << ",\"pid\":" << r.pid << ",\"tid\":" << r.tid;
+    if (r.phase == 'C') {
+      out << ",\"args\":{\"value\":" << General{r.span} << "}";
+    } else if (r.field_count != 0) {
+      // Every value is a JSON string, numbers included.
+      const char* separator = ",\"args\":{";
+      for (const StoredField& stored : fields_of(r)) {
+        const Field f = load(stored);
+        out << separator;
+        separator = ",";
+        put_json_string(out, f.key);
+        out << ':';
+        if (f.kind == Field::Kind::kString) {
+          put_json_string(out, f.text);
+        } else {
+          out << '"';
+          put_value(out, f);
+          out << '"';
+        }
       }
-      os << "}";
+      out << '}';
     }
-    os << "}";
+    out << '}';
   }
 
   // Causal edges as Chrome flow-event pairs: an 's' (start) anchored at the
   // causing event's end and an 'f' (finish, bp:"e") anchored at the caused
   // event's start, paired by the child's eid. eids are assigned densely over
   // non-counter events, so an index maps cause ids back to their events.
-  std::vector<const Event*> by_eid;
-  for (const Event& ev : events_) {
-    if (ev.eid != 0) {
-      if (by_eid.size() < ev.eid) by_eid.resize(ev.eid, nullptr);
-      by_eid[ev.eid - 1] = &ev;
+  std::vector<const Record*> by_eid;
+  for (const Record& r : records_) {
+    if (r.eid != 0) {
+      if (by_eid.size() < r.eid) by_eid.resize(r.eid, nullptr);
+      by_eid[r.eid - 1] = &r;
     }
   }
-  for (const Event& ev : events_) {
-    if (ev.cause == 0 || ev.cause > by_eid.size()) continue;
-    const Event* parent = by_eid[ev.cause - 1];
+  for (const Record& r : records_) {
+    if (r.cause == 0 || r.cause > by_eid.size()) continue;
+    const Record* parent = by_eid[r.cause - 1];
     if (parent == nullptr) continue;
     const double parent_end =
-        parent->phase == 'X' ? parent->ts + parent->dur : parent->ts;
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":\"causal\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":"
-       << ev.eid << ",\"ts\":" << micros_str(parent_end)
-       << ",\"pid\":" << parent->pid << ",\"tid\":" << parent->tid << "},"
-       << "\n{\"name\":\"causal\",\"cat\":\"causal\",\"ph\":\"f\",\"bp\":\"e\","
-       << "\"id\":" << ev.eid << ",\"ts\":" << micros_str(ev.ts)
-       << ",\"pid\":" << ev.pid << ",\"tid\":" << ev.tid << "}";
+        parent->phase == 'X' ? parent->ts + parent->span : parent->ts;
+    out << ",\n{\"name\":\"causal\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":"
+        << r.eid << ",\"ts\":" << micros(parent_end)
+        << ",\"pid\":" << parent->pid << ",\"tid\":" << parent->tid << "},"
+        << "\n{\"name\":\"causal\",\"cat\":\"causal\",\"ph\":\"f\","
+        << "\"bp\":\"e\",\"id\":" << r.eid << ",\"ts\":" << micros(r.ts)
+        << ",\"pid\":" << r.pid << ",\"tid\":" << r.tid << "}";
   }
-  os << "\n]}\n";
+  out << "\n]}\n";
 }
 
 void TraceRecorder::write_text(std::ostream& os) const {
-  for (const Event& ev : events_) {
-    os << seconds_str(ev.ts) << ' ' << category_name(ev.category) << ' '
-       << ev.phase << ' ' << ev.name << " pid=" << ev.pid
-       << " tid=" << ev.tid;
-    if (ev.phase == 'X') os << " dur=" << seconds_str(ev.dur);
-    if (ev.phase == 'b' || ev.phase == 'e') os << " id=" << ev.id;
-    if (ev.phase == 'C') os << " value=" << format_double(ev.value);
-    if (ev.eid != 0) os << " eid=" << ev.eid;
-    if (ev.cause != 0) os << " cause=" << ev.cause;
-    for (const Arg& a : ev.args) os << ' ' << a.key << '=' << a.value;
-    os << '\n';
+  TextWriter out(os);
+  for (const Record& r : records_) {
+    out << Fixed{r.ts, 9} << ' ' << category_name(r.category) << ' '
+        << r.phase << ' ' << text(r.name) << " pid=" << r.pid
+        << " tid=" << r.tid;
+    if (r.phase == 'X') out << " dur=" << Fixed{r.span, 9};
+    if (r.phase == 'b' || r.phase == 'e') out << " id=" << r.id;
+    if (r.phase == 'C') out << " value=" << General{r.span};
+    if (r.eid != 0) out << " eid=" << r.eid;
+    if (r.cause != 0) out << " cause=" << r.cause;
+    for (const StoredField& stored : fields_of(r)) {
+      const Field f = load(stored);
+      out << ' ' << f.key << '=';
+      put_value(out, f);
+    }
+    out << '\n';
   }
 }
 
 #else  // !AUTOPIPE_TRACING
-
-const std::vector<Event> TraceRecorder::empty_;
 
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n";

@@ -25,6 +25,14 @@
 // pass an explicit cause. The text sink emits `eid=`/`cause=` fields and the
 // Chrome sink renders each edge as a flow-event pair (ph "s"/"f").
 //
+// Storage: recording formats nothing. Each event is one trivially copyable
+// record (category, phase, interned name id, pid/tid, ts, dur-or-value,
+// async id, eid, cause and a range of fields), and its arguments are typed
+// fields (int64, uint64, double or interned string) in one flat array.
+// Names, keys and string values are interned once per recorder. Only the
+// sinks format, straight into a TextWriter buffer; events() decodes the
+// records into the analysis-side Event form.
+//
 // Overhead discipline: recording methods no-op unless set_enabled(true) was
 // called, and callers guard argument construction behind `enabled()`. With
 // the CMake option AUTOPIPE_TRACING=OFF the recorder compiles down to inline
@@ -33,11 +41,16 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
-#include <utility>
 #include <vector>
+
+#include "common/expect.hpp"
 
 #ifndef AUTOPIPE_TRACING
 #define AUTOPIPE_TRACING 1
@@ -68,6 +81,8 @@ inline constexpr int kPidResource = 1002;  ///< cluster resource events
 /// double that lands in a trace line.
 std::string format_double(double value);
 
+/// A decoded event argument: the key and the value as the text sink writes
+/// it (and the reader parses it back).
 struct Arg {
   std::string key;
   std::string value;
@@ -80,19 +95,72 @@ using Args = std::vector<Arg>;
 /// Pass 0 to record an event with no causal parent.
 inline constexpr std::uint64_t kAmbient = ~std::uint64_t{0};
 
-/// Build an Arg from a string, integer or floating-point value with the
-/// deterministic formatting the text sink relies on.
+/// A typed event argument as a recording call passes it. It views its key
+/// and string value, so it lives only for the call it is built for.
+struct Field {
+  enum class Kind : std::uint8_t { kInt, kUint, kDouble, kString };
+
+  std::string_view key;
+  std::string_view text;  ///< kString only
+  union {
+    std::int64_t i = 0;
+    std::uint64_t u;
+    double d;
+  };
+  Kind kind = Kind::kInt;
+
+  /// The decoded form, formatted as the text sink formats it — for code
+  /// that builds analysis Events directly.
+  operator Arg() const;
+};
+
+/// Build a Field from a string, integer or floating-point value; nothing is
+/// formatted until a sink writes it.
 template <typename T>
-Arg arg(std::string key, T value) {
-  if constexpr (std::is_floating_point_v<std::decay_t<T>>) {
-    return Arg{std::move(key), format_double(value)};
-  } else if constexpr (std::is_integral_v<std::decay_t<T>>) {
-    return Arg{std::move(key), std::to_string(value)};
+Field arg(std::string_view key, const T& value) {
+  using V = std::decay_t<T>;
+  Field f;
+  f.key = key;
+  if constexpr (std::is_floating_point_v<V>) {
+    f.kind = Field::Kind::kDouble;
+    f.d = static_cast<double>(value);
+  } else if constexpr (std::is_integral_v<V> && std::is_signed_v<V>) {
+    f.kind = Field::Kind::kInt;
+    f.i = static_cast<std::int64_t>(value);
+  } else if constexpr (std::is_integral_v<V>) {
+    f.kind = Field::Kind::kUint;
+    f.u = static_cast<std::uint64_t>(value);
   } else {
-    return Arg{std::move(key), std::string(std::move(value))};
+    f.kind = Field::Kind::kString;
+    f.text = std::string_view(value);
   }
+  return f;
 }
 
+/// The bounded inline argument list of one recording call.
+class Fields {
+ public:
+  static constexpr std::size_t kCapacity = 8;
+
+  Fields() = default;
+  Fields(std::initializer_list<Field> fields) {
+    for (const Field& f : fields) push_back(f);
+  }
+  void push_back(const Field& field) {
+    AUTOPIPE_EXPECT(size_ < kCapacity);
+    items_[size_++] = field;
+  }
+  const Field* begin() const { return items_; }
+  const Field* end() const { return items_ + size_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  Field items_[kCapacity];
+  std::size_t size_ = 0;
+};
+
+/// A decoded event: what the text reader produces and the analyzers
+/// consume.
 struct Event {
   Category category = Category::kMark;
   char phase = 'i';  // 'X' complete, 'i' instant, 'C' counter, 'b'/'e' async
@@ -120,25 +188,44 @@ class TraceRecorder {
   /// A finished span: [ts_begin, ts_end] on row (pid, tid). Returns the
   /// causal id assigned to the event (0 when disabled). `cause` is the eid
   /// of the causal parent; kAmbient picks up the recorder's ambient cause.
-  std::uint64_t complete(Category category, std::string name, double ts_begin,
-                         double ts_end, int pid, int tid, Args args = {},
-                         std::uint64_t cause = kAmbient);
+  std::uint64_t complete(Category category, std::string_view name,
+                         double ts_begin, double ts_end, int pid, int tid,
+                         const Fields& fields = {},
+                         std::uint64_t cause = kAmbient) {
+    return enabled_ ? record(category, 'X', name, ts_begin, ts_end - ts_begin,
+                             0, pid, tid, fields, cause)
+                    : 0;
+  }
   /// A point event.
-  std::uint64_t instant(Category category, std::string name, double ts,
-                        int pid, int tid, Args args = {},
-                        std::uint64_t cause = kAmbient);
+  std::uint64_t instant(Category category, std::string_view name, double ts,
+                        int pid, int tid, const Fields& fields = {},
+                        std::uint64_t cause = kAmbient) {
+    return enabled_ ? record(category, 'i', name, ts, 0.0, 0, pid, tid,
+                             fields, cause)
+                    : 0;
+  }
   /// A sampled counter value. Counters carry no causal id and do not
   /// disturb the ambient cause.
-  void counter(Category category, std::string name, double ts, double value,
-               int pid = kPidNetwork);
+  void counter(Category category, std::string_view name, double ts,
+               double value, int pid = kPidNetwork);
   /// Async span delimiters paired by (name, id) — used for flows, whose
   /// lifetimes overlap arbitrarily.
-  std::uint64_t async_begin(Category category, std::string name,
-                            std::uint64_t id, double ts, Args args = {},
-                            std::uint64_t cause = kAmbient);
-  std::uint64_t async_end(Category category, std::string name,
-                          std::uint64_t id, double ts, Args args = {},
-                          std::uint64_t cause = kAmbient);
+  std::uint64_t async_begin(Category category, std::string_view name,
+                            std::uint64_t id, double ts,
+                            const Fields& fields = {},
+                            std::uint64_t cause = kAmbient) {
+    return enabled_ ? record(category, 'b', name, ts, 0.0, id, kPidNetwork, 0,
+                             fields, cause)
+                    : 0;
+  }
+  std::uint64_t async_end(Category category, std::string_view name,
+                          std::uint64_t id, double ts,
+                          const Fields& fields = {},
+                          std::uint64_t cause = kAmbient) {
+    return enabled_ ? record(category, 'e', name, ts, 0.0, id, kPidNetwork, 0,
+                             fields, cause)
+                    : 0;
+  }
 
   /// Ambient causal context: the eid of the most recently recorded
   /// non-counter event, or whatever the Simulator restored before running a
@@ -146,56 +233,102 @@ class TraceRecorder {
   std::uint64_t current_cause() const { return current_cause_; }
   void set_current_cause(std::uint64_t eid) { current_cause_ = eid; }
 
-  const std::vector<Event>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
-  void clear() {
-    events_.clear();
-    next_eid_ = 1;
-    current_cause_ = 0;
-  }
+  /// Every recorded event, decoded (a fresh copy on each call).
+  std::vector<Event> events() const;
+  std::size_t size() const { return records_.size(); }
+  void clear();
 
   void write_chrome_json(std::ostream& os) const;
   void write_text(std::ostream& os) const;
 
  private:
-  /// Shared body of the four non-counter recording methods.
-  std::uint64_t record(Event ev, std::uint64_t cause);
+  /// One recorded event. `span` is the duration of an 'X' span and the
+  /// value of a 'C' counter; fields [first_field, first_field +
+  /// field_count) of `fields_` are its arguments.
+  struct Record {
+    double ts;
+    double span;
+    std::uint64_t id;
+    std::uint64_t eid;
+    std::uint64_t cause;
+    std::uint32_t name;
+    std::uint32_t first_field;
+    std::int32_t pid;
+    std::int32_t tid;
+    Category category;
+    char phase;
+    std::uint8_t field_count;
+  };
+  /// One typed argument; keys and string values are interned ids.
+  struct StoredField {
+    union {
+      std::uint64_t number;  ///< kInt, kUint, kDouble: the value's bits
+      std::uint32_t string;  ///< kString
+    };
+    std::uint32_t key;
+    Field::Kind kind;
+  };
+  static_assert(std::is_trivially_copyable_v<Record>);
+  static_assert(std::is_trivially_copyable_v<StoredField>);
+
+  /// Shared body of the four non-counter recording methods (enabled only).
+  std::uint64_t record(Category category, char phase, std::string_view name,
+                       double ts, double span, std::uint64_t id, int pid,
+                       int tid, const Fields& fields, std::uint64_t cause);
+  /// The id of `text`, copying it into the recorder the first time.
+  std::uint32_t intern(std::string_view text);
+  /// Rebuild slots_ with `slots` (a power of two) entries.
+  void rehash(std::size_t slots);
+  std::string_view text(std::uint32_t id) const { return strings_[id]; }
+  std::span<const StoredField> fields_of(const Record& rec) const {
+    return std::span(fields_).subspan(rec.first_field, rec.field_count);
+  }
+  /// The stored field as a Field viewing the interned strings.
+  Field load(const StoredField& field) const;
 
   bool enabled_ = false;
   std::uint64_t next_eid_ = 1;
   std::uint64_t current_cause_ = 0;
-  std::vector<Event> events_;
+  std::vector<Record> records_;
+  std::vector<StoredField> fields_;
+  /// Interned texts by id. Their bytes live in chunks_, which never move,
+  /// so the views stay valid as the recorder grows or is moved.
+  std::vector<std::string_view> strings_;
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* chunk_next_ = nullptr;  ///< free bytes of chunks_.back()
+  char* chunk_end_ = nullptr;
+  /// Open-addressing index over strings_: id + 1 per slot, 0 when empty,
+  /// at least twice as many slots as strings.
+  std::vector<std::uint32_t> slots_;
 #else
   // Tracing compiled out: every call site guarded by enabled() is dead code.
   void set_enabled(bool) {}
   static constexpr bool enabled() { return false; }
-  std::uint64_t complete(Category, std::string, double, double, int, int,
-                         Args = {}, std::uint64_t = kAmbient) {
+  std::uint64_t complete(Category, std::string_view, double, double, int, int,
+                         const Fields& = {}, std::uint64_t = kAmbient) {
     return 0;
   }
-  std::uint64_t instant(Category, std::string, double, int, int, Args = {},
-                        std::uint64_t = kAmbient) {
+  std::uint64_t instant(Category, std::string_view, double, int, int,
+                        const Fields& = {}, std::uint64_t = kAmbient) {
     return 0;
   }
-  void counter(Category, std::string, double, double, int = kPidNetwork) {}
-  std::uint64_t async_begin(Category, std::string, std::uint64_t, double,
-                            Args = {}, std::uint64_t = kAmbient) {
+  void counter(Category, std::string_view, double, double,
+               int = kPidNetwork) {}
+  std::uint64_t async_begin(Category, std::string_view, std::uint64_t, double,
+                            const Fields& = {}, std::uint64_t = kAmbient) {
     return 0;
   }
-  std::uint64_t async_end(Category, std::string, std::uint64_t, double,
-                          Args = {}, std::uint64_t = kAmbient) {
+  std::uint64_t async_end(Category, std::string_view, std::uint64_t, double,
+                          const Fields& = {}, std::uint64_t = kAmbient) {
     return 0;
   }
   static constexpr std::uint64_t current_cause() { return 0; }
   void set_current_cause(std::uint64_t) {}
-  const std::vector<Event>& events() const { return empty_; }
+  std::vector<Event> events() const { return {}; }
   std::size_t size() const { return 0; }
   void clear() {}
   void write_chrome_json(std::ostream& os) const;
   void write_text(std::ostream&) const {}
-
- private:
-  static const std::vector<Event> empty_;
 #endif
 };
 

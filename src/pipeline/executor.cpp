@@ -786,7 +786,7 @@ bool PipelineExecutor::start_switch_attempt(partition::Partition next,
 
   metrics().add("switch.requested");
   if (tracer().enabled()) {
-    trace::Args request_args = {trace::arg("id", attempt.id)};
+    trace::Fields request_args = {trace::arg("id", attempt.id)};
     if (round != 0) request_args.push_back(trace::arg("round", round));
     // The request instant picks up the ambient cause (the controller
     // decision or fault event driving it); every later phase instant of
@@ -795,14 +795,14 @@ bool PipelineExecutor::start_switch_attempt(partition::Partition next,
         trace::Category::kSwitch,
         mode == SwitchMode::kStopTheWorld ? "switch_request_stw"
                                           : "switch_request_fine",
-        now, trace::kPidControl, 0, std::move(request_args));
-    trace::Args prepare_args = {trace::arg("id", attempt.id),
-                                trace::arg("pairs", st.pairs.size()),
-                                trace::arg("bytes", attempt.migration_bytes)};
+        now, trace::kPidControl, 0, request_args);
+    trace::Fields prepare_args = {trace::arg("id", attempt.id),
+                                  trace::arg("pairs", st.pairs.size()),
+                                  trace::arg("bytes", attempt.migration_bytes)};
     if (round != 0) prepare_args.push_back(trace::arg("round", round));
     st.last_eid = tracer().instant(trace::Category::kSwitch, "switch_prepare",
                                    now, trace::kPidControl, 0,
-                                   std::move(prepare_args), st.last_eid);
+                                   prepare_args, st.last_eid);
   }
   notify_switch_observers(attempt);
 
@@ -925,13 +925,13 @@ void PipelineExecutor::commit_switch() {
   metrics().add("switch.committed");
   st.attempt.phase = SwitchPhase::kCommit;
   if (tracer().enabled()) {
-    trace::Args commit_args = {trace::arg("id", st.attempt.id),
-                               trace::arg("bytes",
-                                          st.attempt.transferred_bytes)};
+    trace::Fields commit_args = {trace::arg("id", st.attempt.id),
+                                 trace::arg("bytes",
+                                            st.attempt.transferred_bytes)};
     if (st.round != 0) commit_args.push_back(trace::arg("round", st.round));
     st.last_eid = tracer().instant(trace::Category::kSwitch, "switch_commit",
                                    now, trace::kPidControl, 0,
-                                   std::move(commit_args), st.last_eid);
+                                   commit_args, st.last_eid);
     tracer().complete(trace::Category::kSwitch, "switch",
                       st.attempt.requested_at, now, trace::kPidControl, 0,
                       {trace::arg("mode", mode == SwitchMode::kStopTheWorld

@@ -25,10 +25,7 @@ ResourceId FlowNetwork::add_resource(std::string name, BytesPerSec capacity) {
   res_saved_capacity_.push_back(0.0);
   res_down_.push_back(0);
   const ResourceId id = res_capacity_.size() - 1;
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().counter(trace::Category::kComm, "cap:" + res_name_[id],
-                          sim_.now(), capacity);
-  }
+  emit_capacity(id);
   return id;
 }
 
@@ -44,10 +41,7 @@ void FlowNetwork::set_capacity(ResourceId resource, BytesPerSec capacity) {
   res_capacity_[resource] = capacity;
   recompute_rates();
   schedule_next_completion();
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().counter(trace::Category::kComm,
-                          "cap:" + res_name_[resource], sim_.now(), capacity);
-  }
+  emit_capacity(resource);
   emit_loads();
 }
 
@@ -130,14 +124,14 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
   }
   advance_to_now();
   if (sim_.tracer().enabled()) {
-    std::string path_names;
+    scratch_path_.clear();
     for (ResourceId r : spec.path) {
-      if (!path_names.empty()) path_names += ',';
-      path_names += res_name_[r];
+      if (!scratch_path_.empty()) scratch_path_ += ',';
+      scratch_path_ += res_name_[r];
     }
     sim_.tracer().async_begin(trace::Category::kComm, "flow", id, sim_.now(),
                               {trace::arg("bytes", spec.bytes),
-                               trace::arg("path", std::move(path_names))});
+                               trace::arg("path", scratch_path_)});
   }
   // Ids are monotone, so push_back keeps the slot arrays sorted. The -1
   // rate marks the flow as not-yet-rated for the approximate pass.
@@ -397,14 +391,36 @@ void FlowNetwork::complete_due_flows() {
   for (auto it = callbacks.rbegin(); it != callbacks.rend(); ++it) (*it)();
 }
 
+void FlowNetwork::emit_capacity(ResourceId resource) {
+  if (!sim_.tracer().enabled()) return;
+  // Rare (set-up and capacity changes): assemble the name in a reused
+  // buffer rather than keep one per resource.
+  scratch_name_.assign("cap:").append(res_name_[resource]);
+  sim_.tracer().counter(trace::Category::kComm, scratch_name_, sim_.now(),
+                        res_capacity_[resource]);
+}
+
 void FlowNetwork::emit_loads() {
   if (!sim_.tracer().enabled()) return;
-  traced_load_.resize(res_capacity_.size(), 0.0);
-  for (ResourceId r = 0; r < res_capacity_.size(); ++r) {
-    const BytesPerSec load = resource_load(r);
+  const std::size_t n = res_capacity_.size();
+  traced_load_.resize(n, 0.0);
+  while (res_load_counter_.size() < n) {
+    res_load_counter_.push_back("load:" +
+                                res_name_[res_load_counter_.size()]);
+  }
+  // All loads in one pass over the flows in slot order. Paths hold no
+  // duplicates (start_flow checks), so each flow counts once per resource,
+  // and each resource sums its flows in resource_load()'s order: the values
+  // are bit-identical to it.
+  scratch_load_.assign(n, 0.0);
+  for (std::size_t s = 0; s < flow_id_.size(); ++s) {
+    for (ResourceId r : flow_path_[s]) scratch_load_[r] += flow_rate_[s];
+  }
+  for (ResourceId r = 0; r < n; ++r) {
+    const BytesPerSec load = scratch_load_[r];
     if (load == traced_load_[r]) continue;
     traced_load_[r] = load;
-    sim_.tracer().counter(trace::Category::kComm, "load:" + res_name_[r],
+    sim_.tracer().counter(trace::Category::kComm, res_load_counter_[r],
                           sim_.now(), load);
   }
 }

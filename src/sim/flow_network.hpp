@@ -141,6 +141,9 @@ class FlowNetwork {
 
   void complete_due_flows();
 
+  /// Trace-only: emit the resource's `cap:<name>` counter. No-op when
+  /// tracing is disabled.
+  void emit_capacity(ResourceId resource);
   /// Trace-only: emit a `load:<name>` counter for every resource whose
   /// allocated load changed since the last emission. No-op when tracing is
   /// disabled.
@@ -166,6 +169,13 @@ class FlowNetwork {
   Bytes bytes_delivered_ = 0.0;
   /// Last-emitted `load:` counter value per resource (tracing only).
   std::vector<BytesPerSec> traced_load_;
+  /// "load:<name>" per resource, built when tracing first needs it.
+  std::vector<std::string> res_load_counter_;
+  /// Tracing scratch: each resource's current load, a flow's path and a
+  /// cap: counter name.
+  std::vector<BytesPerSec> scratch_load_;
+  std::string scratch_path_;
+  std::string scratch_name_;
   /// Scratch buffers reused by the rating passes, indexed by ResourceId.
   std::vector<double> scratch_cap_;
   std::vector<std::size_t> scratch_count_;

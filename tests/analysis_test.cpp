@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -208,14 +209,30 @@ TEST(TraceReader, RoundTripsEveryPhase) {
   rec.async_begin(Category::kComm, "flow", 42, 0.25,
                   {arg("bytes", 100.0), arg("path", "server0.nic.tx")});
   rec.async_end(Category::kComm, "flow", 42, 0.5);
+  // Typed fields at their extremes, and a string value with spaces last, as
+  // resource_event's what= is.
+  rec.instant(Category::kResource, "resource_event", 1.5, trace::kPidResource,
+              0,
+              {arg("delta", std::int64_t{-42}),
+               arg("max", std::numeric_limits<std::uint64_t>::max()),
+               arg("nan", std::numeric_limits<double>::quiet_NaN()),
+               arg("inf", -std::numeric_limits<double>::infinity()),
+               arg("what", "set all NIC bandwidth to 10 Gbps")});
 
   std::ostringstream os;
   rec.write_text(os);
   std::istringstream is(os.str());
   const std::vector<trace::Event> parsed = parse_text(is);
-  ASSERT_EQ(parsed.size(), rec.events().size());
+  // events() decodes a fresh copy: keep it alive while referencing into it.
+  const std::vector<trace::Event> recorded = rec.events();
+  ASSERT_EQ(parsed.size(), recorded.size());
+  ASSERT_EQ(recorded.back().args.size(), 5u);
+  EXPECT_EQ(recorded.back().args[0].value, "-42");
+  EXPECT_EQ(recorded.back().args[1].value, "18446744073709551615");
+  EXPECT_EQ(recorded.back().args[2].value, "nan");
+  EXPECT_EQ(recorded.back().args[3].value, "-inf");
   for (std::size_t i = 0; i < parsed.size(); ++i) {
-    const trace::Event& want = rec.events()[i];
+    const trace::Event& want = recorded[i];
     const trace::Event& got = parsed[i];
     EXPECT_EQ(got.category, want.category) << "event " << i;
     EXPECT_EQ(got.phase, want.phase);

@@ -32,7 +32,8 @@ inline models::ModelSpec tiny_model() {
 }
 
 struct GoldenCapture {
-  std::string text;
+  std::string text;    ///< write_text output
+  std::string chrome;  ///< write_chrome_json output of the same run
   std::vector<trace::Event> events;
 };
 
@@ -79,6 +80,9 @@ inline GoldenCapture run_golden_scenario(
   std::ostringstream os;
   sim.tracer().write_text(os);
   capture.text = os.str();
+  std::ostringstream chrome;
+  sim.tracer().write_chrome_json(chrome);
+  capture.chrome = chrome.str();
   capture.events = sim.tracer().events();
   return capture;
 }

@@ -10,6 +10,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -37,8 +38,10 @@ namespace {
 // Executor invariants over the paper's model x bandwidth grid
 // ---------------------------------------------------------------------------
 
+// The model name is a std::string, not a const char*: the test's listed name
+// prints its parameter, and a pointer would change from build to build.
 class ExecutorGrid
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ExecutorGrid, PlannedRunSatisfiesInvariants) {
   const auto [model_name, bandwidth] = GetParam();

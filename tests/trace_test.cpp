@@ -8,14 +8,21 @@
 // environment and the checked-in trace is rewritten instead of compared.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/text_writer.hpp"
 #include "common/trace.hpp"
 #include "common/units.hpp"
 #include "golden_scenario.hpp"
@@ -65,6 +72,89 @@ TEST(TraceFormat, FormatDoubleIsDeterministic) {
   EXPECT_EQ(trace::format_double(0.1 + 0.2), trace::format_double(0.1 + 0.2));
 }
 
+// ---------------------------------------------------------------------------
+// Number formatting: the sinks print through TextWriter's to_chars paths,
+// which must match the printf conversions and std::to_string digits the
+// artifacts were first written with.
+// ---------------------------------------------------------------------------
+
+/// What a TextWriter prints for `value`.
+template <typename T>
+std::string written(const T& value) {
+  std::ostringstream os;
+  {
+    trace::TextWriter out(os);
+    out << value;
+  }
+  return os.str();
+}
+
+std::string printed(const char* format, double value) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf, format, value);
+  return buf;
+}
+
+void expect_printf_formats(double v) {
+  EXPECT_EQ(written(trace::Fixed{v, 9}), printed("%.9f", v)) << v;
+  EXPECT_EQ(written(trace::Fixed{v, 3}), printed("%.3f", v)) << v;
+  EXPECT_EQ(written(trace::General{v}), printed("%.9g", v)) << v;
+  EXPECT_EQ(trace::format_double(v), printed("%.9g", v)) << v;
+}
+
+template <typename T>
+void expect_to_string_digits(T v) {
+  EXPECT_EQ(written(v), std::to_string(v));
+  const trace::Arg decoded = trace::arg("k", v);
+  EXPECT_EQ(decoded.value, std::to_string(v));
+}
+
+TEST(TraceFormat, DoublesMatchPrintfOnEdgeValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(), 1e-300, 1e300,
+      DBL_MAX, -DBL_MAX, kInf, -kInf, kNan, -kNan,
+      9007199254740991.0,  // 2^53 - 1
+      9007199254740993.0,  // 2^53 + 1, which rounds to 2^53
+      0.1 + 0.2, 0.5, 1e9,
+      0.0009765625,  // 2^-10: an exact tie at the tenth decimal
+  };
+  for (const double v : values) expect_printf_formats(v);
+  // The widest field a sink writes: -DBL_MAX has 309 integer digits.
+  EXPECT_EQ(written(trace::Fixed{-DBL_MAX, 9}).size(), 320u);
+  const trace::Arg decoded = trace::arg("k", kNan);
+  EXPECT_EQ(decoded.value, printed("%.9g", kNan));
+}
+
+TEST(TraceFormat, IntegersMatchToString) {
+  expect_to_string_digits(std::numeric_limits<std::int64_t>::min());
+  expect_to_string_digits(std::numeric_limits<std::int64_t>::max());
+  expect_to_string_digits(std::numeric_limits<std::uint64_t>::max());
+  expect_to_string_digits(std::int64_t{(1LL << 53) - 1});
+  expect_to_string_digits(std::uint64_t{(1ULL << 53) + 1});
+  expect_to_string_digits(std::numeric_limits<std::size_t>::max());
+  expect_to_string_digits(0);
+  expect_to_string_digits(-1);
+  expect_to_string_digits(7u);
+  // bool records as an unsigned integer, printed as std::to_string(int).
+  const trace::Arg flag = trace::arg("flag", true);
+  EXPECT_EQ(flag.value, std::to_string(true));
+}
+
+TEST(TraceFormat, RandomBitPatternsMatchPrintfAndToString) {
+  std::mt19937_64 rng(20240817);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    expect_printf_formats(v);
+    expect_to_string_digits(bits);
+    expect_to_string_digits(static_cast<std::int64_t>(bits));
+    if (::testing::Test::HasFailure()) break;  // one report, not 10 000
+  }
+}
+
 #if AUTOPIPE_TRACING
 
 // ---------------------------------------------------------------------------
@@ -89,7 +179,9 @@ TEST(TraceRecorder, RecordsEventsWithArgs) {
   rec.async_end(Category::kComm, "flow", 42, 2.0);
   ASSERT_EQ(rec.size(), 3u);
 
-  const Event& fp = rec.events()[0];
+  // events() decodes a fresh copy: keep it alive while referencing into it.
+  const std::vector<Event> events = rec.events();
+  const Event& fp = events[0];
   EXPECT_EQ(fp.phase, 'X');
   EXPECT_DOUBLE_EQ(fp.ts, 1.0);
   EXPECT_DOUBLE_EQ(fp.dur, 1.5);
@@ -101,9 +193,9 @@ TEST(TraceRecorder, RecordsEventsWithArgs) {
   EXPECT_EQ(*fp.find_arg("speed"), "0.5");
   EXPECT_EQ(fp.find_arg("absent"), nullptr);
 
-  EXPECT_EQ(rec.events()[1].phase, 'b');
-  EXPECT_EQ(rec.events()[2].phase, 'e');
-  EXPECT_EQ(rec.events()[1].id, 42u);
+  EXPECT_EQ(events[1].phase, 'b');
+  EXPECT_EQ(events[2].phase, 'e');
+  EXPECT_EQ(events[1].id, 42u);
 
   rec.clear();
   EXPECT_EQ(rec.size(), 0u);
@@ -135,6 +227,19 @@ TEST(TraceRecorder, ChromeJsonHasRequiredFields) {
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   // Chrome timestamps are microseconds: the 0.001 s span starts at ts=1000.
   EXPECT_NE(json.find("\"ts\":1000.000"), std::string::npos);
+}
+
+TEST(TraceRecorder, ChromeJsonEscapesNamesAndStringArgs) {
+  TraceRecorder rec;
+  rec.set_enabled(true);
+  rec.instant(Category::kMark, "a\"b\\c", 0.0, 0, 0,
+              {trace::arg("what", "x\ny\tz\x01!"), trace::arg("n", -3)});
+  std::ostringstream os;
+  rec.write_chrome_json(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"name\":\"a\\\"b\\\\c\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"what\":\"x\\ny\\tz\\u0001!\",\"n\":\"-3\"}"),
+            std::string::npos);
 }
 
 TEST(TraceRecorder, TextFormatIsStable) {
@@ -231,15 +336,14 @@ TEST(GoldenTrace, RepeatedRunsAreByteIdentical) {
   EXPECT_NE(a.text.find(" mark i iteration "), std::string::npos);
 }
 
-TEST(GoldenTrace, MatchesCheckedInGolden) {
-  const std::string path =
-      std::string(AUTOPIPE_GOLDEN_DIR) + "/bandwidth_drop.trace";
-  const GoldenCapture capture = run_golden_scenario();
-
+/// Compare `actual` with the checked-in golden file `name`, or rewrite the
+/// file when AUTOPIPE_REGEN_GOLDEN is set.
+void expect_matches_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(AUTOPIPE_GOLDEN_DIR) + "/" + name;
   if (std::getenv("AUTOPIPE_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path);
     ASSERT_TRUE(out.good()) << "cannot write golden file " << path;
-    out << capture.text;
+    out << actual;
     GTEST_SKIP() << "regenerated " << path;
   }
 
@@ -249,9 +353,20 @@ TEST(GoldenTrace, MatchesCheckedInGolden) {
       << " — regenerate with AUTOPIPE_REGEN_GOLDEN=1";
   std::ostringstream golden;
   golden << in.rdbuf();
-  EXPECT_EQ(capture.text, golden.str())
-      << "trace drifted from the golden file; if the change is intended, "
+  EXPECT_EQ(actual, golden.str())
+      << name << " drifted from the golden file; if the change is intended, "
          "regenerate with AUTOPIPE_REGEN_GOLDEN=1";
+}
+
+TEST(GoldenTrace, MatchesCheckedInGolden) {
+  expect_matches_golden("bandwidth_drop.trace", run_golden_scenario().text);
+}
+
+// The Chrome sink has its own number formatting (microsecond timestamps,
+// quoted args, causal flow-event pairs), so it gets its own byte golden.
+TEST(GoldenTrace, ChromeMatchesCheckedInGolden) {
+  expect_matches_golden("bandwidth_drop.trace.json",
+                        run_golden_scenario().chrome);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "autopipe/controller.hpp"
 #include "autopipe/features.hpp"
 #include "common/profile.hpp"
 #include "autopipe/meta_network.hpp"
@@ -171,6 +172,55 @@ void BM_NeighborhoodEnumeration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeighborhoodEnumeration);
+
+void BM_DecisionRound(benchmark::State& state) {
+  // One planning call of the controller (profile snapshot, change check and
+  // a full scoring round of the 28-move neighbourhood) on vgg16 5x2 at
+  // 25 Gbps, from the plan L0-4@{0,1,2} | L5-12@{3..8} | L13-20@{9} under
+  // the threshold arbiter and the analytic predictor. Set-up runs the
+  // pipeline and aborts every switch the controller starts as a lost
+  // tenant claim, which rejects its target for the rest of the regime, so
+  // the timed rounds hold and each one checks a non-empty rejected set.
+  sim::Simulator sim;
+  sim::ClusterConfig config;
+  config.num_servers = 5;
+  config.gpus_per_server = 2;
+  config.nic_bandwidth = gbps(25);
+  sim::Cluster cluster(sim, config);
+  const auto model = models::vgg16();
+  const partition::Partition plan(
+      {{0, 4, {0, 1, 2}}, {5, 12, {3, 4, 5, 6, 7, 8}}, {13, 20, {9}}},
+      model.num_layers());
+  pipeline::PipelineExecutor executor(cluster, model, plan,
+                                      pipeline::ExecutorConfig{});
+  core::ControllerConfig cc;
+  cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
+  cc.use_meta_network = false;
+  core::AutoPipeController controller(cluster, executor, cc, nullptr,
+                                      nullptr);
+  executor.set_iteration_callback([&](std::size_t iters) {
+    controller.on_iteration(iters);
+    if (executor.switch_in_progress())
+      executor.abort_switch_attempt("tenant_contention");
+  });
+  executor.run(80, 5);
+  if (executor.switches_aborted() == 0 ||
+      !(executor.current_partition() == plan)) {
+    state.SkipWithError("set-up did not reject a target on the 28-move plan");
+    return;
+  }
+  const std::size_t requested = controller.stats().switches_requested;
+  for (auto _ : state) {
+    controller.on_iteration(1000);
+    benchmark::DoNotOptimize(controller.stats().last_decision_wall_seconds);
+  }
+  if (controller.stats().switches_requested != requested)
+    state.SkipWithError("a timed round switched instead of holding");
+  state.counters["candidates"] = benchmark::Counter(
+      static_cast<double>(controller.stats().candidates_evaluated) /
+      static_cast<double>(controller.stats().decisions));
+}
+BENCHMARK(BM_DecisionRound);
 
 void BM_MetaNetworkPredict(benchmark::State& state) {
   const core::FeatureEncoder encoder;

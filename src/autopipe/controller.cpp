@@ -88,17 +88,11 @@ ProfileSnapshot AutoPipeController::scoped_snapshot(
   scoped.num_workers = owned_.size();
   scoped.worker_bandwidth.clear();
   scoped.worker_speed.clear();
-  scoped.fp_time.clear();
-  scoped.bp_time.clear();
   for (sim::WorkerId w : owned_) {
     if (w < snapshot.worker_bandwidth.size())
       scoped.worker_bandwidth.push_back(snapshot.worker_bandwidth[w]);
     if (w < snapshot.worker_speed.size())
       scoped.worker_speed.push_back(snapshot.worker_speed[w]);
-    if (w < snapshot.fp_time.size())
-      scoped.fp_time.push_back(snapshot.fp_time[w]);
-    if (w < snapshot.bp_time.size())
-      scoped.bp_time.push_back(snapshot.bp_time[w]);
   }
   return scoped;
 }
@@ -136,7 +130,8 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
     arm_watchdog();  // the give-up path stops the ticks; progress restarts them
   }
 
-  ProfileSnapshot snapshot = profiler_.snapshot(executor_, cluster_);
+  profiler_.snapshot(executor_, cluster_, snapshot_);
+  ProfileSnapshot& snapshot = snapshot_;
 
   // Profiler dropouts: a muted worker's readings would simply be absent in
   // a real deployment, so the controller holds that worker's last good
@@ -144,20 +139,14 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
   if (held_speed_.size() != snapshot.worker_speed.size()) {
     held_bw_ = snapshot.worker_bandwidth;
     held_speed_ = snapshot.worker_speed;
-    held_fp_ = snapshot.fp_time;
-    held_bp_ = snapshot.bp_time;
   }
   for (sim::WorkerId w = 0; w < snapshot.num_workers; ++w) {
     if (cluster_.profiler_muted(w)) {
       snapshot.worker_bandwidth[w] = held_bw_[w];
       snapshot.worker_speed[w] = held_speed_[w];
-      snapshot.fp_time[w] = held_fp_[w];
-      snapshot.bp_time[w] = held_bp_[w];
     } else {
       held_bw_[w] = snapshot.worker_bandwidth[w];
       held_speed_[w] = snapshot.worker_speed[w];
-      held_fp_[w] = snapshot.fp_time[w];
-      held_bp_[w] = snapshot.bp_time[w];
     }
   }
 
@@ -197,26 +186,27 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
   // Change detection runs on link-level bandwidth (what NIC/switch counters
   // report) rather than per-flow achieved rates: the latter shift with the
   // job's own traffic pattern and would alias as phantom resource events.
-  ProfileSnapshot monitor_view = snapshot;
-  if (held_nic_bw_.size() != monitor_view.worker_bandwidth.size()) {
-    held_nic_bw_.resize(monitor_view.worker_bandwidth.size());
-    for (sim::WorkerId w = 0; w < monitor_view.num_workers; ++w)
+  if (held_nic_bw_.size() != snapshot.num_workers) {
+    held_nic_bw_.resize(snapshot.num_workers);
+    for (sim::WorkerId w = 0; w < snapshot.num_workers; ++w)
       held_nic_bw_[w] = cluster_.nic_bandwidth(cluster_.server_of(w));
   }
-  for (sim::WorkerId w = 0; w < monitor_view.num_workers; ++w) {
-    if (cluster_.profiler_muted(w)) {
-      monitor_view.worker_bandwidth[w] = held_nic_bw_[w];
-    } else {
+  for (sim::WorkerId w = 0; w < snapshot.num_workers; ++w) {
+    if (!cluster_.profiler_muted(w))
       held_nic_bw_[w] = cluster_.nic_bandwidth(cluster_.server_of(w));
-      monitor_view.worker_bandwidth[w] = held_nic_bw_[w];
-    }
   }
-  // Job-scoped controllers watch only their owned workers: a sibling job's
-  // bandwidth shift must not trigger a replan here, while a change in the
-  // owned population itself (an arbiter grant or revocation) reports as
-  // "worker population changed" and does.
-  if (job_scoped()) monitor_view = scoped_snapshot(monitor_view);
-  const ResourceChange change = monitor_.update(monitor_view);
+  // The monitor reads only per-worker bandwidth and speed, and only of the
+  // owned workers: a sibling job's bandwidth shift must not trigger a
+  // replan here, while a change in the owned population itself (an arbiter
+  // grant or revocation) reports as "worker population changed" and does.
+  monitor_view_.num_workers = owned_.size();
+  monitor_view_.worker_bandwidth.clear();
+  monitor_view_.worker_speed.clear();
+  for (sim::WorkerId w : owned_) {
+    monitor_view_.worker_bandwidth.push_back(held_nic_bw_[w]);
+    monitor_view_.worker_speed.push_back(snapshot.worker_speed[w]);
+  }
+  const ResourceChange change = monitor_.update(monitor_view_);
   if (change.changed) {
     ++stats_.changes_detected;
     cluster_.simulator().metrics().add("controller.changes");
@@ -312,7 +302,7 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
             validation_.reset();
             return;
           }
-          rejected_.insert(executor_.current_partition().to_string());
+          reject(executor_.current_partition());
           // The revert is itself a staged switch: track it so a fault
           // mid-revert retries with backoff (but never re-validates it).
           drop_tracked_switch("revert");
@@ -379,22 +369,33 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
 }
 
 double AutoPipeController::predict_speed(
-    const ProfileSnapshot& snapshot, const partition::Partition& candidate) {
+    const ProfileSnapshot& snapshot,
+    std::span<const partition::StageAssignment> stages,
+    const partition::EnvironmentView& env) {
   PROF_SPAN_AGG("predictor/infer");
   if (meta_ && config_.use_meta_network) {
     const std::vector<std::vector<double>> seq(dynamic_history_.begin(),
                                                dynamic_history_.end());
     const double normalized = meta_->predict(
         seq, static_features_,
-        encoder_.partition_features(candidate, snapshot.num_layers));
+        encoder_.partition_features(stages, snapshot.num_layers));
     return encoder_.denormalize_throughput(normalized);
   }
   // Analytic integrated model on the profiled environment.
-  const auto env = profiler_.environment(snapshot,
-                                         executor_.config().framework,
-                                         executor_.config().sync_scheme);
-  return partition::analytic_throughput(executor_.model(), candidate, env,
+  return partition::analytic_throughput(executor_.model(), stages, env,
                                         executor_.batch_size());
+}
+
+bool AutoPipeController::rejected(
+    std::span<const partition::StageAssignment> stages) const {
+  return std::any_of(rejected_.begin(), rejected_.end(),
+                     [&](const partition::Partition& p) {
+                       return std::ranges::equal(p.stages(), stages);
+                     });
+}
+
+void AutoPipeController::reject(const partition::Partition& p) {
+  if (!rejected(p.stages())) rejected_.push_back(p);
 }
 
 double AutoPipeController::baseline_period() const {
@@ -415,31 +416,30 @@ std::size_t AutoPipeController::revert_backoff_iterations(
 }
 
 namespace {
-/// Layers whose hosting worker set differs between two partitions — the
-/// migration distance a switch sequence must close.
-std::size_t partition_distance(const partition::Partition& a,
-                               const partition::Partition& b) {
+/// Layers whose hosting worker set differs between two partitions (given
+/// by their stages) — the migration distance a switch sequence must close.
+std::size_t partition_distance(std::span<const partition::StageAssignment> a,
+                               std::span<const partition::StageAssignment> b) {
   std::size_t d = 0;
-  for (std::size_t l = 0; l < a.num_layers(); ++l) {
-    if (a.stage(a.stage_of_layer(l)).workers !=
-        b.stage(b.stage_of_layer(l)).workers)
-      ++d;
+  auto sa = a.begin();
+  auto sb = b.begin();
+  for (std::size_t l = 0; l <= a.back().last_layer; ++l) {
+    if (l > sa->last_layer) ++sa;
+    if (l > sb->last_layer) ++sb;
+    if (sa->workers != sb->workers) ++d;
   }
   return d;
 }
 }  // namespace
 
 std::pair<partition::Partition, double> AutoPipeController::replan(
-    const ProfileSnapshot& snapshot) {
+    const ProfileSnapshot& snapshot, const partition::EnvironmentView& env) {
   PROF_SPAN("planner/replan");
-  const auto env = profiler_.environment(snapshot,
-                                         executor_.config().framework,
-                                         executor_.config().sync_scheme);
   // The DP planner plans over a dense [0, N) worker space. A job-scoped
   // controller plans over its owned subset (dense via scoped_snapshot) and
   // maps the result back onto its real cluster worker ids; the descent and
   // rebalance below evaluate with the full-cluster env, which indexes by
-  // real id and never leaves the owned set (two_worker_candidates only
+  // real id and never leaves the owned set (a two-worker move only
   // permutes workers already in the partition).
   partition::PlanResult plan = [&] {
     if (!job_scoped()) {
@@ -459,23 +459,28 @@ std::pair<partition::Partition, double> AutoPipeController::replan(
         partition::remap_workers(scoped_plan.partition, owned_);
     return scoped_plan;
   }();
-  // Refine with a short neighbourhood descent under the integrated model.
+  // Refine with a short neighbourhood descent under the integrated model:
+  // each round steps to the last move that beat the running best.
   Seconds best = partition::analytic_batch_time(executor_.model(),
                                                 plan.partition, env,
                                                 executor_.batch_size());
   for (int round = 0; round < 20; ++round) {
-    bool improved = false;
-    for (const auto& candidate :
-         partition::two_worker_candidates(plan.partition)) {
+    const auto& stages = plan.partition.stages();
+    partition::enumerate_moves(stages, moves_);
+    scratch_ = stages;
+    std::optional<partition::Move> step;
+    for (const partition::Move& move : moves_) {
+      partition::apply_move(scratch_, move);
       const Seconds t = partition::analytic_batch_time(
-          executor_.model(), candidate.partition, env, executor_.batch_size());
+          executor_.model(), scratch_, env, executor_.batch_size());
+      partition::undo_move(scratch_, stages, move);
       if (t < best * 0.999) {
         best = t;
-        plan.partition = candidate.partition;
-        improved = true;
+        step = move;
       }
     }
-    if (!improved) break;
+    if (!step) break;
+    plan.partition = partition::apply_move(plan.partition, *step);
   }
   // Heterogeneity-aware alternative: keep the current stage structure but
   // re-draw the layer boundaries in proportion to the profiled speeds. This
@@ -502,28 +507,31 @@ bool AutoPipeController::pursue_target() {
     return false;
   }
   // Step to the neighbour closest to the target.
-  const auto candidates = partition::two_worker_candidates(current);
-  const std::size_t current_distance = partition_distance(current, *target_);
-  const partition::Candidate* best = nullptr;
-  std::size_t best_distance = current_distance;
-  for (const auto& candidate : candidates) {
-    const std::size_t d = partition_distance(candidate.partition, *target_);
+  partition::enumerate_moves(current.stages(), moves_);
+  scratch_ = current.stages();
+  std::optional<partition::Move> best;
+  std::size_t best_distance =
+      partition_distance(current.stages(), target_->stages());
+  for (const partition::Move& move : moves_) {
+    partition::apply_move(scratch_, move);
+    const std::size_t d = partition_distance(scratch_, target_->stages());
+    partition::undo_move(scratch_, current.stages(), move);
     if (d < best_distance) {
       best_distance = d;
-      best = &candidate;
+      best = move;
     }
   }
-  if (best == nullptr) {
+  if (!best) {
     target_.reset();  // no move closes the gap: abandon the target
     return false;
   }
+  const partition::Partition next = partition::apply_move(current, *best);
   ++target_steps_;
   // Intermediate migration steps are tracked (fault aborts retry them) but
   // never validated: they may transit through worse configurations.
   drop_tracked_switch("new_decision");
-  tracked_switch_ = TrackedSwitch(best->partition, current);
-  if (executor_.request_switch(best->partition, config_.switch_mode,
-                               target_round_)) {
+  tracked_switch_ = TrackedSwitch(next, current);
+  if (executor_.request_switch(next, config_.switch_mode, target_round_)) {
     ++stats_.switches_requested;
     last_switch_iteration_ = executor_.completed_iterations();
   } else if (tracked_switch_) {
@@ -540,7 +548,18 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   ++stats_.decisions;
 
   const partition::Partition& current = executor_.current_partition();
-  const double current_speed = predict_speed(snapshot, current);
+  // One environment view serves every prediction and cost of the round.
+  const auto env = profiler_.environment(snapshot,
+                                         executor_.config().framework,
+                                         executor_.config().sync_scheme);
+  const double current_speed = predict_speed(snapshot, current.stages(), env);
+  const auto switch_cost = [&](const partition::Partition& to) {
+    return analytic_switch_cost(
+        executor_.model(), current, to, env,
+        snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
+        partition::optimal_in_flight(current),
+        executor_.config().switch_overhead_per_layer);
+  };
 
   // One ledger record per planning round. Only simulated-time quantities
   // land in it — never the wall-clock timings below — so same-seed runs
@@ -564,14 +583,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   const auto fill_replan = [&](const partition::Partition& plan,
                                double plan_speed) {
     rec.kind = "replan";
-    const auto env = profiler_.environment(snapshot,
-                                           executor_.config().framework,
-                                           executor_.config().sync_scheme);
-    const SwitchCostEstimate cost = analytic_switch_cost(
-        executor_.model(), current, plan, env,
-        snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
-        partition::optimal_in_flight(current),
-        executor_.config().switch_overhead_per_layer);
+    const SwitchCostEstimate cost = switch_cost(plan);
     trace::CandidateScore cs;
     cs.partition = compact_partition(plan);
     cs.predicted_speed = plan_speed;
@@ -592,9 +604,9 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   // On a real environment shift, the two-worker neighbourhood may be too
   // local: consult the full re-plan first.
   if (after_change && config_.replan_on_change) {
-    auto [plan, plan_speed] = replan(snapshot);
+    auto [plan, plan_speed] = replan(snapshot, env);
     if (plan_speed > current_speed * (1.0 + config_.replan_gain_threshold) &&
-        !(plan == current) && !rejected_.count(plan.to_string()) &&
+        !(plan == current) && !rejected(plan.stages()) &&
         partition_reachable(plan)) {
       if (config_.gradual_migration) {
         LOG_DEBUG("migration target " << plan.to_string());
@@ -664,57 +676,55 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
     }
   }
 
-  auto candidates = partition::two_worker_candidates(current);
-  stats_.candidates_evaluated += candidates.size();
-
-  // Per-candidate switch costs are estimated only for the ledger; the
-  // decision itself still gates on the best candidate's estimate below.
-  std::optional<partition::EnvironmentView> ledger_env;
-  if (ledger_on)
-    ledger_env = profiler_.environment(snapshot, executor_.config().framework,
-                                       executor_.config().sync_scheme);
+  // Score every two-worker move in place on a scratch copy of the stages;
+  // only the winner becomes a Partition.
+  partition::enumerate_moves(current.stages(), moves_);
+  const std::size_t num_candidates = moves_.size();
+  stats_.candidates_evaluated += num_candidates;
+  scratch_ = current.stages();
+  // A move keeps the partition's worker set, so one check covers them all.
+  const bool reachable = partition_reachable(current);
 
   double best_speed = 0.0;
-  const partition::Candidate* best = nullptr;
-  for (const auto& candidate : candidates) {
+  std::optional<partition::Move> best;
+  for (const partition::Move& move : moves_) {
+    partition::apply_move(scratch_, move);
+    // Skip a faulted destination, or one that measured worse than predicted
+    // earlier in this regime.
     const bool skipped =
-        !partition_reachable(candidate.partition) ||  // faulted destination
-        (config_.validate_switches &&
-         rejected_.count(candidate.partition.to_string()) >
-             0);  // measured worse than predicted earlier in this regime
-    if (skipped) {
-      if (ledger_on) {
-        trace::CandidateScore cs;
-        cs.partition = compact_partition(candidate.partition);
-        cs.skipped = true;
-        rec.candidates.push_back(std::move(cs));
-      }
-      continue;
-    }
-    const double speed = predict_speed(snapshot, candidate.partition);
+        !reachable || (config_.validate_switches && rejected(scratch_));
+    const double speed =
+        skipped ? 0.0 : predict_speed(snapshot, scratch_, env);
+    partition::undo_move(scratch_, current.stages(), move);
     if (ledger_on) {
-      const SwitchCostEstimate cost = analytic_switch_cost(
-          executor_.model(), current, candidate.partition, *ledger_env,
-          snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
-          partition::optimal_in_flight(current),
-          executor_.config().switch_overhead_per_layer);
+      // The ledger names every candidate and, unless skipped, estimates
+      // its switch cost; the decision gates on the winner's estimate only.
+      const partition::Partition candidate =
+          partition::apply_move(current, move);
       trace::CandidateScore cs;
-      cs.partition = compact_partition(candidate.partition);
-      cs.predicted_speed = speed;
-      cs.cost_fine = cost.fine_grained;
-      cs.cost_stw = cost.stop_the_world;
+      cs.partition = compact_partition(candidate);
+      cs.skipped = skipped;
+      if (!skipped) {
+        const SwitchCostEstimate cost = switch_cost(candidate);
+        cs.predicted_speed = speed;
+        cs.cost_fine = cost.fine_grained;
+        cs.cost_stw = cost.stop_the_world;
+      }
       rec.candidates.push_back(std::move(cs));
     }
+    if (skipped) continue;
     if (cluster_.simulator().tracer().enabled()) {
       cluster_.simulator().tracer().instant(
           trace::Category::kControl, "predict", cluster_.simulator().now(),
           trace::kPidControl, 1, {trace::arg("speed", speed)});
     }
-    if (best == nullptr || speed > best_speed) {
+    if (!best || speed > best_speed) {
       best_speed = speed;
-      best = &candidate;
+      best = move;
     }
   }
+  std::optional<partition::Partition> winner;
+  if (best) winner = partition::apply_move(current, *best);
 
   const auto wall1 = std::chrono::steady_clock::now();
   stats_.last_decision_wall_seconds =
@@ -726,17 +736,17 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   // unprofitable switches is precisely its job, and declined proposals
   // still produce reward observations.
   const bool below_floor =
-      best == nullptr ||
+      !winner ||
       best_speed <= current_speed * (1.0 + config_.candidate_gain_floor);
   if (below_floor &&
       (config_.arbiter_mode != ControllerConfig::ArbiterMode::kRl ||
-       best == nullptr)) {
+       !winner)) {
     if (ledger_on) {
       // No candidate cleared the gain floor: an implicit hold, recorded so
       // the round still joins to a realized (status-quo) speed.
       rec.action = trace::DecisionAction::kHold;
       rec.chosen_pred = current_speed;
-      rec.best_pred = best != nullptr ? best_speed : current_speed;
+      rec.best_pred = winner ? best_speed : current_speed;
       rec.arbiter = "floor";
       const std::uint64_t id = ledger().add(std::move(rec));
       probes_.push_back(
@@ -746,14 +756,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   }
 
   // Cost of adopting the best candidate.
-  const auto env = profiler_.environment(snapshot,
-                                         executor_.config().framework,
-                                         executor_.config().sync_scheme);
-  const SwitchCostEstimate cost = analytic_switch_cost(
-      executor_.model(), current, best->partition, env,
-      snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
-      partition::optimal_in_flight(current),
-      executor_.config().switch_overhead_per_layer);
+  const SwitchCostEstimate cost = switch_cost(*winner);
   const Seconds cost_seconds =
       config_.switch_mode ==
               pipeline::PipelineExecutor::SwitchMode::kFineGrained
@@ -808,7 +811,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
         {trace::arg("current_speed", current_speed),
          trace::arg("best_speed", best_speed),
          trace::arg("cost_seconds", cost_seconds),
-         trace::arg("candidates", candidates.size())});
+         trace::arg("candidates", num_candidates)});
   }
 
   if (agent_) {
@@ -829,7 +832,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   if (ledger_on) {
     rec.action = action == 1 ? trace::DecisionAction::kSwitch
                              : trace::DecisionAction::kHold;
-    if (action == 1) rec.target = compact_partition(best->partition);
+    if (action == 1) rec.target = compact_partition(*winner);
     rec.chosen_pred = action == 1 ? best_speed : current_speed;
     rec.best_pred = best_speed;
     rec.cost_seconds = cost_seconds;
@@ -857,7 +860,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
         config_.validate_switches && !recent_period_.empty();
     drop_tracked_switch("new_decision");
     tracked_switch_ =
-        TrackedSwitch(best->partition, executor_.current_partition(),
+        TrackedSwitch(*winner, executor_.current_partition(),
                       arm_validation ? baseline_period() : 0.0,
                       arm_validation);
     if (ledger_on) {
@@ -867,13 +870,13 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
       supersede_probes("new_decision");
       tracked_switch_->ledger_id = ledger().add(std::move(rec));
     }
-    if (executor_.request_switch(best->partition, config_.switch_mode,
+    if (executor_.request_switch(*winner, config_.switch_mode,
                                  tracked_switch_->ledger_id
                                      ? *tracked_switch_->ledger_id
                                      : 0)) {
       ++stats_.switches_requested;
       last_switch_iteration_ = executor_.completed_iterations();
-      LOG_DEBUG("switching to " << best->partition.to_string()
+      LOG_DEBUG("switching to " << winner->to_string()
                                 << " (predicted " << current_speed << " -> "
                                 << best_speed << " samples/s)");
     } else if (tracked_switch_) {
@@ -1179,7 +1182,7 @@ void AutoPipeController::on_switch_event(
                        a.abort_reason);
       }
       if (a.abort_reason == "tenant_contention")
-        rejected_.insert(tracked_switch_->target.to_string());
+        reject(tracked_switch_->target);
       tracked_switch_.reset();
       ++retry_epoch_;
     }
@@ -1272,7 +1275,7 @@ void AutoPipeController::abandon_tracked_switch() {
   }
   // Repeated fault pressure on this exact move: skip it until the
   // environment changes again.
-  rejected_.insert(t.target.to_string());
+  reject(t.target);
 }
 
 void AutoPipeController::drop_tracked_switch(const std::string& reason) {

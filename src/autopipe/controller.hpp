@@ -13,8 +13,9 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
 #include "autopipe/features.hpp"
 #include "autopipe/meta_network.hpp"
@@ -22,6 +23,7 @@
 #include "autopipe/profiler.hpp"
 #include "autopipe/resource_monitor.hpp"
 #include "autopipe/switch_cost.hpp"
+#include "partition/neighborhood.hpp"
 #include "pipeline/executor.hpp"
 #include "rl/dqn.hpp"
 
@@ -198,15 +200,21 @@ class AutoPipeController {
  private:
   void evaluate_and_decide(const ProfileSnapshot& snapshot,
                            bool after_change);
-  /// Full re-plan against the profiled environment (DP + short descent).
-  /// Returns the plan and its analytic speed prediction.
+  /// Full re-plan against the profiled environment `env` (DP + short
+  /// descent). Returns the plan and its analytic speed prediction.
   std::pair<partition::Partition, double> replan(
-      const ProfileSnapshot& snapshot);
+      const ProfileSnapshot& snapshot, const partition::EnvironmentView& env);
   /// Take one step of an in-progress gradual migration. Returns true if a
   /// switch was issued (or the target is still pending).
   bool pursue_target();
+  /// Predicted samples/s of a partition given by its stages; `env` is the
+  /// round's view of `snapshot` (used by the analytic predictor).
   double predict_speed(const ProfileSnapshot& snapshot,
-                       const partition::Partition& candidate);
+                       std::span<const partition::StageAssignment> stages,
+                       const partition::EnvironmentView& env);
+  /// Membership in rejected_, and insertion into it.
+  bool rejected(std::span<const partition::StageAssignment> stages) const;
+  void reject(const partition::Partition& p);
   void settle_pending_reward(const ProfileSnapshot& snapshot);
   /// Median of the recent iteration periods.
   double baseline_period() const;
@@ -335,7 +343,15 @@ class AutoPipeController {
   std::deque<double> recent_period_;
   /// Partitions that measured worse than predicted after adoption; skipped
   /// until the environment changes again.
-  std::unordered_set<std::string> rejected_;
+  std::vector<partition::Partition> rejected_;
+
+  /// Buffers reused across iterations and planning rounds (grown on first
+  /// use): the profile reading, the resource monitor's view of it, the
+  /// round's move list and the scratch stages moves are scored on.
+  ProfileSnapshot snapshot_;
+  ProfileSnapshot monitor_view_;
+  std::vector<partition::Move> moves_;
+  std::vector<partition::StageAssignment> scratch_;
 
   std::vector<SpeedSample> adaptation_buffer_;
   Stats stats_;
@@ -375,8 +391,6 @@ class AutoPipeController {
   /// a worker is muted (fault-injected dropout).
   std::vector<BytesPerSec> held_bw_;
   std::vector<FlopsPerSec> held_speed_;
-  std::vector<std::vector<Seconds>> held_fp_;
-  std::vector<std::vector<Seconds>> held_bp_;
   std::vector<BytesPerSec> held_nic_bw_;
   /// Sorted owned-worker set (see set_owned_workers); every worker of the
   /// cluster when the config left owned_workers empty.

@@ -53,11 +53,11 @@ std::vector<double> FeatureEncoder::dynamic_features(
 }
 
 std::vector<double> FeatureEncoder::partition_features(
-    const partition::Partition& partition, std::size_t num_layers) const {
+    std::span<const partition::StageAssignment> stages,
+    std::size_t num_layers) const {
   AUTOPIPE_EXPECT(num_layers > 0);
   std::vector<double> f(3 * config_.max_workers + 1, 0.0);
-  for (std::size_t s = 0; s < partition.num_stages(); ++s) {
-    const auto& stage = partition.stage(s);
+  for (const partition::StageAssignment& stage : stages) {
     for (sim::WorkerId w : stage.workers) {
       if (w >= config_.max_workers) continue;
       f[3 * w + 0] = static_cast<double>(stage.first_layer) /
@@ -68,7 +68,7 @@ std::vector<double> FeatureEncoder::partition_features(
                      static_cast<double>(config_.max_workers);
     }
   }
-  f.back() = static_cast<double>(partition.num_stages()) /
+  f.back() = static_cast<double>(stages.size()) /
              static_cast<double>(config_.max_workers);
   return f;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "autopipe/profiler.hpp"
@@ -38,7 +39,12 @@ class FeatureEncoder {
   /// The "worker partition solution" input: per worker (padded), the
   /// normalized first/last layer and replication of its stage.
   std::vector<double> partition_features(
-      const partition::Partition& partition, std::size_t num_layers) const;
+      std::span<const partition::StageAssignment> stages,
+      std::size_t num_layers) const;
+  std::vector<double> partition_features(
+      const partition::Partition& partition, std::size_t num_layers) const {
+    return partition_features(partition.stages(), num_layers);
+  }
 
   /// Arbiter state: dynamic summary + predicted current/candidate speeds +
   /// predicted switch cost + iterations since last switch.

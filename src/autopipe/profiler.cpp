@@ -19,16 +19,18 @@ Profiler::Profiler(const models::ModelSpec& model, std::size_t batch_size,
   }
 }
 
-ProfileSnapshot Profiler::snapshot(const pipeline::PipelineExecutor& executor,
-                                   const sim::Cluster& cluster) {
-  ProfileSnapshot snap;
+void Profiler::snapshot(const pipeline::PipelineExecutor& executor,
+                        const sim::Cluster& cluster, ProfileSnapshot& snap) {
   snap.num_layers = model_.num_layers();
   snap.num_workers = cluster.num_workers();
   snap.activation_bytes = activation_bytes_;
   snap.gradient_bytes = gradient_bytes_;
   snap.param_bytes = param_bytes_;
+  snap.fp_flops = fp_flops_;
+  snap.bp_flops = bp_flops_;
   snap.iteration_time = executor.last_iteration_time();
 
+  snap.worker_bandwidth.clear();
   for (sim::WorkerId w = 0; w < snap.num_workers; ++w)
     snap.worker_bandwidth.push_back(executor.observed_bandwidth(w));
 
@@ -65,19 +67,6 @@ ProfileSnapshot Profiler::snapshot(const pipeline::PipelineExecutor& executor,
     }
     snap.worker_speed[w] = speed_state_[w];
   }
-
-  // Fill the FP_{i,j}/BP_{i,j} matrices from the speeds and the constant
-  // per-layer ratios.
-  snap.fp_time.assign(snap.num_workers,
-                      std::vector<Seconds>(snap.num_layers, 0.0));
-  snap.bp_time = snap.fp_time;
-  for (sim::WorkerId w = 0; w < snap.num_workers; ++w) {
-    for (std::size_t l = 0; l < snap.num_layers; ++l) {
-      snap.fp_time[w][l] = fp_flops_[l] / snap.worker_speed[w];
-      snap.bp_time[w][l] = bp_flops_[l] / snap.worker_speed[w];
-    }
-  }
-  return snap;
 }
 
 partition::EnvironmentView Profiler::environment(

@@ -27,14 +27,23 @@ struct ProfileSnapshot {
   std::vector<Bytes> activation_bytes;  // O_i, per mini-batch
   std::vector<Bytes> gradient_bytes;    // G_i
   std::vector<Bytes> param_bytes;       // P_i
+  /// Per-layer forward / backward FLOPs at the profiled batch size.
+  std::vector<Flops> fp_flops;
+  std::vector<Flops> bp_flops;
   std::vector<BytesPerSec> worker_bandwidth;  // B_i (observed)
-  /// FP_{i,j} / BP_{i,j}: worker-major, layer-minor.
-  std::vector<std::vector<Seconds>> fp_time;
-  std::vector<std::vector<Seconds>> bp_time;
   /// Implied effective speed of each worker (FLOP/s), the quantity the
   /// planners actually consume.
   std::vector<FlopsPerSec> worker_speed;
   Seconds iteration_time = 0.0;
+
+  /// FP_{i,j} / BP_{i,j}: layer j's forward / backward seconds on worker i,
+  /// derived on demand from the layer's FLOPs and the worker's speed.
+  Seconds fp_time(sim::WorkerId w, std::size_t layer) const {
+    return fp_flops[layer] / worker_speed[w];
+  }
+  Seconds bp_time(sim::WorkerId w, std::size_t layer) const {
+    return bp_flops[layer] / worker_speed[w];
+  }
 };
 
 class Profiler {
@@ -42,13 +51,19 @@ class Profiler {
   Profiler(const models::ModelSpec& model, std::size_t batch_size,
            double speed_ema_alpha = 0.4);
 
-  /// Take a non-intrusive reading from the running executor. Stateful:
-  /// per-worker implied speeds are EMA-smoothed across iterations, and a
-  /// worker with no fresh stage timing (idle, or just re-assigned by a
-  /// switch) keeps its last known speed instead of snapping back to the
-  /// exclusive-device profile.
+  /// Take a non-intrusive reading from the running executor into `snap`,
+  /// reusing its buffers. Stateful: per-worker implied speeds are
+  /// EMA-smoothed across iterations, and a worker with no fresh stage
+  /// timing (idle, or just re-assigned by a switch) keeps its last known
+  /// speed instead of snapping back to the exclusive-device profile.
+  void snapshot(const pipeline::PipelineExecutor& executor,
+                const sim::Cluster& cluster, ProfileSnapshot& snap);
   ProfileSnapshot snapshot(const pipeline::PipelineExecutor& executor,
-                           const sim::Cluster& cluster);
+                           const sim::Cluster& cluster) {
+    ProfileSnapshot snap;
+    snapshot(executor, cluster, snap);
+    return snap;
+  }
 
   /// Turn a snapshot into the planners' environment view.
   partition::EnvironmentView environment(

@@ -37,12 +37,12 @@ StageCostBreakdown stage_cost(const models::ModelSpec& model,
 }
 
 Seconds boundary_transfer_time(const models::ModelSpec& model,
-                               const Partition& partition,
+                               std::span<const StageAssignment> stages,
                                std::size_t boundary_stage,
                                const EnvironmentView& env, std::size_t batch) {
-  AUTOPIPE_EXPECT(boundary_stage + 1 < partition.num_stages());
-  const StageAssignment& up = partition.stage(boundary_stage);
-  const StageAssignment& down = partition.stage(boundary_stage + 1);
+  AUTOPIPE_EXPECT(boundary_stage + 1 < stages.size());
+  const StageAssignment& up = stages[boundary_stage];
+  const StageAssignment& down = stages[boundary_stage + 1];
   const Bytes activation = model.activation_bytes(up.last_layer, batch);
   // Forward activation and backward gradient have the same size and cross
   // the same links in opposite directions; with full-duplex NICs they do
@@ -54,25 +54,23 @@ Seconds boundary_transfer_time(const models::ModelSpec& model,
 }
 
 Seconds analytic_batch_time(const models::ModelSpec& model,
-                            const Partition& partition,
+                            std::span<const StageAssignment> stages,
                             const EnvironmentView& env, std::size_t batch) {
   Seconds bottleneck = 0.0;
-  for (std::size_t s = 0; s < partition.num_stages(); ++s) {
-    bottleneck = std::max(
-        bottleneck, stage_cost(model, partition.stage(s), env, batch).effective);
-  }
-  for (std::size_t s = 0; s + 1 < partition.num_stages(); ++s) {
+  for (const StageAssignment& stage : stages)
     bottleneck =
-        std::max(bottleneck, boundary_transfer_time(model, partition, s, env,
-                                                    batch));
+        std::max(bottleneck, stage_cost(model, stage, env, batch).effective);
+  for (std::size_t s = 0; s + 1 < stages.size(); ++s) {
+    bottleneck = std::max(
+        bottleneck, boundary_transfer_time(model, stages, s, env, batch));
   }
   return bottleneck;
 }
 
 double analytic_throughput(const models::ModelSpec& model,
-                           const Partition& partition,
+                           std::span<const StageAssignment> stages,
                            const EnvironmentView& env, std::size_t batch) {
-  const Seconds t = analytic_batch_time(model, partition, env, batch);
+  const Seconds t = analytic_batch_time(model, stages, env, batch);
   AUTOPIPE_EXPECT(t > 0.0);
   return static_cast<double>(batch) / t;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "common/units.hpp"
 #include "models/model.hpp"
@@ -30,20 +31,43 @@ StageCostBreakdown stage_cost(const models::ModelSpec& model,
 /// the boundary after `boundary_layer`, at the bandwidth between the two
 /// stages' workers.
 Seconds boundary_transfer_time(const models::ModelSpec& model,
-                               const Partition& partition,
+                               std::span<const StageAssignment> stages,
                                std::size_t boundary_stage,
                                const EnvironmentView& env, std::size_t batch);
 
 /// Steady-state seconds per mini-batch for the whole pipeline: the maximum
-/// over stage costs and boundary transfers.
+/// over stage costs and boundary transfers. Takes the stages alone so a
+/// planner can score an edited scratch copy without building a Partition.
 Seconds analytic_batch_time(const models::ModelSpec& model,
-                            const Partition& partition,
+                            std::span<const StageAssignment> stages,
                             const EnvironmentView& env, std::size_t batch);
 
 /// Images (samples) per second implied by analytic_batch_time.
 double analytic_throughput(const models::ModelSpec& model,
-                           const Partition& partition,
+                           std::span<const StageAssignment> stages,
                            const EnvironmentView& env, std::size_t batch);
+
+/// The same three on a Partition's stages.
+inline Seconds boundary_transfer_time(const models::ModelSpec& model,
+                                      const Partition& partition,
+                                      std::size_t boundary_stage,
+                                      const EnvironmentView& env,
+                                      std::size_t batch) {
+  return boundary_transfer_time(model, partition.stages(), boundary_stage,
+                                env, batch);
+}
+inline Seconds analytic_batch_time(const models::ModelSpec& model,
+                                   const Partition& partition,
+                                   const EnvironmentView& env,
+                                   std::size_t batch) {
+  return analytic_batch_time(model, partition.stages(), env, batch);
+}
+inline double analytic_throughput(const models::ModelSpec& model,
+                                  const Partition& partition,
+                                  const EnvironmentView& env,
+                                  std::size_t batch) {
+  return analytic_throughput(model, partition.stages(), env, batch);
+}
 
 /// PipeDream's NOW: in-flight mini-batches to fill the pipeline,
 /// ceil(total workers / replication of the input stage).

@@ -8,58 +8,78 @@ namespace autopipe::partition {
 
 namespace {
 
-/// Rebuild a Partition after editing a copy of its stages.
-Partition rebuild(std::vector<StageAssignment> stages,
-                  std::size_t num_layers) {
-  return Partition(std::move(stages), num_layers);
+/// The stage a move touches besides `move.stage`.
+std::size_t partner(const Move& move) {
+  return move.kind == Move::Kind::kShift ? move.stage + 1 : move.to;
 }
 
 }  // namespace
 
-std::vector<Candidate> two_worker_candidates(const Partition& current) {
-  std::vector<Candidate> out;
-  const auto& stages = current.stages();
-  const std::size_t L = current.num_layers();
-
-  // 1) Boundary-layer moves between adjacent stages.
+void enumerate_moves(std::span<const StageAssignment> stages,
+                     std::vector<Move>& out) {
+  out.clear();
+  const auto layers = [&](std::size_t s) {
+    return static_cast<std::ptrdiff_t>(stages[s].num_layers());
+  };
+  // 1) Boundary-layer moves between adjacent stages: k trailing layers of s
+  // into s+1 (s keeps at least one), then k leading layers of s+1 into s.
   for (std::size_t s = 0; s + 1 < stages.size(); ++s) {
-    // Move k trailing layers of s into s+1 (keep at least one layer in s).
-    for (std::size_t k = 1; k < stages[s].num_layers(); ++k) {
-      auto edited = stages;
-      edited[s].last_layer -= k;
-      edited[s + 1].first_layer -= k;
-      Partition candidate = rebuild(std::move(edited), L);
-      auto changed = current.changed_workers(candidate);
-      out.push_back(Candidate{std::move(candidate), std::move(changed)});
-    }
-    // Move k leading layers of s+1 into s.
-    for (std::size_t k = 1; k < stages[s + 1].num_layers(); ++k) {
-      auto edited = stages;
-      edited[s].last_layer += k;
-      edited[s + 1].first_layer += k;
-      Partition candidate = rebuild(std::move(edited), L);
-      auto changed = current.changed_workers(candidate);
-      out.push_back(Candidate{std::move(candidate), std::move(changed)});
-    }
+    for (std::ptrdiff_t k = 1; k < layers(s); ++k)
+      out.push_back(Move{Move::Kind::kShift, s, -k});
+    for (std::ptrdiff_t k = 1; k < layers(s + 1); ++k)
+      out.push_back(Move{Move::Kind::kShift, s, k});
   }
-
   // 2) Re-home one worker from a replicated stage to an adjacent stage.
   for (std::size_t s = 0; s < stages.size(); ++s) {
     if (stages[s].replication() < 2) continue;
-    for (const std::size_t t : {s == 0 ? stages.size() : s - 1, s + 1}) {
-      if (t >= stages.size()) continue;
-      // Moving the highest-id worker keeps candidates canonical.
-      auto edited = stages;
-      const sim::WorkerId mover = edited[s].workers.back();
-      edited[s].workers.pop_back();
-      edited[t].workers.push_back(mover);
-      std::sort(edited[t].workers.begin(), edited[t].workers.end());
-      Partition candidate = rebuild(std::move(edited), L);
-      auto changed = current.changed_workers(candidate);
-      out.push_back(Candidate{std::move(candidate), std::move(changed)});
-    }
+    if (s > 0) out.push_back(Move{Move::Kind::kRehome, s, 0, s - 1});
+    if (s + 1 < stages.size())
+      out.push_back(Move{Move::Kind::kRehome, s, 0, s + 1});
   }
+}
 
+void apply_move(std::span<StageAssignment> stages, const Move& move) {
+  StageAssignment& from = stages[move.stage];
+  if (move.kind == Move::Kind::kShift) {
+    // Unsigned wrap-around adds a negative delta exactly.
+    const auto delta = static_cast<std::size_t>(move.delta);
+    from.last_layer += delta;
+    stages[move.stage + 1].first_layer += delta;
+    return;
+  }
+  // Moving the last-listed worker keeps candidates canonical.
+  std::vector<sim::WorkerId>& to = stages[move.to].workers;
+  to.push_back(from.workers.back());
+  from.workers.pop_back();
+  std::sort(to.begin(), to.end());
+}
+
+void undo_move(std::span<StageAssignment> stages,
+               std::span<const StageAssignment> original, const Move& move) {
+  // Copy-assignment reuses the worker lists' buffers.
+  stages[move.stage] = original[move.stage];
+  stages[partner(move)] = original[partner(move)];
+}
+
+Partition apply_move(const Partition& current, const Move& move) {
+  AUTOPIPE_EXPECT(move.stage < current.num_stages() &&
+                  partner(move) < current.num_stages() &&
+                  partner(move) != move.stage);
+  std::vector<StageAssignment> stages = current.stages();
+  apply_move(stages, move);
+  return Partition(std::move(stages), current.num_layers());
+}
+
+std::vector<Candidate> two_worker_candidates(const Partition& current) {
+  std::vector<Move> moves;
+  enumerate_moves(current.stages(), moves);
+  std::vector<Candidate> out;
+  out.reserve(moves.size());
+  for (const Move& move : moves) {
+    Partition candidate = apply_move(current, move);
+    auto changed = current.changed_workers(candidate);
+    out.push_back(Candidate{std::move(candidate), std::move(changed)});
+  }
   return out;
 }
 

@@ -1,8 +1,7 @@
 #include "partition/partition.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <unordered_set>
+#include <charconv>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -15,7 +14,6 @@ Partition::Partition(std::vector<StageAssignment> stages,
   AUTOPIPE_EXPECT(!stages_.empty());
   AUTOPIPE_EXPECT(num_layers_ > 0);
   std::size_t expect_first = 0;
-  std::unordered_set<sim::WorkerId> seen;
   for (const StageAssignment& s : stages_) {
     AUTOPIPE_EXPECT_MSG(s.first_layer == expect_first,
                         "stage gap: expected first layer "
@@ -23,9 +21,19 @@ Partition::Partition(std::vector<StageAssignment> stages,
     AUTOPIPE_EXPECT(s.last_layer >= s.first_layer);
     AUTOPIPE_EXPECT(s.last_layer < num_layers_);
     AUTOPIPE_EXPECT_MSG(!s.workers.empty(), "stage with no workers");
-    for (sim::WorkerId w : s.workers)
-      AUTOPIPE_EXPECT_MSG(seen.insert(w).second,
-                          "worker " << w << " assigned to two stages");
+    // Partitions hold a handful of workers: scanning the ones listed before
+    // each worker beats hashing them.
+    for (auto w = s.workers.begin(); w != s.workers.end(); ++w) {
+      const bool repeated =
+          std::find(s.workers.begin(), w, *w) != w ||
+          std::any_of(std::as_const(stages_).data(), &s,
+                      [&](const StageAssignment& prev) {
+                        return std::ranges::find(prev.workers, *w) !=
+                               prev.workers.end();
+                      });
+      AUTOPIPE_EXPECT_MSG(!repeated,
+                          "worker " << *w << " assigned to two stages");
+    }
     expect_first = s.last_layer + 1;
   }
   AUTOPIPE_EXPECT_MSG(expect_first == num_layers_,
@@ -94,36 +102,45 @@ std::size_t Partition::num_workers() const {
 
 std::vector<sim::WorkerId> Partition::changed_workers(
     const Partition& other) const {
-  std::vector<sim::WorkerId> changed;
   auto layer_range = [](const Partition& p, sim::WorkerId w)
       -> std::pair<std::size_t, std::size_t> {
     const std::size_t s = p.stage_of_worker(w);
     if (s == npos) return {npos, npos};
     return {p.stage(s).first_layer, p.stage(s).last_layer};
   };
-  std::unordered_set<sim::WorkerId> universe;
-  for (sim::WorkerId w : all_workers()) universe.insert(w);
-  for (sim::WorkerId w : other.all_workers()) universe.insert(w);
-  for (sim::WorkerId w : universe) {
-    if (layer_range(*this, w) != layer_range(other, w)) changed.push_back(w);
-  }
+  // The sorted union of both worker sets, filtered down to the movers.
+  std::vector<sim::WorkerId> changed = all_workers();
+  for (const StageAssignment& s : other.stages_)
+    changed.insert(changed.end(), s.workers.begin(), s.workers.end());
   std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  std::erase_if(changed, [&](sim::WorkerId w) {
+    return layer_range(*this, w) == layer_range(other, w);
+  });
   return changed;
 }
 
 std::string Partition::to_string() const {
-  std::ostringstream os;
+  std::string out;
+  out.reserve(16 * stages_.size() + 4 * num_workers());
+  const auto append = [&out](std::size_t v) {
+    char buf[20];  // the digits of any 64-bit value
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  };
   for (std::size_t s = 0; s < stages_.size(); ++s) {
-    if (s) os << " | ";
-    os << "L" << stages_[s].first_layer << "-" << stages_[s].last_layer
-       << "@{";
+    if (s) out += " | ";
+    out += 'L';
+    append(stages_[s].first_layer);
+    out += '-';
+    append(stages_[s].last_layer);
+    out += "@{";
     for (std::size_t i = 0; i < stages_[s].workers.size(); ++i) {
-      if (i) os << ",";
-      os << stages_[s].workers[i];
+      if (i) out += ',';
+      append(stages_[s].workers[i]);
     }
-    os << "}";
+    out += '}';
   }
-  return os.str();
+  return out;
 }
 
 Partition remap_workers(const Partition& p,

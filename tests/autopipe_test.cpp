@@ -113,7 +113,7 @@ TEST(Profiler, RatioEstimatedLayerTimesSumToStageTime) {
   // the layer's FLOPs for a fixed worker.
   for (std::size_t l = 0; l + 1 < model.num_layers(); l += 2) {
     // layers alternate 100/200 FLOPs per sample
-    EXPECT_LT(snap.fp_time[0][l], snap.fp_time[0][l + 1]);
+    EXPECT_LT(snap.fp_time(0, l), snap.fp_time(0, l + 1));
   }
 }
 

@@ -20,13 +20,18 @@
 #include "common/ledger.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "golden_file.hpp"
 #include "models/zoo.hpp"
+#include "partition/environment.hpp"
+#include "partition/pipedream_planner.hpp"
 #include "pipeline/executor.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
 
 namespace autopipe::core {
 namespace {
+
+using test_golden::expect_matches_golden;
 
 models::ModelSpec toy_model(std::size_t layers = 6) {
   std::vector<models::LayerSpec> specs;
@@ -163,6 +168,81 @@ TEST(Ledger, ReaderRejectsMalformedInput) {
             "decision id=0 t=1 iter=5 kind=neighborhood digest=00 workers=3 "
             "iter_time=0.1 current=L0-5@{0} current_pred=40\n"),
       std::runtime_error);
+}
+
+/// The bwdrop reference workload in miniature: vgg16 on 5x2 GPUs at
+/// 25 Gbps from PipeDream's plan (two replicated stages, so re-home moves
+/// are scored), every NIC dropping to 10 Gbps at iteration 30. With the
+/// threshold arbiter over the analytic predictor the run holds a re-plan
+/// round and reverted switches whose partitions later rounds list as
+/// skip=1 candidates. `learned` swaps in a seeded meta-network predictor
+/// and RL arbiter instead. Returns the finalized ledger's text form.
+std::string run_golden_controller(bool learned, std::size_t iterations) {
+  sim::Simulator sim;
+  sim.ledger().set_enabled(true);
+  sim::ClusterConfig cluster_config;
+  cluster_config.num_servers = 5;
+  cluster_config.gpus_per_server = 2;
+  cluster_config.nic_bandwidth = gbps(25);
+  sim::Cluster cluster(sim, cluster_config);
+  const auto model = models::vgg16();
+  const auto env = partition::EnvironmentView::from_cluster(
+      cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
+  partition::PipeDreamPlanner planner(model, env, model.default_batch_size());
+  pipeline::PipelineExecutor executor(
+      cluster, model, planner.plan(cluster.num_workers()).partition,
+      pipeline::ExecutorConfig{});
+
+  const FeatureEncoder encoder;
+  MetaNetworkConfig mc;
+  mc.dynamic_dim = encoder.dynamic_dim();
+  mc.static_dim = encoder.static_dim();
+  mc.partition_dim = encoder.partition_dim();
+  MetaNetwork meta(mc, 41);
+  rl::DqnConfig dc;
+  dc.state_dim = encoder.arbiter_dim();
+  rl::DqnAgent agent(dc, 43);
+  ControllerConfig config;
+  config.arbiter_mode = learned ? ControllerConfig::ArbiterMode::kRl
+                                : ControllerConfig::ArbiterMode::kThreshold;
+  config.use_meta_network = learned;
+  AutoPipeController controller(cluster, executor, config,
+                                learned ? &meta : nullptr,
+                                learned ? &agent : nullptr);
+  controller.attach();
+  sim::ResourceTrace drop;
+  drop.at_iteration(30, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
+  executor.set_iteration_callback([&](std::size_t iters) {
+    drop.apply_iteration(iters, cluster);
+    controller.on_iteration(iters);
+  });
+  executor.run(iterations, 5);
+  sim.ledger().finalize("run_end");
+  std::ostringstream os;
+  sim.ledger().write_text(os);
+  return os.str();
+}
+
+TEST(GoldenLedger, BandwidthDropMatchesCheckedInGolden) {
+  const std::string text = run_golden_controller(false, 120);
+  // The scenario must keep covering what the golden is there to pin.
+  EXPECT_NE(text.find("kind=replan"), std::string::npos);
+  EXPECT_NE(text.find("status=reverted"), std::string::npos);
+  EXPECT_NE(text.find("skip=1"), std::string::npos);
+  expect_matches_golden("controller_bwdrop.ledger", text);
+}
+
+TEST(GoldenLedger, SkewedStartMatchesCheckedInGolden) {
+  // The toy model's candidates often tie on predicted speed, so this one
+  // pins the first-max choice among equal predictions.
+  Rig rig;
+  expect_matches_golden("controller_skewed.ledger", run_skewed_scenario(rig));
+}
+
+TEST(GoldenLedger, LearnedPredictorAndArbiterMatchCheckedInGolden) {
+  const std::string text = run_golden_controller(true, 60);
+  EXPECT_NE(text.find("arbiter=rl"), std::string::npos);
+  expect_matches_golden("controller_bwdrop_learned.ledger", text);
 }
 
 // Hand-checked calibration arithmetic on a synthetic three-decision ledger:

@@ -3,7 +3,11 @@
 // strongest property available), and the two-worker neighbourhood.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -250,6 +254,148 @@ TEST(Neighborhood, ReachesRebalancedOptimum) {
     }
   }
   EXPECT_TRUE(improves);
+}
+
+TEST(Neighborhood, MoveOrderIsPinned) {
+  // Every stage is replicated, so the middle one re-homes in both
+  // directions, and the re-homed workers sort into their destinations.
+  const Partition current(
+      {{0, 2, {0, 1}}, {3, 4, {2, 6}}, {5, 7, {3, 4, 5}}}, 8);
+  using K = Move::Kind;
+  const std::vector<std::pair<Move, std::string>> expected = {
+      {{K::kShift, 0, -1}, "L0-1@{0,1} | L2-4@{2,6} | L5-7@{3,4,5}"},
+      {{K::kShift, 0, -2}, "L0-0@{0,1} | L1-4@{2,6} | L5-7@{3,4,5}"},
+      {{K::kShift, 0, 1}, "L0-3@{0,1} | L4-4@{2,6} | L5-7@{3,4,5}"},
+      {{K::kShift, 1, -1}, "L0-2@{0,1} | L3-3@{2,6} | L4-7@{3,4,5}"},
+      {{K::kShift, 1, 1}, "L0-2@{0,1} | L3-5@{2,6} | L6-7@{3,4,5}"},
+      {{K::kShift, 1, 2}, "L0-2@{0,1} | L3-6@{2,6} | L7-7@{3,4,5}"},
+      {{K::kRehome, 0, 0, 1}, "L0-2@{0} | L3-4@{1,2,6} | L5-7@{3,4,5}"},
+      {{K::kRehome, 1, 0, 0}, "L0-2@{0,1,6} | L3-4@{2} | L5-7@{3,4,5}"},
+      {{K::kRehome, 1, 0, 2}, "L0-2@{0,1} | L3-4@{2} | L5-7@{3,4,5,6}"},
+      {{K::kRehome, 2, 0, 1}, "L0-2@{0,1} | L3-4@{2,5,6} | L5-7@{3,4}"},
+  };
+  std::vector<Move> moves;
+  enumerate_moves(current.stages(), moves);
+  const auto candidates = two_worker_candidates(current);
+  ASSERT_EQ(moves.size(), expected.size());
+  ASSERT_EQ(candidates.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(moves[i], expected[i].first) << "move " << i;
+    EXPECT_EQ(apply_move(current, moves[i]).to_string(), expected[i].second);
+    EXPECT_EQ(candidates[i].partition.to_string(), expected[i].second);
+  }
+  EXPECT_EQ(candidates[0].changed_workers,
+            (std::vector<sim::WorkerId>{0, 1, 2, 6}));
+  EXPECT_EQ(candidates[6].changed_workers, (std::vector<sim::WorkerId>{1}));
+}
+
+/// A random model, partition (1-10 stages, replication 1-4, worker ids
+/// shuffled so stage lists need not be sorted) and environment.
+struct RandomInstance {
+  models::ModelSpec model;
+  Partition partition;
+  EnvironmentView env;
+};
+
+RandomInstance random_instance(Rng& rng) {
+  const auto stages = static_cast<std::size_t>(rng.uniform_int(1, 10));
+  const std::size_t layers =
+      stages + static_cast<std::size_t>(rng.uniform_int(0, 12));
+  std::vector<models::LayerSpec> specs;
+  for (std::size_t l = 0; l < layers; ++l) {
+    models::LayerSpec s;
+    s.name = "l" + std::to_string(l);
+    s.fwd_flops_per_sample = rng.uniform(1e5, 1e8);
+    s.bwd_flops_per_sample = rng.uniform(1e5, 2e8);
+    s.activation_bytes_per_sample = rng.uniform(1e2, 1e6);
+    s.param_bytes = rng.uniform(0.0, 1e8);
+    specs.push_back(std::move(s));
+  }
+  // Cut points: `stages - 1` distinct layers after which a stage ends.
+  std::vector<std::size_t> cuts(layers - 1);
+  for (std::size_t i = 0; i < cuts.size(); ++i) cuts[i] = i;
+  rng.shuffle(cuts);
+  cuts.resize(stages - 1);
+  std::sort(cuts.begin(), cuts.end());
+  cuts.push_back(layers - 1);
+  std::vector<std::size_t> replication(stages);
+  std::size_t workers = 0;
+  for (std::size_t& r : replication) {
+    r = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    workers += r;
+  }
+  std::vector<sim::WorkerId> ids(workers);
+  for (std::size_t w = 0; w < workers; ++w) ids[w] = w;
+  rng.shuffle(ids);
+  std::vector<StageAssignment> assignment;
+  std::size_t first = 0;
+  auto next_id = ids.begin();
+  for (std::size_t s = 0; s < stages; ++s) {
+    assignment.push_back({first, cuts[s], {next_id, next_id + replication[s]}});
+    next_id += replication[s];
+    first = cuts[s] + 1;
+  }
+  EnvironmentView env;
+  for (std::size_t w = 0; w < workers; ++w) {
+    env.worker_speed.push_back(rng.uniform(1e11, 1e13));
+    env.worker_bandwidth.push_back(rng.uniform(1e8, 1e10));
+  }
+  env.per_layer_overhead = rng.uniform(0.0, 1e-3);
+  env.comm_efficiency = rng.uniform(0.5, 1.0);
+  env.sync_scheme =
+      rng.chance(0.5) ? comm::SyncScheme::kRing
+                    : comm::SyncScheme::kParameterServer;
+  return {models::ModelSpec("random", 32, std::move(specs)),
+          Partition(std::move(assignment), layers), std::move(env)};
+}
+
+TEST(Neighborhood, MovesScoreInPlaceExactlyAsMaterialized) {
+  Rng rng(20240917);
+  std::size_t moves_checked = 0;
+  std::vector<Move> moves;
+  std::vector<StageAssignment> scratch;
+  for (int trial = 0; trial < 300; ++trial) {
+    const RandomInstance inst = random_instance(rng);
+    const Partition& current = inst.partition;
+    enumerate_moves(current.stages(), moves);
+    const auto candidates = two_worker_candidates(current);
+    ASSERT_EQ(candidates.size(), moves.size());
+    scratch = current.stages();
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      Partition materialized = current;
+      ASSERT_NO_THROW(materialized = apply_move(current, moves[i]))
+          << current.to_string() << " move " << i;
+      EXPECT_EQ(materialized, candidates[i].partition);
+      apply_move(scratch, moves[i]);
+      EXPECT_EQ(analytic_batch_time(inst.model, scratch, inst.env, 32),
+                analytic_batch_time(inst.model, materialized, inst.env, 32))
+          << materialized.to_string();
+      undo_move(scratch, current.stages(), moves[i]);
+      ASSERT_EQ(scratch, current.stages())
+          << "undo of move " << i << " on " << current.to_string();
+      ++moves_checked;
+    }
+  }
+  EXPECT_GT(moves_checked, 3000u);
+}
+
+TEST(Partition, DuplicateWorkerNamesTheFirstRepeat) {
+  const auto message = [](std::vector<StageAssignment> stages) {
+    try {
+      Partition(std::move(stages), 5);
+    } catch (const contract_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  // Worker 1 repeats before worker 3 does, in stage order.
+  EXPECT_NE(message({{0, 1, {3, 1}}, {2, 3, {2, 1}}, {4, 4, {3}}})
+                .find("worker 1 assigned to two stages"),
+            std::string::npos);
+  // A repeat within one stage is rejected the same way.
+  EXPECT_NE(message({{0, 1, {2, 2}}, {2, 4, {1}}})
+                .find("worker 2 assigned to two stages"),
+            std::string::npos);
 }
 
 TEST(Exhaustive, GuardRejectsLargeModels) {

@@ -11,9 +11,7 @@
 #include <cfloat>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <random>
@@ -25,6 +23,7 @@
 #include "common/text_writer.hpp"
 #include "common/trace.hpp"
 #include "common/units.hpp"
+#include "golden_file.hpp"
 #include "golden_scenario.hpp"
 #include "models/zoo.hpp"
 #include "partition/partition.hpp"
@@ -261,6 +260,7 @@ TEST(TraceRecorder, TextFormatIsStable) {
 // shared with the differential parity harness)
 // ---------------------------------------------------------------------------
 
+using test_golden::expect_matches_golden;
 using test_scenarios::GoldenCapture;
 using test_scenarios::run_golden_scenario;
 using test_scenarios::tiny_model;
@@ -334,28 +334,6 @@ TEST(GoldenTrace, RepeatedRunsAreByteIdentical) {
   EXPECT_NE(a.text.find(" comm b flow "), std::string::npos);
   EXPECT_NE(a.text.find("nic_bw"), std::string::npos);
   EXPECT_NE(a.text.find(" mark i iteration "), std::string::npos);
-}
-
-/// Compare `actual` with the checked-in golden file `name`, or rewrite the
-/// file when AUTOPIPE_REGEN_GOLDEN is set.
-void expect_matches_golden(const std::string& name, const std::string& actual) {
-  const std::string path = std::string(AUTOPIPE_GOLDEN_DIR) + "/" + name;
-  if (std::getenv("AUTOPIPE_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good()) << "cannot write golden file " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << path
-      << " — regenerate with AUTOPIPE_REGEN_GOLDEN=1";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(actual, golden.str())
-      << name << " drifted from the golden file; if the change is intended, "
-         "regenerate with AUTOPIPE_REGEN_GOLDEN=1";
 }
 
 TEST(GoldenTrace, MatchesCheckedInGolden) {

@@ -150,7 +150,6 @@ Testbed make_testbed(double bandwidth_gbps) {
 void add_shared_jobs(Testbed& testbed, int extra_jobs) {
   AUTOPIPE_EXPECT(extra_jobs >= 0);
   sim::Cluster& cluster = *testbed.cluster;
-  const std::size_t servers = cluster.num_servers();
   const std::size_t gpus = cluster.config().gpus_per_server;
   // Co-located jobs land where the scheduler packs them, not uniformly:
   // job j occupies a contiguous block of 60% of the GPUs (offset per job)

@@ -124,33 +124,6 @@ void BM_FlowNetworkRerate(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowNetworkRerate)->Arg(8)->Arg(32)->Arg(128);
 
-void BM_FlowNetworkRerateApprox(benchmark::State& state) {
-  // The same capacity-churn workload in approximate mode: alternating
-  // 1e9/5e8 swings exceed any epsilon, so every change still re-rates, but
-  // flow start/completion churn between swings is where the mode saves —
-  // here the measured quantity is the full-pass floor it cannot beat.
-  const auto flows = static_cast<std::size_t>(state.range(0));
-  sim::Simulator sim;
-  sim::FlowNetwork net(sim);
-  net.set_approximate_mode(true, 0.05);
-  std::vector<sim::ResourceId> resources;
-  for (int i = 0; i < 10; ++i)
-    resources.push_back(net.add_resource("r", 1e9));
-  for (std::size_t f = 0; f < flows; ++f) {
-    net.start_flow({{resources[f % 10], resources[(f + 3) % 10]}, 1e15,
-                    nullptr});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    // A small wiggle inside epsilon: the drift check skips the full pass.
-    net.set_capacity(resources[i % 10], (i % 2) ? 1.02e9 : 1e9);
-    ++i;
-  }
-  state.SetLabel(std::to_string(flows) + " flows, " +
-                 std::to_string(net.approx_rerates_skipped()) + " skipped");
-}
-BENCHMARK(BM_FlowNetworkRerateApprox)->Arg(8)->Arg(32)->Arg(128);
-
 void BM_PipeDreamPlanner(benchmark::State& state) {
   const auto model = models::resnet50();
   partition::EnvironmentView env;

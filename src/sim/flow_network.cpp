@@ -1,8 +1,6 @@
 #include "sim/flow_network.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_set>
 
 #include "common/expect.hpp"
 #include "common/log.hpp"
@@ -14,8 +12,6 @@ namespace {
 /// absorb floating-point division noise in remaining/rate arithmetic.
 constexpr Seconds kTimeEps = 1e-12;
 constexpr Bytes kByteEps = 1e-6;
-/// Snapshot share of a resource no flow crossed at the last full rating.
-constexpr double kUnconstrained = std::numeric_limits<double>::infinity();
 }  // namespace
 
 ResourceId FlowNetwork::add_resource(std::string name, BytesPerSec capacity) {
@@ -39,8 +35,7 @@ void FlowNetwork::set_capacity(ResourceId resource, BytesPerSec capacity) {
   }
   advance_to_now();
   res_capacity_[resource] = capacity;
-  recompute_rates();
-  schedule_next_completion();
+  changed();
   emit_capacity(resource);
   emit_loads();
 }
@@ -77,17 +72,6 @@ const std::string& FlowNetwork::resource_name(ResourceId resource) const {
   return res_name_[resource];
 }
 
-void FlowNetwork::set_approximate_mode(bool on, double epsilon) {
-  AUTOPIPE_EXPECT(epsilon > 0.0);
-  advance_to_now();
-  approx_ = on;
-  approx_eps_ = epsilon;
-  snap_valid_ = false;  // next rating pass is a full one in either mode
-  recompute_rates();
-  schedule_next_completion();
-  emit_loads();
-}
-
 std::size_t FlowNetwork::find_slot(FlowId id) const {
   const auto it = std::lower_bound(flow_id_.begin(), flow_id_.end(), id);
   if (it == flow_id_.end() || *it != id) return kNoSlot;
@@ -107,13 +91,10 @@ void FlowNetwork::erase_slot(std::size_t slot) {
 FlowId FlowNetwork::start_flow(FlowSpec spec) {
   AUTOPIPE_EXPECT(!spec.path.empty());
   AUTOPIPE_EXPECT(spec.bytes >= 0.0);
-  {
-    std::unordered_set<ResourceId> seen;
-    for (ResourceId r : spec.path) {
-      AUTOPIPE_EXPECT(r < res_capacity_.size());
-      AUTOPIPE_EXPECT_MSG(seen.insert(r).second,
-                          "duplicate resource in flow path");
-    }
+  for (auto it = spec.path.begin(); it != spec.path.end(); ++it) {
+    AUTOPIPE_EXPECT(*it < res_capacity_.size());
+    AUTOPIPE_EXPECT_MSG(std::find(spec.path.begin(), it, *it) == it,
+                        "duplicate resource in flow path");
   }
   const FlowId id = next_flow_id_++;
   if (spec.bytes <= kByteEps) {
@@ -133,15 +114,13 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
                               {trace::arg("bytes", spec.bytes),
                                trace::arg("path", scratch_path_)});
   }
-  // Ids are monotone, so push_back keeps the slot arrays sorted. The -1
-  // rate marks the flow as not-yet-rated for the approximate pass.
+  // Ids are monotone, so push_back keeps the slot arrays sorted.
   flow_id_.push_back(id);
   flow_remaining_.push_back(spec.bytes);
-  flow_rate_.push_back(-1.0);
+  flow_rate_.push_back(0.0);
   flow_path_.push_back(std::move(spec.path));
   flow_on_complete_.push_back(std::move(spec.on_complete));
-  recompute_rates();
-  schedule_next_completion();
+  changed();
   emit_loads();
   return id;
 }
@@ -151,8 +130,7 @@ void FlowNetwork::cancel_flow(FlowId id) {
   if (slot == kNoSlot) return;  // already completed: cancel is a no-op
   advance_to_now();
   erase_slot(slot);
-  recompute_rates();
-  schedule_next_completion();
+  changed();
   if (sim_.tracer().enabled()) {
     sim_.tracer().async_end(trace::Category::kComm, "flow", id, sim_.now(),
                             {trace::arg("cancelled", 1)});
@@ -160,9 +138,10 @@ void FlowNetwork::cancel_flow(FlowId id) {
   emit_loads();
 }
 
-BytesPerSec FlowNetwork::flow_rate(FlowId id) const {
+BytesPerSec FlowNetwork::flow_rate(FlowId id) {
   const std::size_t slot = find_slot(id);
   AUTOPIPE_EXPECT_MSG(slot != kNoSlot, "flow " << id << " not active");
+  refresh_rates();
   return flow_rate_[slot];
 }
 
@@ -172,8 +151,9 @@ Bytes FlowNetwork::flow_remaining(FlowId id) const {
   return flow_remaining_[slot];
 }
 
-BytesPerSec FlowNetwork::resource_load(ResourceId resource) const {
+BytesPerSec FlowNetwork::resource_load(ResourceId resource) {
   AUTOPIPE_EXPECT(resource < res_capacity_.size());
+  refresh_rates();
   BytesPerSec load = 0.0;
   for (std::size_t s = 0; s < flow_id_.size(); ++s) {
     if (std::find(flow_path_[s].begin(), flow_path_[s].end(), resource) !=
@@ -189,6 +169,7 @@ void FlowNetwork::advance_to_now() {
   const Seconds dt = now - last_update_;
   last_update_ = now;
   if (dt <= 0.0) return;
+  refresh_rates();
   for (std::size_t s = 0; s < flow_id_.size(); ++s) {
     const Bytes moved = std::min(flow_remaining_[s], flow_rate_[s] * dt);
     flow_remaining_[s] -= moved;
@@ -196,24 +177,29 @@ void FlowNetwork::advance_to_now() {
   }
 }
 
-void FlowNetwork::recompute_rates() {
-  if (approx_) {
-    approx_rerate();
-  } else {
-    exact_rerate();
-  }
+void FlowNetwork::changed() {
+  rates_stale_ = true;
+  change_cause_ = sim_.tracer().current_cause();
+  sim_.defer(*this);
 }
 
-void FlowNetwork::exact_rerate() {
+void FlowNetwork::refresh_rates() {
+  if (!rates_stale_) return;
+  rates_stale_ = false;
+  recompute_rates();
+}
+
+void FlowNetwork::recompute_rates() {
   // Progressive filling: repeatedly find the resource whose fair share
   // (remaining capacity / unfrozen flows through it) is smallest, pin every
   // unfrozen flow through it to that share, and deduct.
   //
-  // Runs at event rate (every flow start/finish and every capacity change),
-  // so the per-resource accumulators are flat vectors indexed by the dense
-  // ResourceId, reused across calls, and the unfrozen set is a vector of
-  // flow slots walked in ascending order — iteration (and so floating-point
-  // deduction order) is part of the determinism contract.
+  // Runs at event rate (once per instant with a flow start/finish or a
+  // capacity change; once per change when tracing), so the per-resource
+  // accumulators are flat vectors indexed by the dense ResourceId, reused
+  // across calls, and the unfrozen set is a vector of flow slots walked in
+  // ascending order — iteration (and so floating-point deduction order) is
+  // part of the determinism contract.
   const std::size_t n = res_capacity_.size();
   if (scratch_cap_.size() < n) {
     scratch_cap_.resize(n);
@@ -269,71 +255,8 @@ void FlowNetwork::exact_rerate() {
   }
 }
 
-void FlowNetwork::approx_rerate() {
-  // Snapshot/drift scheme: a full single-pass rating assigns every flow the
-  // minimum fair share (capacity / live count) along its path and snapshots
-  // each contended resource's share. Subsequent membership changes re-rate
-  // only the fresh flows — from live shares, so a new flow never sees an
-  // unconstrained path — until some resource's live share drifts more than
-  // approx_eps_ (relative) from its snapshot. A full pass never
-  // oversubscribes (each flow takes at most the fair share of every
-  // resource it crosses); between passes the stale rates are off by at most
-  // the drift bound.
-  const std::size_t n = res_capacity_.size();
-  if (scratch_count_.size() < n) scratch_count_.resize(n);
-  if (snap_share_.size() < n) {
-    snap_share_.resize(n, kUnconstrained);
-    snap_valid_ = false;  // a new resource invalidates the snapshot
-  }
-  const std::size_t flows = flow_id_.size();
-  for (std::size_t r = 0; r < n; ++r) scratch_count_[r] = 0;
-  for (std::size_t s = 0; s < flows; ++s)
-    for (ResourceId r : flow_path_[s]) ++scratch_count_[r];
-
-  bool needs_full = !snap_valid_;
-  for (std::size_t r = 0; !needs_full && r < n; ++r) {
-    const std::size_t count = scratch_count_[r];
-    if (count == 0) continue;  // nothing flows here: no rate to be wrong
-    const double snap = snap_share_[r];
-    if (snap == kUnconstrained) {
-      needs_full = true;  // newly contended resource was never rated
-      break;
-    }
-    const double share = res_capacity_[r] / static_cast<double>(count);
-    if (std::abs(share - snap) > approx_eps_ * snap) needs_full = true;
-  }
-
-  if (needs_full) {
-    for (std::size_t r = 0; r < n; ++r) {
-      snap_share_[r] = scratch_count_[r] == 0
-                           ? kUnconstrained
-                           : res_capacity_[r] /
-                                 static_cast<double>(scratch_count_[r]);
-    }
-    for (std::size_t s = 0; s < flows; ++s) {
-      double rate = kUnconstrained;
-      for (ResourceId r : flow_path_[s]) rate = std::min(rate, snap_share_[r]);
-      flow_rate_[s] = rate;  // path is non-empty, so rate is finite
-    }
-    snap_valid_ = true;
-    return;
-  }
-
-  ++approx_skipped_;
-  // Rate only flows the full pass has not seen (the -1 sentinel), from live
-  // shares so their own claim is counted.
-  for (std::size_t s = 0; s < flows; ++s) {
-    if (flow_rate_[s] >= 0.0) continue;
-    double rate = kUnconstrained;
-    for (ResourceId r : flow_path_[s]) {
-      rate = std::min(rate, res_capacity_[r] /
-                                static_cast<double>(scratch_count_[r]));
-    }
-    flow_rate_[s] = rate;
-  }
-}
-
-void FlowNetwork::schedule_next_completion() {
+void FlowNetwork::flush() {
+  refresh_rates();
   Seconds next = kNever;
   for (std::size_t s = 0; s < flow_id_.size(); ++s) {
     if (flow_rate_[s] <= 0.0) continue;
@@ -341,10 +264,16 @@ void FlowNetwork::schedule_next_completion() {
   }
   const std::uint64_t generation = ++schedule_generation_;
   if (next == kNever) return;
+  // The event's cause is the last change, not whatever the callback
+  // recorded after it: the same cause an eager push at that change took.
+  trace::TraceRecorder& tracer = sim_.tracer();
+  const std::uint64_t ambient = tracer.current_cause();
+  tracer.set_current_cause(change_cause_);
   sim_.at(next, [this, generation] {
     if (generation != schedule_generation_) return;  // superseded
     complete_due_flows();
   }, "flow_completion");
+  tracer.set_current_cause(ambient);
 }
 
 void FlowNetwork::complete_due_flows() {
@@ -353,8 +282,11 @@ void FlowNetwork::complete_due_flows() {
   // One compaction pass keeps the slot arrays sorted. Callbacks fire newest
   // flow first — the order the original hash-map storage produced (bucket
   // heads are insertion points, so iteration ran newest-to-oldest), which
-  // downstream schedulers' tie-breaks have calcified around.
-  std::vector<std::function<void()>> callbacks;
+  // downstream schedulers' tie-breaks have calcified around. The buffer is
+  // taken from scratch_done_ and handed back, so steady state allocates
+  // nothing.
+  std::vector<std::function<void()>> callbacks = std::move(scratch_done_);
+  callbacks.clear();
   std::size_t kept = 0;
   const std::size_t flows = flow_id_.size();
   for (std::size_t s = 0; s < flows; ++s) {
@@ -385,10 +317,11 @@ void FlowNetwork::complete_due_flows() {
   flow_rate_.resize(kept);
   flow_path_.resize(kept);
   flow_on_complete_.resize(kept);
-  recompute_rates();
-  schedule_next_completion();
+  changed();
   emit_loads();
   for (auto it = callbacks.rbegin(); it != callbacks.rend(); ++it) (*it)();
+  callbacks.clear();
+  scratch_done_ = std::move(callbacks);
 }
 
 void FlowNetwork::emit_capacity(ResourceId resource) {
@@ -402,6 +335,7 @@ void FlowNetwork::emit_capacity(ResourceId resource) {
 
 void FlowNetwork::emit_loads() {
   if (!sim_.tracer().enabled()) return;
+  refresh_rates();
   const std::size_t n = res_capacity_.size();
   traced_load_.resize(n, 0.0);
   while (res_load_counter_.size() < n) {

@@ -14,6 +14,12 @@
 // leaving, administrative rate limits); in-flight flows are re-rated and
 // their completion events rescheduled.
 //
+// Re-rating is coalesced per simulated instant: a change marks the rates
+// stale and defers the next-completion push to the Simulator (see
+// Simulator::defer), so the flows a callback starts together — the ring
+// steps of a replicated stage's all-reduce — cost one rating pass and one
+// queue push. Readers of rates re-rate first when the rates are stale.
+//
 // Storage is structure-of-arrays: resources and flows each live in parallel
 // flat vectors indexed by a dense slot, and every hot loop (rate integration,
 // progressive filling, completion scan) walks those arrays in ascending slot
@@ -51,7 +57,7 @@ struct FlowSpec {
 };
 
 /// Max-min fair fluid flow network driven by a Simulator.
-class FlowNetwork {
+class FlowNetwork final : private DeferredPush {
  public:
   explicit FlowNetwork(Simulator& simulator) : sim_(simulator) {}
 
@@ -85,8 +91,8 @@ class FlowNetwork {
   void cancel_flow(FlowId id);
 
   /// Current allocated rate of a flow (0 if it shares a zero-capacity
-  /// resource).
-  BytesPerSec flow_rate(FlowId id) const;
+  /// resource). Non-const: re-rates first when the rates are stale.
+  BytesPerSec flow_rate(FlowId id);
 
   Bytes flow_remaining(FlowId id) const;
 
@@ -94,30 +100,15 @@ class FlowNetwork {
 
   std::size_t active_flow_count() const { return flow_id_.size(); }
 
-  /// Sum of allocated flow rates through the resource.
-  BytesPerSec resource_load(ResourceId resource) const;
+  /// Sum of allocated flow rates through the resource. Non-const:
+  /// re-rates first when the rates are stale.
+  BytesPerSec resource_load(ResourceId resource);
 
   /// Total bytes delivered by completed and in-flight flows so far.
   Bytes total_bytes_delivered() const { return bytes_delivered_; }
 
   const std::string& resource_name(ResourceId resource) const;
   std::size_t resource_count() const { return res_capacity_.size(); }
-
-  /// Opt-in approximate rating. Exact mode (the default) runs progressive
-  /// filling on every membership or capacity change. Approximate mode keeps
-  /// a snapshot of each contended resource's fair share (capacity / flow
-  /// count) from the last full rating and only re-rates everything when
-  /// some resource's live share drifts more than `epsilon` (relative) from
-  /// its snapshot; otherwise freshly started flows are rated single-pass
-  /// from live shares and existing rates are left stale. Rates are then a
-  /// bounded approximation of max-min: a full pass never oversubscribes a
-  /// resource, and between full passes the stale allocation is off by
-  /// O(epsilon). Deterministic either way — see docs/SIMULATOR.md.
-  void set_approximate_mode(bool on, double epsilon = 0.05);
-  bool approximate_mode() const { return approx_; }
-  double approximate_epsilon() const { return approx_eps_; }
-  /// Number of full rating passes skipped thanks to approximate mode.
-  std::uint64_t approx_rerates_skipped() const { return approx_skipped_; }
 
  private:
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
@@ -130,14 +121,19 @@ class FlowNetwork {
   /// Integrate flow progress from last_update_ to now at current rates.
   void advance_to_now();
 
-  /// Re-rate every flow after a membership or capacity change: progressive
-  /// filling in exact mode, the snapshot/drift scheme in approximate mode.
-  void recompute_rates();
-  void exact_rerate();
-  void approx_rerate();
+  /// A membership or capacity change: mark the rates stale, remember the
+  /// causal context for the completion event and defer its push.
+  void changed();
 
-  /// (Re)schedule the single next-completion event.
-  void schedule_next_completion();
+  /// Re-rate every flow if a change left the rates stale.
+  void refresh_rates();
+
+  /// Progressive filling over all flows (max-min fair rates).
+  void recompute_rates();
+
+  /// The deferred push: re-rate if stale, then (re)schedule the single
+  /// next-completion event.
+  void flush() override;
 
   void complete_due_flows();
 
@@ -180,15 +176,14 @@ class FlowNetwork {
   std::vector<double> scratch_cap_;
   std::vector<std::size_t> scratch_count_;
   std::vector<std::uint32_t> scratch_unfrozen_;
+  /// Completion callbacks of one complete_due_flows call, reused.
+  std::vector<std::function<void()>> scratch_done_;
   /// Generation counter invalidating superseded completion events.
   std::uint64_t schedule_generation_ = 0;
-
-  // Approximate-mode state.
-  bool approx_ = false;
-  double approx_eps_ = 0.05;
-  bool snap_valid_ = false;
-  std::vector<double> snap_share_;  ///< fair share at last full rating
-  std::uint64_t approx_skipped_ = 0;
+  /// A change since the last rating pass left flow_rate_ stale.
+  bool rates_stale_ = false;
+  /// Ambient trace cause at the last change: the completion event's cause.
+  std::uint64_t change_cause_ = 0;
 };
 
 /// Sentinel "never" time used for flows with zero rate.

@@ -22,9 +22,25 @@ void Simulator::set_zero_progress_bound(std::uint64_t bound) {
   zero_progress_bound_ = bound;
 }
 
+void Simulator::defer(DeferredPush& client) {
+  if (pending_ == &client) return;
+  if (pending_ != nullptr) flush_pending();
+  if (in_callback_) {
+    pending_ = &client;
+  } else {
+    client.flush();
+  }
+}
+
+void Simulator::flush_pending() {
+  DeferredPush& client = *pending_;
+  pending_ = nullptr;
+  client.flush();
+}
+
 bool Simulator::step() {
+  if (empty()) return false;
   if (wheel_ != nullptr) {
-    if (wheel_->empty()) return false;
     // The event's closure runs in place in its pool node (addresses are
     // stable across pushes from inside the callback); the node is recycled
     // only after the callback returns.
@@ -42,11 +58,13 @@ bool Simulator::step() {
     // Restore the scheduling event's causal context so trace events recorded
     // by the callback chain across the queue hop.
     tracer_.set_current_cause(nd.ev.cause);
-    nd.ev.fn();
+    {
+      CallbackScope scope(*this);
+      nd.ev.fn();
+    }
     wheel_->release_node(n);
     return true;
   }
-  if (heap_->empty()) return false;
   // Move the event out before popping so the callback may schedule freely.
   SimEvent ev = [this] {
     PROF_SPAN_AGG("sim/queue_pop");
@@ -57,6 +75,7 @@ bool Simulator::step() {
   now_ = ev.time;
   ++events_processed_;
   tracer_.set_current_cause(ev.cause);
+  CallbackScope scope(*this);
   ev.fn();
   return true;
 }

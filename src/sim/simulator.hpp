@@ -19,6 +19,19 @@
 
 namespace autopipe::sim {
 
+/// A subsystem that coalesces its queue pushes: it may change state many
+/// times within one event callback but needs only the push its last change
+/// calls for. It registers with Simulator::defer() on every change and
+/// makes that push (or none) in flush().
+class DeferredPush {
+ public:
+  /// Must not throw: it may run while a callback's exception unwinds.
+  virtual void flush() = 0;
+
+ protected:
+  ~DeferredPush() = default;
+};
+
 /// Discrete-event simulator. Events are closures ordered by (time, sequence
 /// number); the sequence number makes simultaneous events fire in scheduling
 /// order so runs are bit-for-bit reproducible.
@@ -78,7 +91,9 @@ class Simulator {
   /// to t precisely.
   void run_until(Seconds t);
 
-  bool empty() const {
+  /// Non-const: runs a pending deferred push first.
+  bool empty() {
+    if (pending_ != nullptr) flush_pending();
     return wheel_ != nullptr ? wheel_->empty() : heap_->empty();
   }
   std::uint64_t events_processed() const { return events_processed_; }
@@ -98,6 +113,15 @@ class Simulator {
   /// Time of the next pending event; only valid when !empty(). Non-const:
   /// the timing wheel settles its buckets lazily on first access.
   Seconds next_event_time();
+
+  /// Register `client`'s deferred push. Outside an event callback it runs
+  /// at once. Inside one it runs at the first of: the next push by any
+  /// caller, the callback's exit (by return or exception), or a queue
+  /// inspection (empty, next_event_time, step, run_until). If another
+  /// client's push is pending, that one runs first, so pushes keep the
+  /// order in which their changes happened. Registering again while
+  /// pending is a no-op.
+  void defer(DeferredPush& client);
 
   /// Which queue implementation this simulator was built with.
   EventQueueKind queue_kind() const { return queue_kind_; }
@@ -135,6 +159,7 @@ class Simulator {
   /// Devirtualized scheduling: the prvalue event materializes straight into
   /// the concrete queue's push parameter, whose body is inline.
   void schedule(Seconds t, Callback&& fn, const char* label) {
+    if (pending_ != nullptr) flush_pending();
     PROF_SPAN_AGG("sim/queue_push");
     const Seconds when = t < now_ ? now_ : t;
     // Capture the ambient causal context (the trace eid of the event being
@@ -170,12 +195,36 @@ class Simulator {
     return wheel_ != nullptr ? wheel_->peek_time() : heap_->peek_time();
   }
 
+  /// Run the pending deferred push. Out of line: schedule() inlines into
+  /// every caller of at() and after().
+  void flush_pending();
+
+  /// Marks the span of one event callback and, when it ends by return or
+  /// exception, runs the push the callback deferred.
+  class CallbackScope {
+   public:
+    explicit CallbackScope(Simulator& sim) : sim_(sim) {
+      sim.in_callback_ = true;
+    }
+    ~CallbackScope() {
+      sim_.in_callback_ = false;
+      if (sim_.pending_ != nullptr) sim_.flush_pending();
+    }
+    CallbackScope(const CallbackScope&) = delete;
+    CallbackScope& operator=(const CallbackScope&) = delete;
+
+   private:
+    Simulator& sim_;
+  };
+
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t zero_progress_bound_ = 1'000'000;
   Seconds instant_time_ = -1.0;       ///< timestamp of the current run
   std::uint64_t instant_events_ = 0;  ///< events executed at instant_time_
+  bool in_callback_ = false;          ///< an event callback is running
+  DeferredPush* pending_ = nullptr;   ///< client whose push is deferred
   EventQueueKind queue_kind_;
   std::unique_ptr<EventQueue> queue_;
   /// Typed aliases of queue_ (exactly one non-null): the hot path calls the

@@ -6,11 +6,14 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "common/units.hpp"
 #include "sim/background.hpp"
 #include "sim/cluster.hpp"
@@ -628,131 +631,140 @@ TEST(SimulatorWheel, QueueKindIsReportedAndEnvDefaultHolds) {
 }
 
 // ---------------------------------------------------------------------------
-// Approximate flow mode: exact by default, bounded error when opted in
+// Coalesced re-rating: one rating pass and one completion push per instant,
+// with the push landing where the last change would have made it.
 // ---------------------------------------------------------------------------
 
-TEST(ApproxFlow, ExactModeIsTheDefaultEverywhere) {
-  Simulator sim;
-  FlowNetwork net(sim);
-  EXPECT_FALSE(net.approximate_mode());
-  ClusterConfig config;
-  Cluster cluster(sim, config);
-  EXPECT_FALSE(cluster.network().approximate_mode());
-  EXPECT_EQ(net.approx_rerates_skipped(), 0u);
-}
-
-/// Shared fig3/fig9-style workload: staggered cross-resource transfers with
-/// a mid-run capacity drop and recovery. Returns the completion time of the
-/// last flow and the total bytes delivered at a fixed probe instant.
-struct FlowWorkloadOutcome {
-  Seconds last_completion = 0.0;
-  Bytes delivered_at_probe = 0.0;
-  std::uint64_t skipped = 0;
-};
-
-FlowWorkloadOutcome run_flow_workload(BytesPerSec bandwidth, bool approx,
-                                      double epsilon) {
-  Simulator sim;
-  FlowNetwork net(sim);
-  if (approx) net.set_approximate_mode(true, epsilon);
-  const ResourceId nic_a = net.add_resource("a.nic", bandwidth);
-  const ResourceId nic_b = net.add_resource("b.nic", bandwidth);
-
-  FlowWorkloadOutcome out;
-  // 24 staggered transfers; odd ones traverse both NICs (fig9's
-  // cross-server contention), even ones only the first.
-  for (int i = 0; i < 24; ++i) {
-    const Seconds start = static_cast<Seconds>(i) * 0.02;
-    sim.at(start, [&net, &out, &sim, nic_a, nic_b, i, bandwidth] {
-      FlowSpec spec;
-      spec.path = (i % 2 == 0) ? std::vector<ResourceId>{nic_a}
-                               : std::vector<ResourceId>{nic_a, nic_b};
-      spec.bytes = bandwidth * 0.05;  // ≈50 ms of solo wire time each
-      spec.on_complete = [&out, &sim] { out.last_completion = sim.now(); };
-      net.start_flow(std::move(spec));
+TEST(CoalescedRerate, FlowsStartedInOneCallbackQueueOneCompletion) {
+  for (const EventQueueKind kind : kBothKinds) {
+    Simulator sim(kind);
+    FlowNetwork net(sim);
+    const auto r = net.add_resource("link", 100.0);
+    int done = 0;
+    std::uint64_t scheduled_before = 0;
+    sim.at(1.0, [&] {
+      scheduled_before = sim.events_scheduled();
+      for (int i = 1; i <= 4; ++i)
+        net.start_flow({{r}, 100.0 * i, [&] { ++done; }});
     });
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(sim.events_scheduled(), scheduled_before + 1) << sim.queue_name();
+    sim.run();
+    EXPECT_EQ(done, 4) << sim.queue_name();
+    EXPECT_DOUBLE_EQ(sim.now(), 11.0) << sim.queue_name();
   }
-  // fig3's mid-run fluctuation: capacity halves, then recovers.
-  sim.at(0.3, [&net, nic_a, bandwidth] {
-    net.set_capacity(nic_a, bandwidth * 0.5);
+}
+
+TEST(CoalescedRerate, CompletionKeepsItsPlaceAmongSameTimeEvents) {
+  // The flow completes at exactly t=2. An event pushed at t=2 before the
+  // start fires first; one pushed after it fires after the completion.
+  for (const EventQueueKind kind : kBothKinds) {
+    Simulator sim(kind);
+    FlowNetwork net(sim);
+    const auto r = net.add_resource("link", 100.0);
+    std::vector<std::string> order;
+    sim.at(1.0, [&] {
+      sim.at(2.0, [&] { order.push_back("before"); });
+      net.start_flow({{r}, 100.0, [&] { order.push_back("flow"); }});
+      sim.at(2.0, [&] { order.push_back("after"); });
+    });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"before", "flow", "after"}))
+        << sim.queue_name();
+  }
+}
+
+TEST(CoalescedRerate, TwoNetworksPushInTheOrderOfTheirLastChanges) {
+  // a's first change, b's change, a's second change: b's completion was
+  // pushed before a's last one, so it fires first although all three flows
+  // finish at t=1.
+  for (const EventQueueKind kind : kBothKinds) {
+    Simulator sim(kind);
+    FlowNetwork a(sim);
+    FlowNetwork b(sim);
+    const auto a1 = a.add_resource("a1", 100.0);
+    const auto a2 = a.add_resource("a2", 100.0);
+    const auto b1 = b.add_resource("b1", 100.0);
+    std::vector<std::string> order;
+    sim.at(0.0, [&] {
+      a.start_flow({{a1}, 100.0, [&] { order.push_back("a1"); }});
+      b.start_flow({{b1}, 100.0, [&] { order.push_back("b1"); }});
+      a.start_flow({{a2}, 100.0, [&] { order.push_back("a2"); }});
+    });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"b1", "a2", "a1"}))
+        << sim.queue_name();
+  }
+}
+
+#if AUTOPIPE_TRACING
+TEST(CoalescedRerate, CompletionIsCausedByTheLastChange) {
+  Simulator sim;
+  sim.tracer().set_enabled(true);
+  FlowNetwork net(sim);
+  const auto r = net.add_resource("link", 100.0);
+  sim.at(1.0, [&] {
+    net.start_flow({{r}, 100.0, nullptr});
+    net.start_flow({{r}, 100.0, nullptr});
+    sim.tracer().instant(trace::Category::kMark, "later", sim.now(), 0, 0);
   });
-  sim.at(0.8, [&net, nic_a, bandwidth] {
-    net.set_capacity(nic_a, bandwidth);
-  });
-  sim.at(0.6, [&net, &out] { out.delivered_at_probe = net.total_bytes_delivered(); });
   sim.run();
-  out.skipped = net.approx_rerates_skipped();
-  return out;
+  std::vector<trace::Event> begins;
+  std::vector<trace::Event> ends;
+  for (const trace::Event& ev : sim.tracer().events()) {
+    if (ev.phase == 'b') begins.push_back(ev);
+    if (ev.phase == 'e') ends.push_back(ev);
+  }
+  ASSERT_EQ(begins.size(), 2u);
+  ASSERT_EQ(ends.size(), 2u);
+  EXPECT_DOUBLE_EQ(ends[0].ts, 3.0);
+  EXPECT_EQ(ends[0].cause, begins[1].eid);
 }
+#endif
 
-class ApproxFlowGrid : public ::testing::TestWithParam<double> {};
-
-TEST_P(ApproxFlowGrid, ThroughputErrorBoundedByEpsilon) {
-  // The documented contract (docs/SIMULATOR.md): between full rating
-  // passes the stale allocation is off by O(epsilon). Over a whole
-  // workload the relative throughput error stays within a small multiple
-  // of epsilon; 3x covers drift compounding across membership changes.
-  const BytesPerSec bandwidth = gbps(GetParam());
-  const double epsilon = 0.05;
-  const FlowWorkloadOutcome exact =
-      run_flow_workload(bandwidth, /*approx=*/false, epsilon);
-  const FlowWorkloadOutcome approx =
-      run_flow_workload(bandwidth, /*approx=*/true, epsilon);
-
-  ASSERT_GT(exact.last_completion, 0.0);
-  ASSERT_GT(approx.last_completion, 0.0);
-  const double completion_err =
-      std::abs(approx.last_completion - exact.last_completion) /
-      exact.last_completion;
-  EXPECT_LE(completion_err, 3.0 * epsilon)
-      << "bandwidth=" << bandwidth << " exact=" << exact.last_completion
-      << " approx=" << approx.last_completion;
-  ASSERT_GT(exact.delivered_at_probe, 0.0);
-  const double delivered_err =
-      std::abs(approx.delivered_at_probe - exact.delivered_at_probe) /
-      exact.delivered_at_probe;
-  EXPECT_LE(delivered_err, 3.0 * epsilon);
-  // The mode must actually be skipping work, or it is pointless.
-  EXPECT_GT(approx.skipped, 0u);
-  EXPECT_EQ(exact.skipped, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Fig3Bandwidths, ApproxFlowGrid,
-                         ::testing::Values(1.0, 5.0, 10.0, 25.0, 50.0,
-                                           100.0));
-
-TEST(ApproxFlow, ApproximateRunsAreDeterministic) {
-  const FlowWorkloadOutcome a = run_flow_workload(gbps(10), true, 0.05);
-  const FlowWorkloadOutcome b = run_flow_workload(gbps(10), true, 0.05);
-  EXPECT_EQ(a.last_completion, b.last_completion);
-  EXPECT_EQ(a.delivered_at_probe, b.delivered_at_probe);
-  EXPECT_EQ(a.skipped, b.skipped);
-}
-
-TEST(ApproxFlow, StaleDriftIsBoundedAndExactReratingRestoresFeasibility) {
-  // The documented contract: a *full* rating pass never oversubscribes;
-  // between passes stale rates may transiently overshoot by O(epsilon).
-  // With epsilon = 0.05 the drift trigger fires as soon as a resource's
-  // live share moves 5% off its snapshot, so the load can never exceed
-  // capacity by more than ~2 epsilon.
+TEST(CoalescedRerate, RatesReadMidCallbackAreMaxMinOfTheCurrentFlows) {
   Simulator sim;
   FlowNetwork net(sim);
-  const double epsilon = 0.05;
-  net.set_approximate_mode(true, epsilon);
-  const ResourceId r = net.add_resource("r", 100.0);
-  std::vector<FlowId> flows;
-  for (int i = 0; i < 8; ++i) {
-    flows.push_back(net.start_flow(FlowSpec{{r}, 1e4, nullptr}));
-    EXPECT_LE(net.resource_load(r), 100.0 * (1.0 + 2.0 * epsilon))
-        << "after flow " << i;
+  const auto wide = net.add_resource("wide", 100.0);
+  const auto narrow = net.add_resource("narrow", 10.0);
+  sim.at(1.0, [&] {
+    const auto a = net.start_flow({{wide, narrow}, 1000.0, nullptr});
+    const auto b = net.start_flow({{wide}, 1000.0, nullptr});
+    EXPECT_NEAR(net.flow_rate(a), 10.0, 1e-9);
+    EXPECT_NEAR(net.flow_rate(b), 90.0, 1e-9);
+    const auto c = net.start_flow({{wide}, 1000.0, nullptr});
+    EXPECT_NEAR(net.resource_load(wide), 100.0, 1e-9);
+    EXPECT_NEAR(net.flow_rate(b), 45.0, 1e-9);
+    EXPECT_NEAR(net.flow_rate(c), 45.0, 1e-9);
+    net.set_capacity(narrow, 20.0);
+    EXPECT_NEAR(net.resource_load(narrow), 20.0, 1e-9);
+    EXPECT_NEAR(net.flow_rate(b), 40.0, 1e-9);
+  });
+  sim.run();
+  EXPECT_EQ(net.active_flow_count(), 0u);
+}
+
+TEST(CoalescedRerate, ThrowingCallbackLeavesNoPushPending) {
+  for (const EventQueueKind kind : kBothKinds) {
+    Simulator sim(kind);
+    FlowNetwork net(sim);
+    const auto r = net.add_resource("link", 100.0);
+    int done = 0;
+    sim.at(1.0, [&] {
+      net.start_flow({{r}, 100.0, [&] { ++done; }});
+      net.start_flow({{r}, 100.0, [&] { ++done; }});
+      throw std::runtime_error("callback failed");
+    });
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    // The completion was pushed while the exception left the callback.
+    EXPECT_EQ(sim.events_scheduled(), 2u) << sim.queue_name();
+    // Outside a callback a change pushes at once.
+    net.start_flow({{r}, 100.0, [&] { ++done; }});
+    EXPECT_EQ(sim.events_scheduled(), 3u) << sim.queue_name();
+    sim.run();
+    EXPECT_EQ(done, 3) << sim.queue_name();
+    EXPECT_DOUBLE_EQ(sim.now(), 4.0) << sim.queue_name();
   }
-  // Dropping back to exact mode forces a progressive-filling pass: the
-  // allocation must be exactly feasible (and saturating) again.
-  net.set_approximate_mode(false);
-  EXPECT_LE(net.resource_load(r), 100.0 * (1.0 + 1e-9));
-  EXPECT_NEAR(net.resource_load(r), 100.0, 1e-6);
-  for (const FlowId f : flows) net.cancel_flow(f);
-  EXPECT_DOUBLE_EQ(net.resource_load(r), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -347,6 +347,37 @@ TEST(GoldenTrace, ChromeMatchesCheckedInGolden) {
                         run_golden_scenario().chrome);
 }
 
+/// The `--scheme` spelling of a sync scheme: "ring" or "ps".
+std::string scheme_flag(comm::SyncScheme scheme) {
+  return scheme == comm::SyncScheme::kRing ? "ring" : "ps";
+}
+
+class ReplicatedSyncGolden
+    : public ::testing::TestWithParam<comm::SyncScheme> {};
+
+// Same-instant flow starts (ring steps, PS pushes), a capacity change, a
+// link outage and cancelled migration flows, pinned under both queues.
+TEST_P(ReplicatedSyncGolden, MatchesCheckedInGoldenUnderBothQueues) {
+  const std::string name = "replicated_" + scheme_flag(GetParam()) + ".trace";
+  for (const sim::EventQueueKind kind :
+       {sim::EventQueueKind::kHeap, sim::EventQueueKind::kWheel}) {
+    const std::string text =
+        test_scenarios::run_replicated_sync_scenario(GetParam(), kind);
+    EXPECT_NE(text.find(" C cap:server0.nic.tx pid=1000 tid=0 value=250000000"),
+              std::string::npos);
+    EXPECT_NE(text.find(" switch_abort "), std::string::npos);
+    EXPECT_NE(text.find(" cancelled=1"), std::string::npos);
+    expect_matches_golden(name, text);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, ReplicatedSyncGolden,
+                         ::testing::Values(comm::SyncScheme::kRing,
+                                           comm::SyncScheme::kParameterServer),
+                         [](const auto& info) {
+                           return scheme_flag(info.param);
+                         });
+
 // ---------------------------------------------------------------------------
 // Temporal invariants read back from traces
 // ---------------------------------------------------------------------------

@@ -40,6 +40,9 @@ CalibrationReport build(const trace::DecisionLedger& ledger,
       case trace::OutcomeStatus::kReverted: ++report.reverted; break;
       case trace::OutcomeStatus::kRejected: ++report.rejected; break;
       case trace::OutcomeStatus::kSuperseded: ++report.superseded; break;
+      case trace::OutcomeStatus::kAbortedPrepare:
+      case trace::OutcomeStatus::kAbortedDrain:
+      case trace::OutcomeStatus::kAbortedTransfer: ++report.aborted; break;
       case trace::OutcomeStatus::kPending: break;
     }
 
@@ -125,7 +128,8 @@ void render_calibration(const CalibrationReport& report, std::ostream& os) {
      << TextTable::num(100.0 * report.accept_rate, 1) << "%)\n";
   os << "outcomes: executed " << report.executed << ", reverted "
      << report.reverted << ", rejected " << report.rejected
-     << ", superseded " << report.superseded << "\n";
+     << ", superseded " << report.superseded << ", aborted "
+     << report.aborted << "\n";
   os << "speed predictor over " << report.measured
      << " measured decisions: MAPE "
      << TextTable::num(100.0 * report.speed_mape, 2) << "%, bias "
@@ -170,6 +174,7 @@ void write_calibration_json(const CalibrationReport& report,
   json.kv("reverted", report.reverted);
   json.kv("rejected", report.rejected);
   json.kv("superseded", report.superseded);
+  json.kv("aborted", report.aborted);
   json.kv("measured", report.measured);
   json.kv("speed_mape", report.speed_mape);
   json.kv("speed_bias", report.speed_bias);

@@ -43,6 +43,7 @@ struct CalibrationReport {
   std::size_t holds = 0;
   double accept_rate = 0.0;  ///< switches / decisions
   std::size_t executed = 0, reverted = 0, rejected = 0, superseded = 0;
+  std::size_t aborted = 0;  ///< any aborted_<phase> outcome
 
   std::size_t measured = 0;    ///< rows with a realized speed
   double speed_mape = 0.0;     ///< mean APE over measured rows

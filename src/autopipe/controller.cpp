@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "common/expect.hpp"
 #include "common/log.hpp"
@@ -17,6 +18,47 @@
 namespace autopipe::core {
 
 namespace {
+
+// Policy constants. Fault-recovery ones are documented in docs/FAULTS.md.
+/// LSTM window of dynamic-metric timesteps.
+constexpr std::size_t kHistoryWindow = 8;
+/// Threshold arbiter: switch only on at least this predicted relative gain,
+/// and only if the switching cost pays back within the horizon (iterations
+/// of the predicted gain).
+constexpr double kThresholdGain = 0.05;
+constexpr double kPaybackHorizonIterations = 25.0;
+/// Online-adaptation samples per meta-network training batch.
+constexpr std::size_t kAdaptationBatch = 16;
+/// Completed iterations a switch is measured over before it is kept or
+/// reverted; also the window of every ledger probe.
+constexpr std::size_t kValidationWindow = 8;
+/// A switch is kept only if the measured period improves by at least this
+/// fraction; otherwise it is reverted and skipped for the regime.
+constexpr double kRegressionTolerance = 0.005;
+/// Decision cooldown after a revert, doubled per consecutive revert up to
+/// the shift ceiling (6 << 6 = 384 iterations).
+constexpr std::size_t kRevertCooldown = 6;
+constexpr std::size_t kMaxRevertBackoffShift = 6;
+static_assert(kMaxRevertBackoffShift < std::numeric_limits<std::size_t>::digits,
+              "the revert backoff shift must stay below the word width");
+/// Minimum predicted relative gain for adopting a change-triggered re-plan.
+constexpr double kReplanGainThreshold = 0.10;
+/// Stall watchdog: the pipeline is wedged when no iteration completes within
+/// kWatchdogFactor x the EMA iteration period (never less than the tick
+/// floor) and either a worker is unreachable or the stall outlasts the fill
+/// grace, which covers pipeline fill, long stop-the-world drains and slow
+/// first iterations.
+constexpr double kWatchdogFactor = 4.0;
+constexpr Seconds kWatchdogMinInterval = 0.25;
+constexpr Seconds kWatchdogFillGrace = 10.0;
+/// Emergency re-plan attempts before the watchdog gives up, spaced by
+/// kWatchdogMinInterval x kRecoveryBackoffBase^attempt.
+constexpr std::size_t kRecoveryMaxRetries = 6;
+constexpr double kRecoveryBackoffBase = 2.0;
+/// Attempts of a fault-aborted switch before it is abandoned; the retry
+/// delay grows by this factor per attempt from the configured base.
+constexpr std::size_t kSwitchRetryMax = 3;
+constexpr double kSwitchRetryBackoff = 2.0;
 
 /// Partition::to_string() with the spaces removed, so the string fits the
 /// ledger's space-separated key=value lines.
@@ -153,20 +195,20 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
   if (static_features_.empty())
     static_features_ = encoder_.static_features(snapshot);
   dynamic_history_.push_back(encoder_.dynamic_features(snapshot));
-  while (dynamic_history_.size() > config_.history_window)
+  while (dynamic_history_.size() > kHistoryWindow)
     dynamic_history_.pop_front();
 
   settle_pending_reward(snapshot);
 
   if (snapshot.iteration_time > 0.0) {
     recent_period_.push_back(snapshot.iteration_time);
-    while (recent_period_.size() > 2 * config_.validation_window)
+    while (recent_period_.size() > 2 * kValidationWindow)
       recent_period_.pop_front();
   }
 
   // Online adaptation: the measured speed of the *current* partition is a
   // free labelled sample for the meta-network.
-  if (meta_ && config_.online_adaptation && snapshot.iteration_time > 0.0) {
+  if (meta_ && snapshot.iteration_time > 0.0) {
     SpeedSample sample;
     sample.dynamic_seq.assign(dynamic_history_.begin(),
                               dynamic_history_.end());
@@ -177,7 +219,7 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
         static_cast<double>(executor_.batch_size()) /
         snapshot.iteration_time);
     adaptation_buffer_.push_back(std::move(sample));
-    if (adaptation_buffer_.size() >= config_.adaptation_batch) {
+    if (adaptation_buffer_.size() >= kAdaptationBatch) {
       meta_->train_batch(adaptation_buffer_);
       adaptation_buffer_.clear();
     }
@@ -269,13 +311,13 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
       }
     } else {
       ++validation_->samples;
-      if (validation_->samples >= config_.validation_window) {
+      if (validation_->samples >= kValidationWindow) {
         const double after_period =
             (cluster_.simulator().now() - validation_->window_start) /
             static_cast<double>(validation_->samples);
         const bool regressed =
             after_period > validation_->period_before *
-                               (1.0 - config_.regression_tolerance);
+                               (1.0 - kRegressionTolerance);
         if (cluster_.simulator().tracer().enabled()) {
           cluster_.simulator().tracer().instant(
               trace::Category::kControl, "validation_end",
@@ -303,20 +345,12 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
             return;
           }
           reject(executor_.current_partition());
-          // The revert is itself a staged switch: track it so a fault
-          // mid-revert retries with backoff (but never re-validates it).
-          drop_tracked_switch("revert");
-          tracked_switch_ = TrackedSwitch(validation_->previous,
-                                          executor_.current_partition());
-          if (!executor_.request_switch(validation_->previous,
-                                        config_.switch_mode,
-                                        validation_->ledger_id
-                                            ? *validation_->ledger_id
-                                            : 0)) {
-            tracked_switch_.reset();
-            ++retry_epoch_;
+          // The revert is itself a staged switch: tracked so a fault
+          // mid-revert retries with backoff (but never re-validated).
+          if (!issue_switch(validation_->previous, "revert",
+                            /*validate=*/false, nullptr,
+                            validation_->ledger_id.value_or(0)))
             return;  // switch engine busy: retry the revert next iteration
-          }
           resolve_validation_record(
               trace::OutcomeStatus::kReverted,
               static_cast<double>(executor_.batch_size()) / after_period,
@@ -331,7 +365,7 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
                  trace::arg("period_after", after_period)});
           }
           consecutive_reverts_ = std::min<std::size_t>(
-              consecutive_reverts_ + 1, config_.max_revert_backoff_shift);
+              consecutive_reverts_ + 1, kMaxRevertBackoffShift);
           cooldown_until_ = completed_iterations +
                             revert_backoff_iterations(consecutive_reverts_);
         } else {
@@ -345,16 +379,6 @@ void AutoPipeController::on_iteration(std::size_t completed_iterations) {
         return;
       }
     }
-  }
-
-  // An in-progress gradual migration takes priority over fresh decisions;
-  // intermediate steps are not individually validated (they may transit
-  // through worse configurations on the way to the target).
-  if (target_) {
-    resolve_validation_record(trace::OutcomeStatus::kSuperseded, -1.0, 0,
-                              "migration");
-    validation_.reset();
-    if (pursue_target()) return;
   }
 
   if (completed_iterations < config_.min_history_iterations) return;
@@ -406,31 +430,9 @@ double AutoPipeController::baseline_period() const {
 }
 
 std::size_t AutoPipeController::revert_backoff_iterations(
-    std::size_t reverts) const {
-  // Hard clamp below the word width so even a pathological configuration
-  // (max_revert_backoff_shift >= 64) cannot shift into undefined behaviour;
-  // the config ceiling is what bounds the pause in practice.
-  const std::size_t shift = std::min<std::size_t>(
-      std::min(reverts, config_.max_revert_backoff_shift), 48);
-  return config_.revert_cooldown << shift;
+    std::size_t reverts) {
+  return kRevertCooldown << std::min(reverts, kMaxRevertBackoffShift);
 }
-
-namespace {
-/// Layers whose hosting worker set differs between two partitions (given
-/// by their stages) — the migration distance a switch sequence must close.
-std::size_t partition_distance(std::span<const partition::StageAssignment> a,
-                               std::span<const partition::StageAssignment> b) {
-  std::size_t d = 0;
-  auto sa = a.begin();
-  auto sb = b.begin();
-  for (std::size_t l = 0; l <= a.back().last_layer; ++l) {
-    if (l > sa->last_layer) ++sa;
-    if (l > sb->last_layer) ++sb;
-    if (sa->workers != sb->workers) ++d;
-  }
-  return d;
-}
-}  // namespace
 
 std::pair<partition::Partition, double> AutoPipeController::replan(
     const ProfileSnapshot& snapshot, const partition::EnvironmentView& env) {
@@ -499,48 +501,6 @@ std::pair<partition::Partition, double> AutoPipeController::replan(
           static_cast<double>(executor_.batch_size()) / best};
 }
 
-bool AutoPipeController::pursue_target() {
-  if (!target_) return false;
-  const partition::Partition& current = executor_.current_partition();
-  if (current == *target_ || target_steps_ > 4 * current.num_layers()) {
-    target_.reset();
-    return false;
-  }
-  // Step to the neighbour closest to the target.
-  partition::enumerate_moves(current.stages(), moves_);
-  scratch_ = current.stages();
-  std::optional<partition::Move> best;
-  std::size_t best_distance =
-      partition_distance(current.stages(), target_->stages());
-  for (const partition::Move& move : moves_) {
-    partition::apply_move(scratch_, move);
-    const std::size_t d = partition_distance(scratch_, target_->stages());
-    partition::undo_move(scratch_, current.stages(), move);
-    if (d < best_distance) {
-      best_distance = d;
-      best = move;
-    }
-  }
-  if (!best) {
-    target_.reset();  // no move closes the gap: abandon the target
-    return false;
-  }
-  const partition::Partition next = partition::apply_move(current, *best);
-  ++target_steps_;
-  // Intermediate migration steps are tracked (fault aborts retry them) but
-  // never validated: they may transit through worse configurations.
-  drop_tracked_switch("new_decision");
-  tracked_switch_ = TrackedSwitch(next, current);
-  if (executor_.request_switch(next, config_.switch_mode, target_round_)) {
-    ++stats_.switches_requested;
-    last_switch_iteration_ = executor_.completed_iterations();
-  } else if (tracked_switch_) {
-    tracked_switch_.reset();
-    ++retry_epoch_;
-  }
-  return true;
-}
-
 void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
                                              bool after_change) {
   PROF_SPAN("planner/decide_round");
@@ -553,6 +513,9 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
                                          executor_.config().framework,
                                          executor_.config().sync_scheme);
   const double current_speed = predict_speed(snapshot, current.stages(), env);
+  const bool fine_grained =
+      config_.switch_mode ==
+      pipeline::PipelineExecutor::SwitchMode::kFineGrained;
   const auto switch_cost = [&](const partition::Partition& to) {
     return analytic_switch_cost(
         executor_.model(), current, to, env,
@@ -578,77 +541,38 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
     rec.current = compact_partition(current);
     rec.current_pred = current_speed;
   };
-  // Re-plan adoption is this round's single candidate; fill before the
-  // switch request so `current` is still the pre-switch partition.
-  const auto fill_replan = [&](const partition::Partition& plan,
-                               double plan_speed) {
-    rec.kind = "replan";
-    const SwitchCostEstimate cost = switch_cost(plan);
-    trace::CandidateScore cs;
-    cs.partition = compact_partition(plan);
-    cs.predicted_speed = plan_speed;
-    cs.cost_fine = cost.fine_grained;
-    cs.cost_stw = cost.stop_the_world;
-    rec.action = trace::DecisionAction::kSwitch;
-    rec.target = cs.partition;
-    rec.chosen_pred = plan_speed;
-    rec.best_pred = plan_speed;
-    rec.cost_seconds = cost_for_mode(
-        cost, config_.switch_mode ==
-                  pipeline::PipelineExecutor::SwitchMode::kFineGrained);
-    rec.arbiter = "replan";
-    rec.candidates.push_back(std::move(cs));
-  };
   if (ledger_on) init_record();
 
   // On a real environment shift, the two-worker neighbourhood may be too
   // local: consult the full re-plan first.
   if (after_change && config_.replan_on_change) {
     auto [plan, plan_speed] = replan(snapshot, env);
-    if (plan_speed > current_speed * (1.0 + config_.replan_gain_threshold) &&
+    if (plan_speed > current_speed * (1.0 + kReplanGainThreshold) &&
         !(plan == current) && !rejected(plan.stages()) &&
         partition_reachable(plan)) {
-      if (config_.gradual_migration) {
-        LOG_DEBUG("migration target " << plan.to_string());
-        if (ledger_on) {
-          fill_replan(plan, plan_speed);
-          supersede_probes("new_decision");
-          const std::uint64_t id = ledger().add(std::move(rec));
-          probes_.push_back(LedgerProbe{
-              id, true, executor_.completed_iterations(), -1.0, 0});
-          target_round_ = id;
-        } else {
-          target_round_ = 0;
-        }
-        target_ = std::move(plan);
-        target_steps_ = 0;
-        pursue_target();
-        return;
-      }
       LOG_DEBUG("re-plan adoption: " << plan.to_string() << " (predicted "
                                      << current_speed << " -> " << plan_speed
                                      << ")");
-      if (ledger_on) fill_replan(plan, plan_speed);
-      // Arm the tracked switch (and its ledger record) *before* the request:
-      // an empty-pipeline attempt can run Prepare → Commit synchronously,
-      // and the Commit observer is what arms the validation window.
-      const bool arm_validation =
-          config_.validate_switches && !recent_period_.empty();
-      drop_tracked_switch("new_decision");
-      tracked_switch_ =
-          TrackedSwitch(plan, current,
-                        arm_validation ? baseline_period() : 0.0,
-                        arm_validation);
       if (ledger_on) {
-        resolve_validation_record(trace::OutcomeStatus::kSuperseded, -1.0, 0,
-                                  "new_decision");
-        supersede_probes("new_decision");
-        tracked_switch_->ledger_id = ledger().add(std::move(rec));
+        // Re-plan adoption is this round's single candidate; filled before
+        // the switch request so `current` is still the pre-switch partition.
+        rec.kind = "replan";
+        const SwitchCostEstimate cost = switch_cost(plan);
+        trace::CandidateScore cs;
+        cs.partition = compact_partition(plan);
+        cs.predicted_speed = plan_speed;
+        cs.cost_fine = cost.fine_grained;
+        cs.cost_stw = cost.stop_the_world;
+        rec.action = trace::DecisionAction::kSwitch;
+        rec.target = cs.partition;
+        rec.chosen_pred = plan_speed;
+        rec.best_pred = plan_speed;
+        rec.cost_seconds = cost_for_mode(cost, fine_grained);
+        rec.arbiter = "replan";
+        rec.candidates.push_back(std::move(cs));
       }
-      if (executor_.request_switch(plan, config_.switch_mode,
-                                   tracked_switch_->ledger_id
-                                       ? *tracked_switch_->ledger_id
-                                       : 0)) {
+      if (issue_switch(plan, "new_decision", /*validate=*/true,
+                       ledger_on ? &rec : nullptr)) {
         cluster_.simulator().metrics().add("controller.replans");
         if (cluster_.simulator().tracer().enabled()) {
           cluster_.simulator().tracer().instant(
@@ -663,15 +587,6 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
       }
       // Switch engine busy: the verdict never took effect. Fall through to
       // the neighbourhood round with a fresh record.
-      if (tracked_switch_) {
-        if (tracked_switch_->ledger_id) {
-          ledger_resolve(*tracked_switch_->ledger_id,
-                         trace::OutcomeStatus::kSuperseded, -1.0, 0,
-                         "engine_busy");
-        }
-        tracked_switch_.reset();
-        ++retry_epoch_;
-      }
       if (ledger_on) init_record();
     }
   }
@@ -756,14 +671,11 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   }
 
   // Cost of adopting the best candidate.
-  const SwitchCostEstimate cost = switch_cost(*winner);
   const Seconds cost_seconds =
-      config_.switch_mode ==
-              pipeline::PipelineExecutor::SwitchMode::kFineGrained
-          ? cost.fine_grained
-          : cost.stop_the_world;
+      cost_for_mode(switch_cost(*winner), fine_grained);
 
-  // Arbiter: is the predicted gain worth the cost?
+  // Arbiter: is the predicted gain worth the cost? Each case also names
+  // itself in the round's record, which is filed only with the ledger on.
   int action = 0;
   std::vector<double> state = encoder_.arbiter_state(
       snapshot, current_speed, best_speed, cost_seconds,
@@ -774,29 +686,29 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
       rl::DqnAgent::DecisionInfo info =
           agent_->decide(state, config_.arbiter_explore);
       action = info.action;
-      if (ledger_on) {
-        rec.q_values = std::move(info.q);
-        rec.explored = info.explored;
-      }
+      rec.arbiter = "rl";
+      rec.q_values = std::move(info.q);
+      rec.explored = info.explored;
       break;
     }
     case ControllerConfig::ArbiterMode::kAlwaysSwitch:
       action = 1;
+      rec.arbiter = "always";
       break;
     case ControllerConfig::ArbiterMode::kNeverSwitch:
-      action = 0;
+      rec.arbiter = "never";
       break;
     case ControllerConfig::ArbiterMode::kThreshold: {
       const bool gain_ok =
-          best_speed > current_speed * (1.0 + config_.threshold_gain);
+          best_speed > current_speed * (1.0 + kThresholdGain);
       // Cost-aware gate: the migration must pay back within the horizon.
       const double gain_per_iteration =
           (best_speed / std::max(current_speed, 1e-9) - 1.0) *
           std::max(snapshot.iteration_time, 1e-6);
       const bool payback_ok =
-          cost_seconds <
-          gain_per_iteration * config_.payback_horizon_iterations;
+          cost_seconds < gain_per_iteration * kPaybackHorizonIterations;
       action = (gain_ok && payback_ok) ? 1 : 0;
+      rec.arbiter = "threshold";
       break;
     }
   }
@@ -836,58 +748,17 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
     rec.chosen_pred = action == 1 ? best_speed : current_speed;
     rec.best_pred = best_speed;
     rec.cost_seconds = cost_seconds;
-    switch (config_.arbiter_mode) {
-      case ControllerConfig::ArbiterMode::kRl:
-        rec.arbiter = "rl";
-        break;
-      case ControllerConfig::ArbiterMode::kAlwaysSwitch:
-        rec.arbiter = "always";
-        break;
-      case ControllerConfig::ArbiterMode::kNeverSwitch:
-        rec.arbiter = "never";
-        break;
-      case ControllerConfig::ArbiterMode::kThreshold:
-        rec.arbiter = "threshold";
-        break;
-    }
   }
 
   if (action == 1) {
-    // Tracked switch (and ledger record) armed before the request so a
-    // synchronous Commit finds them; validation arms only when the staged
-    // protocol commits, never for an attempt that aborts mid-flight.
-    const bool arm_validation =
-        config_.validate_switches && !recent_period_.empty();
-    drop_tracked_switch("new_decision");
-    tracked_switch_ =
-        TrackedSwitch(*winner, executor_.current_partition(),
-                      arm_validation ? baseline_period() : 0.0,
-                      arm_validation);
-    if (ledger_on) {
-      resolve_validation_record(trace::OutcomeStatus::kSuperseded, -1.0, 0,
-                                "new_decision");
-      // An adopted switch opens a new regime: earlier probes stop here.
-      supersede_probes("new_decision");
-      tracked_switch_->ledger_id = ledger().add(std::move(rec));
-    }
-    if (executor_.request_switch(*winner, config_.switch_mode,
-                                 tracked_switch_->ledger_id
-                                     ? *tracked_switch_->ledger_id
-                                     : 0)) {
+    // An adopted switch opens a new regime: earlier probes stop here.
+    if (issue_switch(*winner, "new_decision", /*validate=*/true,
+                     ledger_on ? &rec : nullptr)) {
       ++stats_.switches_requested;
       last_switch_iteration_ = executor_.completed_iterations();
       LOG_DEBUG("switching to " << winner->to_string()
                                 << " (predicted " << current_speed << " -> "
                                 << best_speed << " samples/s)");
-    } else if (tracked_switch_) {
-      // The switch engine was busy: the verdict never took effect.
-      if (tracked_switch_->ledger_id) {
-        ledger_resolve(*tracked_switch_->ledger_id,
-                       trace::OutcomeStatus::kSuperseded, -1.0, 0,
-                       "engine_busy");
-      }
-      tracked_switch_.reset();
-      ++retry_epoch_;
     }
   } else if (ledger_on) {
     const std::uint64_t id = ledger().add(std::move(rec));
@@ -908,11 +779,9 @@ bool AutoPipeController::partition_reachable(
 }
 
 void AutoPipeController::arm_watchdog() {
-  if (!config_.enable_watchdog || watchdog_armed_ || recovery_given_up_)
-    return;
+  if (watchdog_armed_ || recovery_given_up_) return;
   watchdog_armed_ = true;
-  const Seconds interval =
-      std::max(config_.watchdog_min_interval, ema_period_);
+  const Seconds interval = std::max(kWatchdogMinInterval, ema_period_);
   cluster_.simulator().after(
       interval, [this] { watchdog_tick(); }, "watchdog");
 }
@@ -941,11 +810,10 @@ void AutoPipeController::watchdog_tick() {
     // iteration periods, so in-progress switches get the fill grace.
     Seconds threshold =
         ema_period_ > 0.0
-            ? std::max(config_.watchdog_factor * ema_period_,
-                       config_.watchdog_min_interval)
-            : config_.watchdog_fill_grace;
+            ? std::max(kWatchdogFactor * ema_period_, kWatchdogMinInterval)
+            : kWatchdogFillGrace;
     if (executor_.switch_in_progress())
-      threshold = std::max(threshold, config_.watchdog_fill_grace);
+      threshold = std::max(threshold, kWatchdogFillGrace);
     const Seconds stall = now - last_progress_time_;
     if (stall > threshold) {
       bool worker_down = false;
@@ -956,8 +824,7 @@ void AutoPipeController::watchdog_tick() {
       // is deterministic) triggers recovery.
       const bool hard_stall = ema_period_ > 0.0 &&
                               !executor_.switch_in_progress() &&
-                              stall > std::max(threshold,
-                                               config_.watchdog_fill_grace);
+                              stall > std::max(threshold, kWatchdogFillGrace);
       if (worker_down || hard_stall) {
         if (!wedged_) {
           wedged_ = true;
@@ -980,7 +847,7 @@ void AutoPipeController::watchdog_tick() {
 
 void AutoPipeController::attempt_recovery(Seconds now) {
   auto& sim = cluster_.simulator();
-  if (recovery_attempts_ >= config_.recovery_max_retries) {
+  if (recovery_attempts_ >= kRecoveryMaxRetries) {
     if (!recovery_given_up_) {
       recovery_given_up_ = true;
       ++stats_.recovery_giveups;
@@ -995,39 +862,21 @@ void AutoPipeController::attempt_recovery(Seconds now) {
   }
   ++recovery_attempts_;
   next_recovery_at_ =
-      now + config_.watchdog_min_interval *
-                std::pow(config_.recovery_backoff_base,
+      now + kWatchdogMinInterval *
+                std::pow(kRecoveryBackoffBase,
                          static_cast<double>(recovery_attempts_));
 
-  std::vector<sim::WorkerId> alive;
-  std::vector<sim::WorkerId> dead;
-  for (sim::WorkerId w : owned_)
-    (cluster_.worker_reachable(w) ? alive : dead).push_back(w);
-  ProfileSnapshot snapshot = profiler_.snapshot(executor_, cluster_);
-  if (alive.size() > snapshot.num_layers) alive.resize(snapshot.num_layers);
-  if (alive.empty()) return;  // nowhere to land; back off and retry
-
-  std::optional<partition::Partition> plan;
-  try {
-    const auto env = profiler_.environment(snapshot,
-                                           executor_.config().framework,
-                                           executor_.config().sync_scheme);
-    plan = partition::speed_proportional_rebalance(
-        executor_.model(),
-        partition::Partition::even_split(snapshot.num_layers, alive), env,
-        executor_.batch_size());
-  } catch (const std::exception&) {
-    // A half-transitioned environment (e.g. a link that dropped between the
-    // reachability scan and the snapshot) can violate planner contracts;
-    // treat it like any other failed attempt and let the backoff retry.
-    return;
-  }
-  // A fault racing this call (e.g. a second preemption mid-migration) makes
-  // the adopt fail; the backoff schedule retries with a fresh alive set.
-  if (!executor_.emergency_adopt(std::move(*plan))) return;
+  // No plan (nowhere to land, or an environment too unsettled to plan on)
+  // or a fault racing the adopt (e.g. a second preemption mid-migration):
+  // the backoff schedule retries with a fresh reachable set.
+  std::optional<partition::Partition> plan =
+      reachable_plan(profiler_.snapshot(executor_, cluster_));
+  if (!plan || !executor_.emergency_adopt(std::move(*plan))) return;
   ++stats_.emergency_replans;
   sim.metrics().add("controller.emergency_replans");
-  excluded_workers_ = std::move(dead);
+  excluded_workers_.clear();
+  for (sim::WorkerId w : owned_)
+    if (!cluster_.worker_reachable(w)) excluded_workers_.push_back(w);
   // The emergency plan invalidates every piece of steady-state decision
   // context (an in-flight switch was already aborted through the staged
   // protocol by emergency_adopt; its tracked state resolved there).
@@ -1036,7 +885,6 @@ void AutoPipeController::attempt_recovery(Seconds now) {
                             "fault");
   supersede_probes("fault");
   validation_.reset();
-  target_.reset();
   rejected_.clear();
   cooldown_until_ = 0;
   consecutive_reverts_ = 0;
@@ -1044,25 +892,34 @@ void AutoPipeController::attempt_recovery(Seconds now) {
   monitor_.reset();
 }
 
-bool AutoPipeController::maybe_readmit(const ProfileSnapshot& snapshot) {
+std::optional<partition::Partition> AutoPipeController::reachable_plan(
+    const ProfileSnapshot& snapshot) const {
   std::vector<sim::WorkerId> alive;
   for (sim::WorkerId w : owned_)
     if (cluster_.worker_reachable(w)) alive.push_back(w);
   if (alive.size() > snapshot.num_layers) alive.resize(snapshot.num_layers);
-  if (alive.empty()) return false;
-
-  std::optional<partition::Partition> plan;
+  if (alive.empty()) return std::nullopt;
   try {
     const auto env = profiler_.environment(snapshot,
                                            executor_.config().framework,
                                            executor_.config().sync_scheme);
-    plan = partition::speed_proportional_rebalance(
+    return partition::speed_proportional_rebalance(
         executor_.model(),
-        partition::Partition::even_split(snapshot.num_layers, alive), env,
-        executor_.batch_size());
+        partition::Partition::even_split(snapshot.num_layers,
+                                         std::move(alive)),
+        env, executor_.batch_size());
   } catch (const std::exception&) {
-    return false;  // environment still unsettled; retry next iteration
+    // A half-transitioned environment (e.g. a link that dropped between the
+    // reachability scan and the snapshot) can violate planner contracts.
+    return std::nullopt;
   }
+}
+
+bool AutoPipeController::maybe_readmit(const ProfileSnapshot& snapshot) {
+  // No plan (nothing reachable, or an environment still unsettled): retry
+  // next iteration.
+  const std::optional<partition::Partition> plan = reachable_plan(snapshot);
+  if (!plan) return false;
   const auto drop_returned = [this] {
     excluded_workers_.erase(
         std::remove_if(
@@ -1074,14 +931,8 @@ bool AutoPipeController::maybe_readmit(const ProfileSnapshot& snapshot) {
     drop_returned();
     return false;
   }
-  drop_tracked_switch("readmit");
-  tracked_switch_ =
-      TrackedSwitch(*plan, executor_.current_partition());
-  if (!executor_.request_switch(*plan, config_.switch_mode)) {
-    tracked_switch_.reset();
-    ++retry_epoch_;
+  if (!issue_switch(*plan, "readmit", /*validate=*/false, nullptr))
     return false;
-  }
   ++stats_.readmissions;
   ++stats_.switches_requested;
   last_switch_iteration_ = executor_.completed_iterations();
@@ -1090,7 +941,7 @@ bool AutoPipeController::maybe_readmit(const ProfileSnapshot& snapshot) {
     cluster_.simulator().tracer().instant(
         trace::Category::kFault, "worker_readmit",
         cluster_.simulator().now(), trace::kPidControl, 1,
-        {trace::arg("workers", alive.size())});
+        {trace::arg("workers", plan->num_workers())});
   }
   drop_returned();
   resolve_validation_record(trace::OutcomeStatus::kSuperseded, -1.0, 0,
@@ -1155,14 +1006,7 @@ void AutoPipeController::on_switch_event(
 
   if (a.abort_reason == "emergency") {
     // attempt_recovery owns the aftermath; the decided target is moot.
-    if (tracked_switch_) {
-      if (tracked_switch_->ledger_id) {
-        ledger_resolve(*tracked_switch_->ledger_id,
-                       trace::OutcomeStatus::kSuperseded, -1.0, 0, "fault");
-      }
-      tracked_switch_.reset();
-      ++retry_epoch_;
-    }
+    drop_tracked_switch("fault");
     return;
   }
 
@@ -1175,17 +1019,9 @@ void AutoPipeController::on_switch_event(
     // another tenant's GPU). "job_finished": the run target was reached with
     // a switch still staged; retrying would reconfigure onto workers the job
     // has already released.
-    if (tracked_switch_) {
-      if (tracked_switch_->ledger_id) {
-        ledger_resolve(*tracked_switch_->ledger_id,
-                       aborted_outcome(a.aborted_in), -1.0, 0,
-                       a.abort_reason);
-      }
-      if (a.abort_reason == "tenant_contention")
-        reject(tracked_switch_->target);
-      tracked_switch_.reset();
-      ++retry_epoch_;
-    }
+    if (tracked_switch_ && a.abort_reason == "tenant_contention")
+      reject(tracked_switch_->target);
+    drop_tracked_switch(a.abort_reason, aborted_outcome(a.aborted_in));
     return;
   }
 
@@ -1204,15 +1040,14 @@ void AutoPipeController::schedule_switch_retry() {
   AUTOPIPE_EXPECT(tracked_switch_.has_value());
   TrackedSwitch& t = *tracked_switch_;
   if (t.retry_scheduled) return;
-  if (t.attempts >= config_.switch_retry_max) {
+  if (t.attempts >= kSwitchRetryMax) {
     abandon_tracked_switch();
     return;
   }
   t.retry_scheduled = true;
   const Seconds delay =
       config_.switch_retry_base_interval *
-      std::pow(config_.switch_retry_backoff,
-               static_cast<double>(t.attempts - 1));
+      std::pow(kSwitchRetryBackoff, static_cast<double>(t.attempts - 1));
   const std::uint64_t epoch = retry_epoch_;
   cluster_.simulator().after(
       delay,
@@ -1255,9 +1090,7 @@ void AutoPipeController::schedule_switch_retry() {
 }
 
 void AutoPipeController::abandon_tracked_switch() {
-  TrackedSwitch t = std::move(*tracked_switch_);
-  tracked_switch_.reset();
-  ++retry_epoch_;
+  const TrackedSwitch& t = *tracked_switch_;
   ++stats_.switch_abandonments;
   auto& sim = cluster_.simulator();
   sim.metrics().add("switch.abandoned");
@@ -1269,23 +1102,45 @@ void AutoPipeController::abandon_tracked_switch() {
          trace::arg("phase",
                     pipeline::switch_phase_name(t.last_abort_phase))});
   }
-  if (t.ledger_id) {
-    ledger_resolve(*t.ledger_id, aborted_outcome(t.last_abort_phase), -1.0,
-                   0, "abandoned");
-  }
   // Repeated fault pressure on this exact move: skip it until the
   // environment changes again.
   reject(t.target);
+  drop_tracked_switch("abandoned", aborted_outcome(t.last_abort_phase));
 }
 
-void AutoPipeController::drop_tracked_switch(const std::string& reason) {
+void AutoPipeController::drop_tracked_switch(const std::string& reason,
+                                             trace::OutcomeStatus status) {
   if (!tracked_switch_) return;
-  if (tracked_switch_->ledger_id) {
-    ledger_resolve(*tracked_switch_->ledger_id,
-                   trace::OutcomeStatus::kSuperseded, -1.0, 0, reason);
-  }
+  if (tracked_switch_->ledger_id)
+    ledger_resolve(*tracked_switch_->ledger_id, status, -1.0, 0, reason);
   tracked_switch_.reset();
   ++retry_epoch_;
+}
+
+bool AutoPipeController::issue_switch(const partition::Partition& target,
+                                      const std::string& supersede_reason,
+                                      bool validate,
+                                      trace::DecisionRecord* record,
+                                      std::uint64_t round) {
+  // Validation arms only when the staged protocol commits, never for an
+  // attempt that aborts mid-flight.
+  const bool arm_validation =
+      validate && config_.validate_switches && !recent_period_.empty();
+  drop_tracked_switch(supersede_reason);
+  tracked_switch_ = TrackedSwitch(target, executor_.current_partition(),
+                                  arm_validation ? baseline_period() : 0.0,
+                                  arm_validation);
+  if (record) {
+    resolve_validation_record(trace::OutcomeStatus::kSuperseded, -1.0, 0,
+                              supersede_reason);
+    supersede_probes(supersede_reason);
+    round = ledger().add(std::move(*record));
+    tracked_switch_->ledger_id = round;
+  }
+  if (executor_.request_switch(target, config_.switch_mode, round))
+    return true;
+  drop_tracked_switch("engine_busy");
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -1369,7 +1224,7 @@ void AutoPipeController::advance_probes() {
       continue;
     }
     ++p.samples;
-    if (p.samples >= config_.validation_window && now > p.window_start) {
+    if (p.samples >= kValidationWindow && now > p.window_start) {
       const double realized = static_cast<double>(executor_.batch_size()) *
                               static_cast<double>(p.samples) /
                               (now - p.window_start);

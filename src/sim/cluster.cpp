@@ -257,20 +257,6 @@ void Cluster::remove_worker_state_callback(std::uint64_t token) {
   }
 }
 
-void Cluster::set_worker_state_callback(WorkerStateCallback cb) {
-  for (auto it = worker_state_callbacks_.begin();
-       it != worker_state_callbacks_.end(); ++it) {
-    if (it->first == 0) {
-      if (cb)
-        it->second = std::move(cb);
-      else
-        worker_state_callbacks_.erase(it);
-      return;
-    }
-  }
-  if (cb) worker_state_callbacks_.emplace_back(0, std::move(cb));
-}
-
 std::uint64_t Cluster::add_link_state_callback(LinkStateCallback cb) {
   const std::uint64_t token = next_callback_token_++;
   link_state_callbacks_.emplace_back(token, std::move(cb));
@@ -285,20 +271,6 @@ void Cluster::remove_link_state_callback(std::uint64_t token) {
       return;
     }
   }
-}
-
-void Cluster::set_link_state_callback(LinkStateCallback cb) {
-  for (auto it = link_state_callbacks_.begin();
-       it != link_state_callbacks_.end(); ++it) {
-    if (it->first == 0) {
-      if (cb)
-        it->second = std::move(cb);
-      else
-        link_state_callbacks_.erase(it);
-      return;
-    }
-  }
-  if (cb) link_state_callbacks_.emplace_back(0, std::move(cb));
 }
 
 void Cluster::notify_worker_state(WorkerId worker, bool up) {

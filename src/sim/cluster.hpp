@@ -121,9 +121,6 @@ class Cluster {
   using WorkerStateCallback = std::function<void(WorkerId, bool up)>;
   std::uint64_t add_worker_state_callback(WorkerStateCallback cb);
   void remove_worker_state_callback(std::uint64_t token);
-  /// Legacy single-slot setter: replaces the previous set_ registration (if
-  /// any) without disturbing add_-registered observers. nullptr clears it.
-  void set_worker_state_callback(WorkerStateCallback cb);
 
   /// Observers for server-link down/up transitions (multi-slot, same token
   /// protocol; a pipeline executor registers one so a link failure can abort
@@ -131,7 +128,6 @@ class Cluster {
   using LinkStateCallback = std::function<void(std::size_t server, bool up)>;
   std::uint64_t add_link_state_callback(LinkStateCallback cb);
   void remove_link_state_callback(std::uint64_t token);
-  void set_link_state_callback(LinkStateCallback cb);
 
   const ClusterConfig& config() const { return config_; }
 
@@ -162,8 +158,7 @@ class Cluster {
   void notify_link_state(std::size_t server, bool up);
 
   /// Registered observers, keyed by token. A deterministic vector (not a
-  /// map) so notification order is registration order; token 0 is reserved
-  /// for the legacy single-slot set_ registration.
+  /// map) so notification order is registration order.
   std::vector<std::pair<std::uint64_t, WorkerStateCallback>> worker_state_callbacks_;
   std::vector<std::pair<std::uint64_t, LinkStateCallback>> link_state_callbacks_;
   std::uint64_t next_callback_token_ = 1;

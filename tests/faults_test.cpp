@@ -370,6 +370,31 @@ TEST(ExecutorRecovery, ReturnedWorkerIsReadmitted) {
             partition::Partition::npos);
 }
 
+TEST(ExecutorRecovery, EmergencyReplanUsesAtMostOneWorkerPerLayer) {
+  // 14 workers for alexnet's 11 layers: after the loss, 13 are reachable,
+  // more than there are layers, so the recovery plan must leave two idle.
+  FaultRig rig = make_rig(7, 2, /*with_controller=*/true);
+  std::vector<sim::WorkerId> holders;
+  for (sim::WorkerId w = 0; w < rig.model.num_layers(); ++w)
+    holders.push_back(w);
+  ASSERT_TRUE(rig.executor->request_switch(
+      partition::Partition::even_split(rig.model.num_layers(), holders),
+      pipeline::PipelineExecutor::SwitchMode::kStopTheWorld));
+
+  faults::FaultPlan plan;
+  plan.at(1.0, faults::FaultPlan::gpu_down(1));  // a sole holder, for good
+  plan.install(*rig.simulator, *rig.cluster);
+
+  rig.executor->run(60, 5);
+
+  EXPECT_GE(rig.controller->stats().emergency_replans, 1u);
+  ASSERT_EQ(rig.controller->excluded_workers().size(), 1u);
+  EXPECT_EQ(rig.controller->excluded_workers()[0], 1u);
+  const auto& recovered = rig.executor->current_partition();
+  EXPECT_EQ(recovered.num_workers(), rig.model.num_layers());
+  EXPECT_EQ(recovered.stage_of_worker(1), partition::Partition::npos);
+}
+
 TEST(ExecutorRecovery, EmergencyAdoptRejectsUnreachableTargets) {
   FaultRig rig = make_rig(1, 2, /*with_controller=*/false);
   rig.cluster->set_worker_down(1);

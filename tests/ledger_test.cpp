@@ -20,6 +20,8 @@
 #include "common/ledger.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/switch_fault_plan.hpp"
 #include "golden_file.hpp"
 #include "models/zoo.hpp"
 #include "partition/environment.hpp"
@@ -232,6 +234,73 @@ TEST(GoldenLedger, BandwidthDropMatchesCheckedInGolden) {
   expect_matches_golden("controller_bwdrop.ledger", text);
 }
 
+/// The controller's fault paths in one small run: the skewed toy pipeline
+/// from run_skewed_scenario. The first three switch attempts lose a link the
+/// instant they reach Transfer, so the first decided switch is retried with
+/// backoff and then abandoned as aborted_transfer. The next one commits, and
+/// while it is being validated workers 1 and 2 are preempted, for 6 s and
+/// 10 s. Their stages have no other holder, so the watchdog declares the
+/// pipeline wedged and re-plans onto worker 0 alone (superseding the
+/// validation as `fault`). Each return is folded back in by a readmission
+/// switch, first over two reachable workers, then over all three.
+struct FaultCapture {
+  std::string ledger;
+  std::string trace;
+};
+
+FaultCapture run_fault_scenario() {
+  Rig rig;
+  rig.sim.ledger().set_enabled(true);
+  rig.sim.tracer().set_enabled(true);
+  const auto model = toy_model(6);
+  partition::Partition skewed({{0, 3, {0}}, {4, 4, {1}}, {5, 5, {2}}},
+                              model.num_layers());
+  pipeline::PipelineExecutor executor(*rig.cluster, model, skewed,
+                                      clean_config());
+  ControllerConfig config;
+  config.arbiter_mode = ControllerConfig::ArbiterMode::kThreshold;
+  config.use_meta_network = false;
+  config.decision_interval = 2;
+  AutoPipeController controller(*rig.cluster, executor, config, nullptr,
+                                nullptr);
+  controller.attach();
+
+  faults::SwitchFaultPlan switch_faults(*rig.cluster, executor);
+  faults::SwitchCrashPoint point;
+  point.phase = pipeline::SwitchPhase::kTransfer;
+  point.kind = faults::FaultEvent::Kind::kLinkDown;
+  point.nth_attempt = 0;
+  point.max_shots = 3;
+  point.recover_after = 0.01;
+  switch_faults.add(point);
+  faults::FaultPlan plan;
+  plan.preempt_gpu(1, 10.0, 6.0);
+  plan.preempt_gpu(2, 10.0, 10.0);
+  plan.install(rig.sim, *rig.cluster);
+
+  executor.run(28, 5);
+  rig.sim.ledger().finalize("run_end");
+  FaultCapture capture;
+  std::ostringstream ledger;
+  rig.sim.ledger().write_text(ledger);
+  capture.ledger = ledger.str();
+  std::ostringstream trace;
+  rig.sim.tracer().write_text(trace);
+  capture.trace = trace.str();
+  return capture;
+}
+
+TEST(GoldenLedger, FaultRecoveryMatchesCheckedInGolden) {
+  const FaultCapture capture = run_fault_scenario();
+  // The scenario must keep covering what the goldens are there to pin.
+  EXPECT_NE(capture.ledger.find("status=aborted_"), std::string::npos);
+  EXPECT_NE(capture.trace.find(" pipeline_wedged "), std::string::npos);
+  EXPECT_NE(capture.trace.find(" worker_readmit "), std::string::npos);
+  EXPECT_NE(capture.trace.find(" switch_retry "), std::string::npos);
+  expect_matches_golden("controller_faults.ledger", capture.ledger);
+  expect_matches_golden("controller_faults.trace", capture.trace);
+}
+
 TEST(GoldenLedger, SkewedStartMatchesCheckedInGolden) {
   // The toy model's candidates often tie on predicted speed, so this one
   // pins the first-max choice among equal predictions.
@@ -325,6 +394,36 @@ TEST(Calibration, HandCheckedAggregates) {
   EXPECT_LT(report.rows[2].ape, 0.0);  // unmeasured stays -1
 }
 
+// A switch abandoned after fault aborts resolves to aborted_<phase>; the
+// outcome counts must still cover every resolved record.
+TEST(Calibration, AbortedOutcomesAreCounted) {
+  trace::DecisionLedger ledger = synthetic_ledger();
+  trace::DecisionRecord d3;
+  d3.time = 4.0;
+  d3.iteration = 20;
+  d3.kind = "neighborhood";
+  d3.num_workers = 2;
+  d3.action = trace::DecisionAction::kSwitch;
+  d3.chosen_pred = 95.0;
+  d3.best_pred = 95.0;
+  d3.outcome = {trace::OutcomeStatus::kAbortedTransfer, -1.0, 0, "abandoned"};
+  ledger.add(d3);
+
+  const analysis::CalibrationReport report = analysis::calibrate(ledger);
+  EXPECT_EQ(report.aborted, 1u);
+  EXPECT_EQ(report.executed + report.reverted + report.rejected +
+                report.superseded + report.aborted,
+            report.decisions);
+  EXPECT_EQ(report.measured, 2u);  // never measured: outside the means
+
+  std::ostringstream text;
+  analysis::render_calibration(report, text);
+  EXPECT_NE(text.str().find(", aborted 1\n"), std::string::npos);
+  std::ostringstream json;
+  analysis::write_calibration_json(report, json);
+  EXPECT_NE(json.str().find("\"aborted\": 1"), std::string::npos);
+}
+
 TEST(Calibration, SyntheticLedgerRoundTripsAndRenders) {
   const trace::DecisionLedger ledger = synthetic_ledger();
   std::ostringstream os;
@@ -364,7 +463,9 @@ TEST(Calibration, SwitchCostJoinAgainstLiveTrace) {
   EXPECT_GT(joinable, 0u);
   EXPECT_EQ(report.cost_joined, joinable);
   for (const analysis::CalibrationRow& row : report.rows) {
-    if (row.cost_actual >= 0.0) EXPECT_GE(row.cost_pred, 0.0);
+    if (row.cost_actual >= 0.0) {
+      EXPECT_GE(row.cost_pred, 0.0);
+    }
   }
 }
 

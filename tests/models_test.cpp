@@ -133,8 +133,9 @@ TEST(ConvNetBuilder, AlexNetFirstLayerShape) {
 TEST(ConvNetBuilder, PoolLayersHaveNoParams) {
   const ModelSpec m = vgg16();
   for (std::size_t l = 0; l < m.num_layers(); ++l) {
-    if (m.layer(l).name.rfind("pool", 0) == 0)
+    if (m.layer(l).name.rfind("pool", 0) == 0) {
       EXPECT_DOUBLE_EQ(m.param_bytes(l), 0.0);
+    }
   }
 }
 

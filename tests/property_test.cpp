@@ -73,7 +73,9 @@ TEST_P(ExecutorGrid, PlannedRunSatisfiesInvariants) {
               report.iteration_end_times[i - 1]);
   }
   // Multi-stage plans must put bytes on the wire.
-  if (plan.partition.num_stages() > 1) EXPECT_GT(report.bytes_on_wire, 0.0);
+  if (plan.partition.num_stages() > 1) {
+    EXPECT_GT(report.bytes_on_wire, 0.0);
+  }
   // The measured rate cannot exceed the cluster's aggregate compute bound
   // (10% slack: short windows measure between completion bursts).
   double aggregate = 0.0;
@@ -602,7 +604,9 @@ TEST_P(RingQueueFuzz, RandomOpsMatchDequeOracle) {
     }
     ASSERT_EQ(ring.size(), oracle.size());
     ASSERT_EQ(ring.empty(), oracle.empty());
-    if (!oracle.empty()) ASSERT_EQ(ring.front(), oracle.front());
+    if (!oracle.empty()) {
+      ASSERT_EQ(ring.front(), oracle.front());
+    }
   }
   while (!oracle.empty()) {
     ASSERT_EQ(ring.pop_front(), oracle.front());

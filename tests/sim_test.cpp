@@ -781,7 +781,7 @@ TEST(SimulatorWheel, FaultInstantsFireAtExactTimestamps) {
     config.gpus_per_server = 1;
     Cluster cluster(sim, config);
     std::vector<std::pair<Seconds, bool>> transitions;
-    cluster.set_worker_state_callback(
+    cluster.add_worker_state_callback(
         [&](WorkerId, bool up) { transitions.emplace_back(sim.now(), up); });
     sim.at(0.123456, [&] { cluster.set_worker_down(0); });
     sim.at(0.654321, [&] { cluster.set_worker_up(0); });

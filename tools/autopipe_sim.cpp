@@ -4,9 +4,9 @@
 //
 // Examples:
 //   autopipe_sim --model vgg16 --bandwidth 25 --system autopipe
-//   autopipe_sim --model resnet50 --bandwidth 10 --extra-jobs 2 \
+//   autopipe_sim --model resnet50 --bandwidth 10 --extra-jobs 2
 //                --system pipedream --iterations 200
-//   autopipe_sim --model bert48 --schedule dapple --micro-batches 8 \
+//   autopipe_sim --model bert48 --schedule dapple --micro-batches 8
 //                --system autopipe --bw-drop-iter 30 --bw-drop-gbps 10
 //   autopipe_sim --model alexnet --system baseline --scheme ps
 #include <cstdlib>

@@ -4,7 +4,7 @@
 # decision ledger against a controller scenario. Run from anywhere; exits
 # non-zero on the first failure.
 #
-#   tools/check.sh                # plain RelWithDebInfo build
+#   tools/check.sh                # plain RelWithDebInfo build, -Werror as CI
 #   tools/check.sh --sanitize     # ASan+UBSan build in build-asan/
 #   tools/check.sh --ledger-smoke # build + ledger smoke only (fast)
 #   tools/check.sh --sweep-smoke  # build + baseline-gated sweep only (fast)
@@ -19,7 +19,7 @@ repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="${BUILD_DIR:-$repo/build}"
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-cmake_args=()
+cmake_args=(-DAUTOPIPE_WERROR=ON)
 ledger_smoke_only=0
 sweep_smoke_only=0
 parity_only=0
@@ -29,7 +29,7 @@ causal_only=0
 cotenancy_only=0
 if [[ "${1:-}" == "--sanitize" ]]; then
   build="${BUILD_DIR:-$repo/build-asan}"
-  cmake_args+=(-DAUTOPIPE_SANITIZE=ON)
+  cmake_args=(-DAUTOPIPE_SANITIZE=ON)
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 elif [[ "${1:-}" == "--ledger-smoke" ]]; then

@@ -289,9 +289,10 @@ RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
     const std::string path = scenario_path(g_metrics_path, options.scenario);
     std::ofstream out(path);
     AUTOPIPE_EXPECT_MSG(out.good(), "cannot open metrics file " << path);
-    analysis::write_scalar_map_json(testbed.simulator->metrics().all(), out);
-    std::cout << "metrics: " << testbed.simulator->metrics().all().size()
-              << " values -> " << path << "\n";
+    const auto metrics = testbed.simulator->metrics().flattened();
+    analysis::write_scalar_map_json(metrics, out);
+    std::cout << "metrics: " << metrics.size() << " values -> " << path
+              << "\n";
   }
   if (!g_ledger_path.empty()) {
     testbed.simulator->ledger().finalize("run_end");

@@ -10,15 +10,13 @@
 // arbiter_grant event for that worker, every rival aborted through the
 // rollback path.
 //
-//   cotenancy_fleet [--out=PATH] [--baseline=PATH] [--tolerance=FRAC]
+//   cotenancy_fleet [--out=PATH]
 //
-// --baseline gates fleet_throughput per scenario label against a committed
-// BENCH_cotenancy.json (default tolerance 0.10), exiting 1 on regression —
-// same contract as the sweep baseline gate (docs/BENCHMARKS.md).
+// `autopipe_trace gate` checks the --out report's fleet_throughput per
+// scenario label against bench/baselines/cotenancy_baseline.json
+// (docs/BENCHMARKS.md, "Gates").
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -136,49 +134,11 @@ void write_json(const std::vector<FleetOutcome>& outcomes, std::ostream& os) {
   os << "\n";
 }
 
-/// Scrape label → fleet_throughput pairs off a committed
-/// BENCH_cotenancy.json (our own write_json output: one key per line).
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good())
-    throw std::runtime_error("cannot open baseline '" + path + "'");
-  std::map<std::string, double> out;
-  std::string line;
-  std::string label;
-  bool have_label = false;
-  while (std::getline(in, line)) {
-    std::string::size_type pos = line.find("\"label\":");
-    if (pos != std::string::npos) {
-      const std::string::size_type open = line.find('"', pos + 8);
-      const std::string::size_type close =
-          open == std::string::npos ? std::string::npos
-                                    : line.find('"', open + 1);
-      if (close == std::string::npos)
-        throw std::runtime_error("malformed label line in '" + path + "'");
-      label = line.substr(open + 1, close - open - 1);
-      have_label = true;
-      continue;
-    }
-    pos = line.find("\"fleet_throughput\":");
-    if (pos == std::string::npos || !have_label) continue;
-    std::string num = line.substr(pos + 19);
-    if (!num.empty() && num.back() == ',') num.pop_back();
-    out[label] = std::strtod(num.c_str(), nullptr);
-    have_label = false;
-  }
-  if (out.empty())
-    throw std::runtime_error("baseline '" + path +
-                             "' holds no fleet_throughput entries");
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const std::string out_path = flags.get("out", "");
-  const std::string baseline_path = flags.get("baseline", "");
-  const double tolerance = flags.get_double("tolerance", 0.10);
   for (const std::string& flag : flags.unused())
     std::cerr << "warning: unknown flag --" << flag << "\n";
 
@@ -238,39 +198,6 @@ int main(int argc, char** argv) {
     }
     write_json(outcomes, out);
     std::cout << "wrote " << out_path << "\n";
-  }
-
-  if (!baseline_path.empty()) {
-    std::map<std::string, double> baseline;
-    try {
-      baseline = read_baseline(baseline_path);
-    } catch (const std::exception& e) {
-      std::cerr << "cotenancy_fleet: " << e.what() << "\n";
-      return 2;
-    }
-    std::map<std::string, const FleetOutcome*> by_label;
-    for (const FleetOutcome& o : outcomes) by_label[o.label] = &o;
-    std::size_t compared = 0;
-    for (const auto& [label, expected] : baseline) {
-      const auto it = by_label.find(label);
-      if (it == by_label.end()) {
-        std::cerr << "cotenancy gate: scenario '" << label
-                  << "' missing from this run\n";
-        ++failures;
-        continue;
-      }
-      ++compared;
-      const double measured = it->second->report.fleet_throughput;
-      if (measured < expected * (1.0 - tolerance)) {
-        std::cerr << "cotenancy gate: " << label << ": "
-                  << TextTable::num(measured, 1) << " samples/s below "
-                  << "baseline " << TextTable::num(expected, 1) << " - "
-                  << TextTable::num(tolerance * 100, 1) << "%\n";
-        ++failures;
-      }
-    }
-    std::cout << "cotenancy gate: " << compared
-              << " scenario(s) compared against " << baseline_path << "\n";
   }
 
   if (failures > 0) {

@@ -1,8 +1,8 @@
 // Reporting over host self-profiler captures (src/common/profile): the
 // per-category and per-span inclusive/exclusive breakdown behind
 // `autopipe_trace profile`, collapsed-stack flamegraph output, and the
-// ns-per-call numbers the CI planner-time gate compares against a
-// committed baseline.
+// report JSON whose per-span ns_per_call the planner-time gate reads
+// (analysis/gate.hpp).
 #pragma once
 
 #include <cstddef>
@@ -61,9 +61,7 @@ void write_profile_json(const ProfileReport& report, std::ostream& os);
 void write_collapsed_stacks(const std::vector<prof::ThreadProfile>& profiles,
                             std::ostream& os);
 
-/// Mean inclusive ns per call of the named span; 0 when absent. The CI
-/// gate compares span_ns_per_call(report, "planner/decide_round") against
-/// the committed baseline.
+/// Mean inclusive ns per call of the named span; 0 when absent.
 double span_ns_per_call(const ProfileReport& report, const std::string& name);
 
 }  // namespace autopipe::analysis

@@ -1,5 +1,7 @@
 #include "pipeline/schedule.hpp"
 
+#include "common/expect.hpp"
+
 namespace autopipe::pipeline {
 
 const char* to_string(ScheduleMode mode) {
@@ -11,6 +13,15 @@ const char* to_string(ScheduleMode mode) {
     case ScheduleMode::kTwoBW: return "PipeDream-2BW";
   }
   return "?";
+}
+
+ScheduleMode schedule_by_name(const std::string& name) {
+  if (name == "1f1b") return ScheduleMode::kAsync1F1B;
+  if (name == "gpipe") return ScheduleMode::kGPipe;
+  if (name == "dapple") return ScheduleMode::kDapple;
+  if (name == "chimera") return ScheduleMode::kChimera;
+  if (name == "2bw") return ScheduleMode::kTwoBW;
+  throw contract_error("unknown schedule: " + name);
 }
 
 bool is_synchronous(ScheduleMode mode) {

@@ -19,6 +19,10 @@ enum class ScheduleMode {
 
 const char* to_string(ScheduleMode mode);
 
+/// The mode behind a CLI/sweep-spec name: 1f1b, gpipe, dapple, chimera or
+/// 2bw. Throws contract_error on any other name.
+ScheduleMode schedule_by_name(const std::string& name);
+
 /// Whether the schedule flushes (synchronous weight-update semantics).
 bool is_synchronous(ScheduleMode mode);
 

@@ -1,9 +1,7 @@
 #include "sweep/report.hpp"
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
-#include <stdexcept>
 
 #include "analysis/json.hpp"
 #include "common/table.hpp"
@@ -127,96 +125,6 @@ void write_bench_json(const SweepResult& result, std::ostream& os,
   }
   json.end();
   os << "\n";
-}
-
-std::map<std::string, double> read_baseline_throughput(std::istream& is) {
-  // Deliberately not a JSON parser: the input is our own write_bench_json
-  // output, where "label" and "throughput" each occupy one line of a
-  // scenario object and labels never need escaping.
-  std::map<std::string, double> out;
-  std::string line;
-  std::string label;
-  bool have_label = false;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto fail = [&](const std::string& why) {
-      throw std::runtime_error("baseline line " + std::to_string(lineno) +
-                               ": " + why);
-    };
-    std::size_t pos = line.find("\"label\":");
-    if (pos != std::string::npos) {
-      const std::size_t open = line.find('"', pos + 8);
-      const std::size_t close =
-          open == std::string::npos ? std::string::npos
-                                    : line.find('"', open + 1);
-      if (close == std::string::npos) fail("malformed label entry");
-      label = line.substr(open + 1, close - open - 1);
-      have_label = true;
-      continue;
-    }
-    pos = line.find("\"throughput\":");
-    if (pos == std::string::npos) continue;
-    if (!have_label) fail("throughput entry before any label");
-    std::string num = line.substr(pos + 13);
-    if (!num.empty() && num.back() == ',') num.pop_back();
-    try {
-      out[label] = std::stod(num);
-    } catch (const std::exception&) {
-      fail("malformed throughput value '" + num + "'");
-    }
-    have_label = false;
-  }
-  if (out.empty())
-    throw std::runtime_error(
-        "baseline contains no scenario throughput entries");
-  return out;
-}
-
-GateReport gate_against_baseline(
-    const SweepResult& result,
-    const std::map<std::string, double>& baseline, double tolerance) {
-  GateReport report;
-  std::map<std::string, const ScenarioResult*> by_label;
-  for (const ScenarioResult& r : result.scenarios)
-    by_label[r.spec.label] = &r;
-
-  for (const auto& [label, expected] : baseline) {
-    const auto it = by_label.find(label);
-    if (it == by_label.end()) {
-      report.violations.push_back({label, expected, 0.0, "missing"});
-      continue;
-    }
-    ++report.compared;
-    const ScenarioResult& r = *it->second;
-    if (!r.ok) {
-      report.violations.push_back({label, expected, 0.0, "failed"});
-      continue;
-    }
-    if (r.throughput < expected * (1.0 - tolerance)) {
-      report.violations.push_back(
-          {label, expected, r.throughput, "regression"});
-    }
-  }
-  return report;
-}
-
-void write_gate_report(const GateReport& report, double tolerance,
-                       std::ostream& os) {
-  if (report.ok()) {
-    os << "baseline gate: " << report.compared
-       << " scenario(s) within tolerance (" << TextTable::num(tolerance * 100, 1)
-       << "%)\n";
-    return;
-  }
-  TextTable table({"scenario", "baseline", "measured", "reason"});
-  for (const GateViolation& v : report.violations) {
-    table.add_row({v.label, TextTable::num(v.baseline, 1),
-                   v.reason == "missing" ? "-" : TextTable::num(v.measured, 1),
-                   v.reason});
-  }
-  table.print(os, "baseline gate FAILED (tolerance " +
-                      TextTable::num(tolerance * 100, 1) + "%)");
 }
 
 }  // namespace autopipe::sweep

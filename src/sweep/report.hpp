@@ -1,6 +1,6 @@
-// Sweep output: the human summary table, the machine-readable
-// BENCH_sweep.json, and the perf-regression gate against a committed
-// baseline.
+// Sweep output: the human summary table and the machine-readable
+// BENCH_sweep.json, which `autopipe_trace gate` checks against a committed
+// baseline (analysis/gate.hpp).
 //
 // Determinism contract: everything under the JSON "scenarios" key is a pure
 // function of the sweep spec, serialized with the analyzer's canonical
@@ -8,16 +8,14 @@
 // sections at any thread count. Host timing (wall clock, jobs) is
 // non-deterministic by nature and lives in a separate "timing" section that
 // callers include only when they want it (the determinism tests and the
-// committed baselines leave it out). Gating therefore compares *simulated*
+// committed baselines leave it out). The gate therefore compares *simulated*
 // throughput, which does not drift with load on the machine running the
-// sweep; the tolerance band absorbs legitimate model changes below the
-// gating threshold.
+// sweep.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -52,39 +50,5 @@ void write_summary_table(const SweepResult& result, std::ostream& os);
 /// section; leave it off wherever byte-identical output matters.
 void write_bench_json(const SweepResult& result, std::ostream& os,
                       bool include_timing);
-
-/// Read label -> throughput from a BENCH_sweep.json previously produced by
-/// write_bench_json. Throws std::runtime_error when the stream contains no
-/// scenario entries (wrong file) or a scenario entry is malformed.
-std::map<std::string, double> read_baseline_throughput(std::istream& is);
-
-/// One gate violation: a scenario whose measured simulated throughput fell
-/// below baseline * (1 - tolerance), or a baseline scenario the sweep no
-/// longer produced (missing — renamed labels count as regressions until the
-/// baseline is regenerated), or a scenario that failed outright.
-struct GateViolation {
-  std::string label;
-  double baseline = 0.0;
-  double measured = 0.0;
-  std::string reason;  ///< "regression" | "missing" | "failed"
-};
-
-struct GateReport {
-  std::vector<GateViolation> violations;
-  /// Scenarios compared against the baseline (missing ones not included).
-  std::size_t compared = 0;
-  bool ok() const { return violations.empty(); }
-};
-
-/// Compare a sweep against a baseline with a fractional tolerance
-/// (0.10 = fail below 90% of baseline). Scenarios absent from the baseline
-/// pass unexamined, so adding scenarios does not require regenerating it.
-GateReport gate_against_baseline(
-    const SweepResult& result,
-    const std::map<std::string, double>& baseline, double tolerance);
-
-/// Render the gate outcome (violations table or an all-clear line).
-void write_gate_report(const GateReport& report, double tolerance,
-                       std::ostream& os);
 
 }  // namespace autopipe::sweep

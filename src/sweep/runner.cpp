@@ -10,7 +10,6 @@
 #include "autopipe/controller.hpp"
 #include "cluster/job_manager.hpp"
 #include "cluster/jobs_spec.hpp"
-#include "common/expect.hpp"
 #include "common/stats.hpp"
 #include "faults/fault_plan.hpp"
 #include "models/zoo.hpp"
@@ -22,15 +21,6 @@
 namespace autopipe::sweep {
 
 namespace {
-
-pipeline::ScheduleMode schedule_by_name(const std::string& name) {
-  if (name == "1f1b") return pipeline::ScheduleMode::kAsync1F1B;
-  if (name == "gpipe") return pipeline::ScheduleMode::kGPipe;
-  if (name == "dapple") return pipeline::ScheduleMode::kDapple;
-  if (name == "chimera") return pipeline::ScheduleMode::kChimera;
-  if (name == "2bw") return pipeline::ScheduleMode::kTwoBW;
-  throw contract_error("unknown schedule: " + name);
-}
 
 /// Shared artifact emission: trace, flattened metrics, optional ledger and
 /// time series, under `<directory>/<label>.*`.
@@ -234,7 +224,7 @@ void run_body(const ScenarioSpec& spec, const ArtifactOptions& artifacts,
   pipeline::ExecutorConfig executor_config;
   executor_config.framework = comm::pytorch_profile();
   executor_config.sync_scheme = comm::SyncScheme::kRing;
-  executor_config.mode = schedule_by_name(spec.schedule);
+  executor_config.mode = pipeline::schedule_by_name(spec.schedule);
   executor_config.micro_batches = spec.micro_batches;
   pipeline::PipelineExecutor executor(cluster, model, partition,
                                       executor_config);

@@ -10,6 +10,7 @@
 
 #include "common/expect.hpp"
 #include "models/zoo.hpp"
+#include "pipeline/schedule.hpp"
 
 namespace autopipe::sweep {
 
@@ -267,11 +268,8 @@ SweepSpec parse_sweep_spec(const std::string& text) {
       AUTOPIPE_EXPECT_MSG(spec.micro_batches >= 1,
                           "sweep spec: micro-batches must be >= 1");
     } else if (key == "schedule") {
-      const std::string& v = scalar();
-      AUTOPIPE_EXPECT_MSG(v == "1f1b" || v == "gpipe" || v == "dapple" ||
-                              v == "chimera" || v == "2bw",
-                          "sweep spec: unknown schedule '" << v << "'");
-      spec.schedule = v;
+      spec.schedule = scalar();
+      pipeline::schedule_by_name(spec.schedule);  // rejects unknown names
     } else if (key == "jobs") {
       spec.jobs.clear();
       for (const std::string& v : values) {

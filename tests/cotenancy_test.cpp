@@ -232,6 +232,7 @@ TEST_P(CotenancySeeds, FleetInvariantsHoldThroughout) {
   simulator.after(0.01, [probe] { (*probe)(); }, "invariant_probe");
 
   const FleetReport report = manager.run();
+  *probe = nullptr;  // the closure holds `probe`: break the cycle
 
   EXPECT_GT(probes, 10u) << "probe barely ran";
   std::ostringstream all;

@@ -379,6 +379,17 @@ TEST(Executor, FrameworkOverheadSlowsTraining) {
   EXPECT_LT(heavy, lean);
 }
 
+TEST(Schedule, ByNameMapsEveryCliName) {
+  EXPECT_EQ(schedule_by_name("1f1b"), ScheduleMode::kAsync1F1B);
+  EXPECT_EQ(schedule_by_name("gpipe"), ScheduleMode::kGPipe);
+  EXPECT_EQ(schedule_by_name("dapple"), ScheduleMode::kDapple);
+  EXPECT_EQ(schedule_by_name("chimera"), ScheduleMode::kChimera);
+  EXPECT_EQ(schedule_by_name("2bw"), ScheduleMode::kTwoBW);
+  EXPECT_THROW(schedule_by_name("foo"), contract_error);
+  EXPECT_THROW(schedule_by_name("GPipe"), contract_error);
+  EXPECT_THROW(schedule_by_name(""), contract_error);
+}
+
 TEST(Memory, WeightVersionsPerSchedule) {
   EXPECT_EQ(weight_versions(ScheduleMode::kAsync1F1B, 4), 4u);
   EXPECT_EQ(weight_versions(ScheduleMode::kTwoBW, 4), 2u);

@@ -1,18 +1,26 @@
 // Sweep tier (ctest label `sweep`): spec parsing and grid expansion, the
-// fan-out engine's index/exception contract, the baseline gate, and the
-// headline determinism guarantee — the same spec produces byte-identical
-// BENCH_sweep.json at every thread count, checked over a 50-seed grid.
+// fan-out engine's index/exception contract, the gate (analysis/gate.hpp)
+// over sweep and profile reports and every committed bench/baselines file,
+// and the headline determinism guarantee — the same spec produces
+// byte-identical BENCH_sweep.json at every thread count, checked over a
+// 50-seed grid.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/gate.hpp"
+#include "analysis/profile_report.hpp"
 #include "common/expect.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/report.hpp"
@@ -68,6 +76,13 @@ TEST(SweepSpec, ExpansionNestsAxesInDocumentedOrder) {
   for (std::size_t i = 0; i < scenarios.size(); ++i)
     for (std::size_t j = i + 1; j < scenarios.size(); ++j)
       EXPECT_NE(scenarios[i].label, scenarios[j].label);
+}
+
+TEST(SweepSpec, ScheduleTakesExactlyThePipelineNames) {
+  for (const char* name : {"1f1b", "gpipe", "dapple", "chimera", "2bw"})
+    EXPECT_EQ(parse_sweep_spec(std::string("schedule = ") + name).schedule,
+              name);
+  EXPECT_THROW(parse_sweep_spec("schedule = foo"), contract_error);
 }
 
 TEST(SweepSpec, RejectsMalformedInput) {
@@ -171,7 +186,7 @@ TEST(RunIndexed, LowestFailingIndexIsRethrownAfterAllIndicesRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Report round trip and the baseline gate
+// Report round trip and the gate
 // ---------------------------------------------------------------------------
 
 ScenarioResult ok_result(const std::string& label, double throughput) {
@@ -192,6 +207,26 @@ ScenarioResult failed_result(const std::string& label) {
   return r;
 }
 
+/// A sweep as `autopipe_trace gate` sees it: its BENCH_sweep.json, read back.
+analysis::GateValues gate_values(const SweepResult& sweep) {
+  std::ostringstream os;
+  write_bench_json(sweep, os, /*include_timing=*/false);
+  std::istringstream in(os.str());
+  return analysis::read_gate_values(in);
+}
+
+analysis::GateValues sweep_baseline(
+    std::map<std::string, std::optional<double>> values) {
+  return {&analysis::gate_policy("autopipe-sweep-v1"), std::move(values)};
+}
+
+std::map<std::string, std::string> verdicts(
+    const analysis::GateResult& result) {
+  std::map<std::string, std::string> out;
+  for (const analysis::GateRow& row : result.rows) out[row.id] = row.verdict;
+  return out;
+}
+
 TEST(BenchJson, BaselineThroughputRoundTrips) {
   SweepResult sweep;
   sweep.scenarios.push_back(ok_result("grid.a", 123.5));
@@ -202,47 +237,63 @@ TEST(BenchJson, BaselineThroughputRoundTrips) {
   write_bench_json(sweep, os, /*include_timing=*/false);
   EXPECT_EQ(os.str().find("\"timing\""), std::string::npos);
 
-  std::istringstream in(os.str());
-  const std::map<std::string, double> baseline =
-      read_baseline_throughput(in);
-  ASSERT_EQ(baseline.size(), 2u);  // the failed scenario has no throughput
-  EXPECT_DOUBLE_EQ(baseline.at("grid.a"), 123.5);
-  EXPECT_DOUBLE_EQ(baseline.at("grid.b"), 77.25);
+  const analysis::GateValues values = gate_values(sweep);
+  EXPECT_EQ(values.policy->value_key, "throughput");
+  ASSERT_EQ(values.values.size(), 3u);
+  EXPECT_DOUBLE_EQ(values.values.at("grid.a").value(), 123.5);
+  EXPECT_DOUBLE_EQ(values.values.at("grid.b").value(), 77.25);
+  // The failed scenario is listed but has no throughput.
+  EXPECT_FALSE(values.values.at("grid.broken").has_value());
 }
 
 TEST(BenchJson, BaselineReaderRejectsNonSweepInput) {
-  std::istringstream empty("");
-  EXPECT_THROW(read_baseline_throughput(empty), std::runtime_error);
-  std::istringstream junk("{\"schema\": \"something-else\"}\n");
-  EXPECT_THROW(read_baseline_throughput(junk), std::runtime_error);
+  const auto rejects = [](const std::string& text) {
+    std::istringstream in(text);
+    EXPECT_THROW(analysis::read_gate_values(in), std::runtime_error) << text;
+  };
+  rejects("");
+  rejects("{\n  \"schema\": \"something-else\"\n}\n");
+  rejects("{\n  \"schema\": \"autopipe-sweep-v1\"\n}\n");  // no entries
+  // Not one member per line, as JsonWriter writes.
+  rejects("{\"schema\": \"autopipe-sweep-v1\", \"scenarios\": []}\n");
+
+  SweepResult sweep;
+  sweep.scenarios.push_back(ok_result("grid.a", 123.5));
+  std::ostringstream os;
+  write_bench_json(sweep, os, /*include_timing=*/false);
+  const std::string whole = os.str();
+  rejects(whole.substr(0, whole.find("\"utilization\"")));  // truncated
+  std::string bad_number = whole;
+  bad_number.replace(bad_number.find("123.5"), 5, "12x");
+  rejects(bad_number);
 }
 
 TEST(Gate, PassesWhenEveryScenarioIsWithinTolerance) {
   SweepResult sweep;
   sweep.scenarios.push_back(ok_result("a", 95.0));
   sweep.scenarios.push_back(ok_result("b", 200.0));
-  const GateReport report =
-      gate_against_baseline(sweep, {{"a", 100.0}, {"b", 180.0}}, 0.10);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.compared, 2u);
+  const analysis::GateResult result = analysis::gate(
+      gate_values(sweep), sweep_baseline({{"a", 100.0}, {"b", 180.0}}));
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.rows.size(), 2u);
 }
 
 TEST(Gate, FlagsRegressionsMissingScenariosAndFailures) {
   SweepResult sweep;
   sweep.scenarios.push_back(ok_result("slow", 80.0));  // below 90% of 100
   sweep.scenarios.push_back(failed_result("broken"));
-  const GateReport report = gate_against_baseline(
-      sweep, {{"slow", 100.0}, {"broken", 50.0}, {"gone", 10.0}}, 0.10);
-  ASSERT_EQ(report.violations.size(), 3u);
-  EXPECT_EQ(report.compared, 2u);  // "gone" never ran, so never compared
-  std::map<std::string, std::string> reasons;
-  for (const GateViolation& v : report.violations) reasons[v.label] = v.reason;
-  EXPECT_EQ(reasons.at("slow"), "regression");
-  EXPECT_EQ(reasons.at("broken"), "failed");
-  EXPECT_EQ(reasons.at("gone"), "missing");
+  const analysis::GateResult result = analysis::gate(
+      gate_values(sweep),
+      sweep_baseline({{"slow", 100.0}, {"broken", 50.0}, {"gone", 10.0}}));
+  EXPECT_FALSE(result.ok());
+  const auto by_id = verdicts(result);
+  ASSERT_EQ(by_id.size(), 3u);
+  EXPECT_EQ(by_id.at("slow"), "regression");
+  EXPECT_EQ(by_id.at("broken"), "no value");  // the scenario failed
+  EXPECT_EQ(by_id.at("gone"), "missing");     // the sweep never ran it
 
   std::ostringstream os;
-  write_gate_report(report, 0.10, os);
+  analysis::write_gate_result(result, os);
   EXPECT_NE(os.str().find("FAILED"), std::string::npos);
 }
 
@@ -250,10 +301,86 @@ TEST(Gate, ScenariosAbsentFromBaselinePassUnexamined) {
   SweepResult sweep;
   sweep.scenarios.push_back(ok_result("old", 100.0));
   sweep.scenarios.push_back(ok_result("brand-new", 0.001));
-  const GateReport report =
-      gate_against_baseline(sweep, {{"old", 100.0}}, 0.10);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.compared, 1u);
+  const analysis::GateResult result =
+      analysis::gate(gate_values(sweep), sweep_baseline({{"old", 100.0}}));
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.rows.size(), 1u);
+}
+
+TEST(Gate, ProfileNsPerCallFailsAboveItsCeiling) {
+  // Lower is better: the bound is a ceiling at baseline * 1.15.
+  analysis::ProfileReport profile;
+  profile.spans.push_back({"planner/decide_round", 10, 11000, 11000, false});
+  profile.spans.push_back({"planner/solve", 10, 12000, 12000, false});
+  std::ostringstream os;
+  analysis::write_profile_json(profile, os);
+  std::istringstream in(os.str());
+  const analysis::GateValues report = analysis::read_gate_values(in);
+  const analysis::GatePolicy& policy =
+      analysis::gate_policy("autopipe-profile-report-v1");
+  EXPECT_FALSE(policy.higher_is_better);
+  EXPECT_EQ(policy.id_key, "name");
+
+  const auto result = analysis::gate(
+      report, {&policy,
+               {{"planner/decide_round", 1000.0}, {"planner/solve", 1000.0}}});
+  const auto by_id = verdicts(result);
+  EXPECT_EQ(by_id.at("planner/decide_round"), "ok");   // +10%
+  EXPECT_EQ(by_id.at("planner/solve"), "regression");  // +20%
+  EXPECT_DOUBLE_EQ(result.rows.front().limit, 1150.0);
+}
+
+TEST(Gate, SchemaMismatchIsAnError) {
+  SweepResult sweep;
+  sweep.scenarios.push_back(ok_result("J1.greedy", 100.0));
+  const analysis::GateValues cotenancy{
+      &analysis::gate_policy("autopipe-cotenancy-v1"), {{"J1.greedy", 100.0}}};
+  EXPECT_THROW(analysis::gate(gate_values(sweep), cotenancy),
+               std::runtime_error);
+  EXPECT_THROW(analysis::gate_policy("autopipe-sweep-v2"), std::runtime_error);
+}
+
+/// Every committed baseline gates clean against itself and carries the
+/// bound its CI job relies on; loosening a bound means editing this test.
+TEST(CommittedBaselines, ParseGateCleanAndCarryTheirBounds) {
+  const std::map<std::string, std::pair<std::string, double>> expected = {
+      {"sweep_smoke_baseline.json", {"autopipe-sweep-v1", 0.10}},
+      {"cotenancy_baseline.json", {"autopipe-cotenancy-v1", 0.10}},
+      {"telemetry_planner_baseline.json",
+       {"autopipe-profile-report-v1", 0.15}},
+  };
+  std::set<std::string> seen;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(AUTOPIPE_BASELINE_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    const std::string name = entry.path().filename().string();
+    SCOPED_TRACE(name);
+    seen.insert(name);
+    const analysis::GateValues baseline =
+        analysis::read_gate_file(entry.path().string());
+    const analysis::GateResult self = analysis::gate(baseline, baseline);
+    EXPECT_TRUE(self.ok());
+    EXPECT_FALSE(self.rows.empty());
+    ASSERT_EQ(expected.count(name), 1u) << "no expected bound for " << name;
+    EXPECT_EQ(baseline.policy->schema, expected.at(name).first);
+    EXPECT_DOUBLE_EQ(baseline.policy->tolerance, expected.at(name).second);
+  }
+  EXPECT_EQ(seen.size(), expected.size());
+
+  const analysis::GateValues sweep = analysis::read_gate_file(
+      std::string(AUTOPIPE_BASELINE_DIR) + "/sweep_smoke_baseline.json");
+  EXPECT_TRUE(sweep.policy->higher_is_better);
+  EXPECT_EQ(sweep.policy->value_key, "throughput");
+  const analysis::GateValues fleet = analysis::read_gate_file(
+      std::string(AUTOPIPE_BASELINE_DIR) + "/cotenancy_baseline.json");
+  EXPECT_TRUE(fleet.policy->higher_is_better);
+  EXPECT_EQ(fleet.policy->value_key, "fleet_throughput");
+  const analysis::GateValues planner = analysis::read_gate_file(
+      std::string(AUTOPIPE_BASELINE_DIR) +
+      "/telemetry_planner_baseline.json");
+  EXPECT_FALSE(planner.policy->higher_is_better);
+  ASSERT_EQ(planner.values.size(), 1u);
+  EXPECT_EQ(planner.values.at("planner/decide_round"), 65000.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // Telemetry tier (ctest labels `telemetry` + `parity`): the metric
 // time-series sampler, the autopipe-ts-v1 reader/analyzer behind
 // `autopipe_trace timeseries`, the host self-profiler and its report
-// builder behind `autopipe_trace profile`, and the determinism contract —
-// the sampled series is a pure function of the event sequence, so it must
-// be byte-identical across sweep --jobs values (the queue-kind half of the
-// contract lives in parity_test via parity::ScenarioResult).
+// builder behind `autopipe_trace profile`, the figure benches' --metrics
+// export, and the determinism contract — the sampled series is a pure
+// function of the event sequence, so it must be byte-identical across
+// sweep --jobs values (the queue-kind half of the contract lives in
+// parity_test via parity::ScenarioResult).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,9 +18,11 @@
 
 #include "analysis/profile_report.hpp"
 #include "analysis/timeseries_reader.hpp"
+#include "bench_common.hpp"
 #include "common/metrics.hpp"
 #include "common/profile.hpp"
 #include "common/timeseries.hpp"
+#include "models/zoo.hpp"
 #include "sim/simulator.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/runner.hpp"
@@ -466,6 +469,37 @@ TEST(ProfileReport, TopSpansOrdersByDuration) {
 // ---------------------------------------------------------------------------
 // Simulator integration: sampling is pure observation
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// The figure benches' --metrics export
+// ---------------------------------------------------------------------------
+
+TEST(BenchMetrics, FileCarriesTheRollingSeries) {
+  const std::string path = ::testing::TempDir() + "bench_metrics.json";
+  const std::string flag = "--metrics=" + path;
+  const char* with_metrics[] = {"bench", flag.c_str()};
+  bench::parse_common_flags(2, with_metrics);
+  bench::Testbed testbed = bench::make_testbed(25.0);
+  const models::ModelSpec model = models::alexnet();
+  bench::RunOptions options;
+  options.iterations = 8;
+  options.warmup = 2;
+  const auto plan = bench::plan_pipedream(testbed, model, options.framework,
+                                          options.scheme);
+  bench::run_pipeline(testbed, model, plan.partition, options);
+  const char* without_metrics[] = {"bench", "--metrics="};
+  bench::parse_common_flags(2, without_metrics);
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  // The same flattened form autopipe_sim and the sweep write.
+  for (const char* key :
+       {"\"executor.throughput.ema\"", "\"executor.throughput.count\"",
+        "\"executor.iteration_period.mean\""})
+    EXPECT_NE(text.str().find(key), std::string::npos) << key << " in\n"
+                                                        << text.str();
+}
 
 TEST(SimulatorTimeseries, SamplingNeverPerturbsTheEventSequence) {
   const auto run = [](bool sample) {

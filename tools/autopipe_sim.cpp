@@ -250,16 +250,6 @@ int run_fleet(sim::Simulator& simulator, sim::Cluster& cluster,
   return 0;
 }
 
-pipeline::ScheduleMode parse_schedule(const std::string& name) {
-  if (name == "1f1b") return pipeline::ScheduleMode::kAsync1F1B;
-  if (name == "gpipe") return pipeline::ScheduleMode::kGPipe;
-  if (name == "dapple") return pipeline::ScheduleMode::kDapple;
-  if (name == "chimera") return pipeline::ScheduleMode::kChimera;
-  if (name == "2bw") return pipeline::ScheduleMode::kTwoBW;
-  AUTOPIPE_EXPECT_MSG(false, "unknown schedule: " << name);
-  throw contract_error("unreachable");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -415,7 +405,8 @@ int main(int argc, char** argv) {
   pipeline::ExecutorConfig executor_config;
   executor_config.framework = framework;
   executor_config.sync_scheme = scheme;
-  executor_config.mode = parse_schedule(flags.get("schedule", "1f1b"));
+  executor_config.mode =
+      pipeline::schedule_by_name(flags.get("schedule", "1f1b"));
   executor_config.micro_batches =
       static_cast<std::size_t>(flags.get_int("micro-batches", 4));
   executor_config.batch_size =

@@ -2,15 +2,14 @@
 // and report deterministically. The spec (inline or @file) expands to an
 // ordered scenario list; each scenario runs on an isolated simulator, and
 // results are merged in spec order, so the summary table and
-// BENCH_sweep.json are byte-identical at any --jobs value. With
-// --baseline, measured simulated throughput is gated against a committed
-// BENCH_sweep.json within --tolerance.
+// BENCH_sweep.json are byte-identical at any --jobs value. The exit code
+// is 1 when any scenario failed; `autopipe_trace gate` checks the --out
+// report against a committed baseline (docs/BENCHMARKS.md, "Gates").
 //
 // Examples:
 //   autopipe_sweep --spec='model = alexnet; seed = 1..4' --jobs=4
 //   autopipe_sweep --spec=@bench/sweeps/smoke.sweep --out=BENCH_sweep.json
-//   autopipe_sweep --spec=@bench/sweeps/smoke.sweep --tolerance=0.10
-//       --baseline=bench/baselines/sweep_smoke_baseline.json
+//   autopipe_trace gate BENCH_sweep.json sweep_smoke_baseline.json
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -56,9 +55,6 @@ void usage() {
       "                        time) into PATH (autopipe-prof-v1; .json =\n"
       "                        Chrome trace) and add a per-category\n"
       "                        \"profile\" breakdown to the --timing section\n"
-      "  --baseline PATH       gate against a committed BENCH_sweep.json\n"
-      "  --tolerance FRAC      allowed throughput drop vs baseline\n"
-      "                        (default 0.10)\n"
       "  --list                print the expanded scenario labels and exit\n";
 }
 
@@ -94,8 +90,6 @@ int main(int argc, char** argv) {
   const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
   const std::string out_path = flags.get("out", "");
   const bool timing = flags.get_bool("timing", false);
-  const std::string baseline_path = flags.get("baseline", "");
-  const double tolerance = flags.get_double("tolerance", 0.10);
   sweep::ArtifactOptions artifacts;
   artifacts.directory = flags.get("artifacts", "");
   if (flags.has("timeseries")) {
@@ -184,27 +178,7 @@ int main(int argc, char** argv) {
               << out_path << "\n";
   }
 
-  bool gate_ok = true;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in.good()) {
-      std::cerr << "autopipe_sweep: cannot read baseline: " << baseline_path
-                << "\n";
-      return 2;
-    }
-    try {
-      const auto baseline = sweep::read_baseline_throughput(in);
-      const auto gate =
-          sweep::gate_against_baseline(result, baseline, tolerance);
-      sweep::write_gate_report(gate, tolerance, std::cout);
-      gate_ok = gate.ok();
-    } catch (const std::exception& e) {
-      std::cerr << "autopipe_sweep: bad baseline: " << e.what() << "\n";
-      return 2;
-    }
-  }
-
   bool all_ok = true;
   for (const auto& r : result.scenarios) all_ok = all_ok && r.ok;
-  return (all_ok && gate_ok) ? 0 : 1;
+  return all_ok ? 0 : 1;
 }

@@ -4,8 +4,9 @@
 // where did the time go (summary), why was each GPU idle (bubbles), what
 // bounds iteration time (critical-path), what did each partition switch
 // cost and buy (switches), what does the run look like (gantt), and what
-// changed between two runs (diff). Every subcommand takes --json for a
-// machine-readable report with byte-stable formatting.
+// changed between two runs (diff). Every analysis subcommand takes --json
+// for a machine-readable report with byte-stable formatting; `gate` checks
+// such a report against a committed baseline.
 //
 // Examples:
 //   autopipe_trace summary run.trace
@@ -14,6 +15,7 @@
 //   autopipe_trace switches run.trace
 //   autopipe_trace gantt run.trace --width=120
 //   autopipe_trace diff before.trace after.trace --tolerance=1e-9
+//   autopipe_trace gate BENCH_sweep.json sweep_smoke_baseline.json
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -28,6 +30,7 @@
 #include "analysis/causal.hpp"
 #include "analysis/critical_path.hpp"
 #include "analysis/gantt.hpp"
+#include "analysis/gate.hpp"
 #include "analysis/ledger_reader.hpp"
 #include "analysis/profile_report.hpp"
 #include "analysis/report.hpp"
@@ -88,11 +91,14 @@ int usage(std::ostream& os, int code) {
       "      anomalies such as a speed drop steeper than FRAC (default\n"
       "      0.2) with no decision activity in the same window\n"
       "  autopipe_trace profile PROF [--json] [--top=N] [--flame]\n"
-      "                 [--gate=NAME:NS[:TOL]]\n"
       "      host self-profiler report (autopipe-prof-v1 from --profile=):\n"
       "      per-category and per-span inclusive/exclusive time; --flame\n"
-      "      prints collapsed stacks for flamegraph.pl; --gate fails (exit\n"
-      "      1) when NAME's mean ns/call exceeds NS*(1+TOL) (TOL 0.15)\n"
+      "      prints collapsed stacks for flamegraph.pl\n"
+      "  autopipe_trace gate REPORT BASELINE\n"
+      "      gate a JSON report (autopipe_sweep --out, cotenancy_fleet\n"
+      "      --out, profile --json) against an earlier copy of it; the\n"
+      "      report's schema picks the gated value and its tolerance\n"
+      "      (see docs/BENCHMARKS.md, \"Gates\"). Takes no options\n"
       "  autopipe_trace version | --version\n"
       "      print the tool version on one line\n"
       "\n"
@@ -100,7 +106,7 @@ int usage(std::ostream& os, int code) {
       "  rounds fired inside critical-path wait segments\n"
       "\n"
       "exit codes: 0 success; 1 analysis failure, differing diff, failed\n"
-      "--check or --gate; 2 usage error (bad flags or arguments). Every\n"
+      "--check or gate; 2 usage error (bad flags or arguments). Every\n"
       "--json payload carries a format-version \"schema\" key.\n";
   return code;
 }
@@ -116,7 +122,6 @@ struct Options {
   double drop = 0.2;
   bool flame = false;
   std::string ledger;
-  std::string gate;
   std::string window_range;       // blame: "T0..T1"
   std::size_t blame_iteration = 0;  // blame: 1-based iteration, 0 = unset
   std::uint64_t job = 0;            // blame: co-tenant job id, 0 = unset
@@ -150,8 +155,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
       opts.ledger = arg.substr(9);
     } else if (arg.rfind("--drop=", 0) == 0) {
       opts.drop = std::strtod(arg.c_str() + 7, nullptr);
-    } else if (arg.rfind("--gate=", 0) == 0) {
-      opts.gate = arg.substr(7);
     } else if (arg == "--flame") {
       opts.flame = true;
     } else if (arg == "--check") {
@@ -258,46 +261,19 @@ int main(int argc, char** argv) {
       } else {
         analysis::render_profile(report, profiles, opts.top, std::cout);
       }
-      if (!opts.gate.empty()) {
-        // --gate=NAME:NS[:TOL] — span names never contain ':', so the
-        // first colon ends the name.
-        const std::string::size_type c1 = opts.gate.find(':');
-        if (c1 == std::string::npos) {
-          std::cerr << "--gate needs NAME:NS[:TOL]\n";
-          return 2;
-        }
-        const std::string name = opts.gate.substr(0, c1);
-        const std::string rest = opts.gate.substr(c1 + 1);
-        const std::string::size_type c2 = rest.find(':');
-        const double baseline_ns =
-            std::strtod(rest.substr(0, c2).c_str(), nullptr);
-        const double tol =
-            c2 == std::string::npos
-                ? 0.15
-                : std::strtod(rest.substr(c2 + 1).c_str(), nullptr);
-        if (baseline_ns <= 0.0) {
-          std::cerr << "--gate baseline must be a positive ns count\n";
-          return 2;
-        }
-        const double measured = analysis::span_ns_per_call(report, name);
-        const double limit = baseline_ns * (1.0 + tol);
-        if (measured <= 0.0) {
-          std::cerr << "autopipe_trace: gate span '" << name
-                    << "' not present in profile\n";
-          return 1;
-        }
-        std::cerr << "gate " << name << ": "
-                  << trace::format_double(measured) << " ns/call vs limit "
-                  << trace::format_double(limit) << " (baseline "
-                  << trace::format_double(baseline_ns) << " +"
-                  << trace::format_double(tol * 100.0) << "%)\n";
-        if (measured > limit) {
-          std::cerr << "autopipe_trace: gate FAILED\n";
-          return 1;
-        }
-        std::cerr << "gate ok\n";
-      }
       return 0;
+    }
+
+    if (command == "gate") {
+      if (argc != 4 || opts.positional.size() != 2) {
+        std::cerr << "gate needs exactly REPORT BASELINE and no options\n";
+        return 2;
+      }
+      const analysis::GateResult result =
+          analysis::gate(analysis::read_gate_file(opts.positional[0]),
+                         analysis::read_gate_file(opts.positional[1]));
+      analysis::write_gate_result(result, std::cout);
+      return result.ok() ? 0 : 1;
     }
 
     if (command == "diff") {

@@ -79,18 +79,18 @@ parity_smoke() {
       --artifacts="$build/parity-artifacts"
 }
 
-# The committed smoke sweep gated against its committed baseline: simulated
-# throughput must stay within 10% of bench/baselines/sweep_smoke_baseline.json
-# (regenerate the baseline after an intentional perf change — see
-# docs/BENCHMARKS.md).
+# The committed smoke sweep gated against its committed baseline,
+# bench/baselines/sweep_smoke_baseline.json (the bound and how to regenerate
+# the baseline: docs/BENCHMARKS.md, "Gates").
 sweep_smoke() {
   echo "== sweep smoke =="
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' RETURN
   "$build/tools/autopipe_sweep" --spec="@$repo/bench/sweeps/smoke.sweep" \
-      --jobs=4 --tolerance=0.10 --out="$tmp/BENCH_sweep.json" \
-      --baseline="$repo/bench/baselines/sweep_smoke_baseline.json"
+      --jobs=4 --out="$tmp/BENCH_sweep.json"
+  "$build/tools/autopipe_trace" gate "$tmp/BENCH_sweep.json" \
+      "$repo/bench/baselines/sweep_smoke_baseline.json"
   "$repo/tools/bench_history.sh" "$tmp/BENCH_sweep.json"
 }
 
@@ -98,8 +98,7 @@ sweep_smoke() {
 # preemption must commit exactly one winning reconfiguration for the
 # preempted GPU under every arbiter policy (the bench exits non-zero
 # otherwise), and fleet throughput is gated against the committed
-# bench/baselines/cotenancy_baseline.json (regenerate with
-# `cotenancy_fleet --out` after an intentional change — docs/COTENANCY.md).
+# bench/baselines/cotenancy_baseline.json (docs/BENCHMARKS.md, "Gates").
 # The ctest invariant suite behind the same subsystem carries the label
 # `cotenancy` (ctest -L cotenancy).
 cotenancy_smoke() {
@@ -107,9 +106,9 @@ cotenancy_smoke() {
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' RETURN
-  "$build/bench/cotenancy_fleet" --tolerance=0.10 \
-      --out="$tmp/BENCH_cotenancy.json" \
-      --baseline="$repo/bench/baselines/cotenancy_baseline.json"
+  "$build/bench/cotenancy_fleet" --out="$tmp/BENCH_cotenancy.json"
+  "$build/tools/autopipe_trace" gate "$tmp/BENCH_cotenancy.json" \
+      "$repo/bench/baselines/cotenancy_baseline.json"
   "$repo/tools/bench_history.sh" "$tmp/BENCH_cotenancy.json"
 }
 
@@ -126,9 +125,9 @@ chaos_switch_smoke() {
 
 # Telemetry smoke: a churny run with the metric time-series sampler and the
 # host self-profiler on, every `autopipe_trace timeseries`/`profile` surface
-# exercised, and planner decide-round time gated at +15% against the
-# committed bench/baselines/telemetry_planner_baseline.json (see
-# docs/TELEMETRY.md for how to regenerate after an intentional change).
+# exercised, and planner decide-round time gated against the committed
+# bench/baselines/telemetry_planner_baseline.json (docs/BENCHMARKS.md,
+# "Gates").
 telemetry_smoke() {
   echo "== telemetry smoke =="
   local tmp
@@ -143,11 +142,10 @@ telemetry_smoke() {
   "$repo/tools/bench_history.sh" "$tmp/BENCH_timeseries.json"
   "$build/tools/autopipe_trace" profile "$tmp/run.prof" --top=5
   "$build/tools/autopipe_trace" profile "$tmp/run.prof" --flame > /dev/null
-  local baseline_ns
-  baseline_ns="$(sed -n 's/.*"planner_ns_per_round": *\([0-9.]*\).*/\1/p' \
-      "$repo/bench/baselines/telemetry_planner_baseline.json")"
-  "$build/tools/autopipe_trace" profile "$tmp/run.prof" \
-      --gate="planner/decide_round:$baseline_ns:0.15" > /dev/null
+  "$build/tools/autopipe_trace" profile "$tmp/run.prof" --json \
+      > "$tmp/profile.json"
+  "$build/tools/autopipe_trace" gate "$tmp/profile.json" \
+      "$repo/bench/baselines/telemetry_planner_baseline.json"
 }
 
 # Min-of-3 wall time for the fat-capture churn micro-benchmark — the

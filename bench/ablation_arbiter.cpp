@@ -13,7 +13,8 @@ using namespace autopipe;
 namespace {
 
 double run_policy(core::ControllerConfig::ArbiterMode mode,
-                  rl::DqnAgent* agent, std::uint64_t scenario_seed) {
+                  rl::DqnAgent* agent, std::uint64_t scenario_seed,
+                  const std::string& label) {
   const auto model = models::vgg16();
   bench::Testbed t = bench::make_testbed(25);
   const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
@@ -41,7 +42,9 @@ double run_policy(core::ControllerConfig::ArbiterMode mode,
     trace.apply_iteration(iters, *t.cluster);
     controller.on_iteration(iters);
   });
-  return executor.run(100, 20).throughput;
+  const double throughput = executor.run(100, 20).throughput;
+  bench::write_outputs(t, label);
+  return throughput;
 }
 
 }  // namespace
@@ -63,23 +66,24 @@ int main(int argc, char** argv) {
   table.add_row({"never switch (static)",
                  TextTable::num(run_policy(
                      core::ControllerConfig::ArbiterMode::kNeverSwitch,
-                     nullptr, 5), 1)});
+                     nullptr, 5, "never"), 1)});
   table.add_row({"always switch",
                  TextTable::num(run_policy(
                      core::ControllerConfig::ArbiterMode::kAlwaysSwitch,
-                     nullptr, 5), 1)});
+                     nullptr, 5, "always"), 1)});
   table.add_row({"threshold (5% gain)",
                  TextTable::num(run_policy(
                      core::ControllerConfig::ArbiterMode::kThreshold,
-                     nullptr, 5), 1)});
+                     nullptr, 5, "threshold"), 1)});
   table.add_row({"RL (offline-trained)",
                  TextTable::num(run_policy(
-                     core::ControllerConfig::ArbiterMode::kRl, &agent, 5),
+                     core::ControllerConfig::ArbiterMode::kRl, &agent, 5,
+                     "rl"),
                  1)});
   table.print(std::cout,
               "Ablation — switch arbiter under persistent regime changes "
               "(VGG16, 25 Gbps)");
   std::cout << "\n(offline training: " << training.episodes << " episodes, "
             << training.total_switches << " exploratory switches)\n";
-  return 0;
+  return bench::exit_status();
 }

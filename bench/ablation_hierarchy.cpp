@@ -15,17 +15,19 @@ namespace {
 double run_on(const models::ModelSpec& model,
               const partition::Partition& partition, bool two_tier,
               double uplink_gbps) {
-  sim::Simulator sim;
   sim::ClusterConfig config;
   config.nic_bandwidth = gbps(25);
   if (two_tier) {
     config.servers_per_rack = 2;  // racks of 2 servers (4 GPUs)
     config.rack_uplink_bandwidth = gbps(uplink_gbps);
   }
-  sim::Cluster cluster(sim, config);
-  pipeline::PipelineExecutor executor(cluster, model, partition,
+  bench::Testbed t = bench::make_testbed(config);
+  pipeline::PipelineExecutor executor(*t.cluster, model, partition,
                                       pipeline::ExecutorConfig{});
-  return executor.run(80, 30).throughput;
+  const double throughput = executor.run(80, 30).throughput;
+  bench::write_outputs(t, two_tier ? "uplink" + TextTable::num(uplink_gbps, 0)
+                                   : "single_switch");
+  return throughput;
 }
 
 }  // namespace
@@ -56,5 +58,5 @@ int main(int argc, char** argv) {
                "the one-shot plan cannot react — another fluctuation-class\n"
                "AutoPipe's profiling sees (observed bandwidth reflects the "
                "uplink share).\n";
-  return 0;
+  return bench::exit_status();
 }

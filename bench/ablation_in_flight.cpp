@@ -31,6 +31,8 @@ int main(int argc, char** argv) {
       pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
                                           config);
       const auto report = executor.run(120, 40);
+      bench::write_outputs(t, model.name() + "_inflight" +
+                                  std::to_string(in_flight));
       Bytes peak = 0.0;
       for (sim::WorkerId w : plan.partition.all_workers()) {
         peak = std::max(peak, pipeline::worker_memory_footprint(
@@ -53,5 +55,5 @@ int main(int argc, char** argv) {
   std::cout << "Observation 3 quantified: throughput saturates at or just "
                "above the derived NOW; every\nextra in-flight batch costs a "
                "full weight-stash copy plus activation memory.\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -53,6 +53,7 @@ Outcome run_neighborhood() {
     }
   });
   const auto report = executor.run(50, 20);
+  bench::write_outputs(t, "neighborhood");
   return Outcome{report.throughput, executor.switches_performed(),
                  migrated / 1e6};
 }
@@ -88,6 +89,7 @@ Outcome run_full_replan() {
     }
   });
   const auto report = executor.run(50, 20);
+  bench::write_outputs(t, "full_replan");
   return Outcome{report.throughput, executor.switches_performed(),
                  migrated / 1e6};
 }
@@ -114,5 +116,5 @@ int main(int argc, char** argv) {
                "state but lands on the globally better shape. AutoPipe's "
                "deployed controller therefore\ncombines both: re-plan on "
                "detected changes, neighbourhood fine-tuning in between.\n";
-  return 0;
+  return bench::exit_status();
 }

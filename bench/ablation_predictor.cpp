@@ -105,5 +105,5 @@ int main(int argc, char** argv) {
                "ceiling the meta-network approaches with data. On a\nreal "
                "testbed no such oracle exists, which is why the paper "
                "learns the predictor.\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -15,7 +15,8 @@ struct Outcome {
   double stall = 0.0;
 };
 
-Outcome run_with(pipeline::PipelineExecutor::SwitchMode mode) {
+Outcome run_with(pipeline::PipelineExecutor::SwitchMode mode,
+                 const std::string& label) {
   const auto model = models::vgg16();
   bench::Testbed t = bench::make_testbed(25);
   const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
@@ -39,6 +40,7 @@ Outcome run_with(pipeline::PipelineExecutor::SwitchMode mode) {
     controller.on_iteration(iters);
   });
   const auto report = executor.run(50, 8);
+  bench::write_outputs(t, label);
   return Outcome{report.throughput, report.switch_stall};
 }
 
@@ -47,9 +49,11 @@ Outcome run_with(pipeline::PipelineExecutor::SwitchMode mode) {
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
   const Outcome fine =
-      run_with(pipeline::PipelineExecutor::SwitchMode::kFineGrained);
+      run_with(pipeline::PipelineExecutor::SwitchMode::kFineGrained,
+               "fine_grained");
   const Outcome stop =
-      run_with(pipeline::PipelineExecutor::SwitchMode::kStopTheWorld);
+      run_with(pipeline::PipelineExecutor::SwitchMode::kStopTheWorld,
+               "stop_the_world");
 
   TextTable table({"switching", "throughput (img/s)",
                    "injection stall (s)"});
@@ -64,5 +68,5 @@ int main(int argc, char** argv) {
             << TextTable::num(bench::speedup_pct(fine.throughput,
                                                  stop.throughput), 1)
             << "% higher throughput here.\n";
-  return 0;
+  return bench::exit_status();
 }

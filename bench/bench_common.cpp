@@ -1,131 +1,54 @@
 #include "bench_common.hpp"
 
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 
-#include "analysis/json.hpp"
-#include "sweep/engine.hpp"
 #include "analysis/report.hpp"
 #include "analysis/trace_view.hpp"
 #include "common/expect.hpp"
-#include "common/profile.hpp"
 #include "partition/analytic_eval.hpp"
 #include "partition/neighborhood.hpp"
+#include "sweep/engine.hpp"
+#include "sweep/outputs.hpp"
 
 namespace autopipe::bench {
 
 namespace {
-std::string g_trace_path;
-std::string g_metrics_path;
-std::string g_ledger_path;
-std::string g_timeseries_path;
-double g_timeseries_interval = 1.0;
+sweep::RunOutputs g_outputs;
 std::string g_profile_path;
 std::size_t g_jobs = 1;
-
-// "PATH[:INTERVAL]" — the suffix after the last ':' counts as an interval
-// only when it parses fully as a positive number.
-void set_timeseries_spec(const std::string& spec) {
-  const std::string::size_type colon = spec.rfind(':');
-  if (colon != std::string::npos && colon + 1 < spec.size()) {
-    char* end = nullptr;
-    const double v = std::strtod(spec.c_str() + colon + 1, &end);
-    if (end != nullptr && *end == '\0' && v > 0.0) {
-      g_timeseries_path = spec.substr(0, colon);
-      g_timeseries_interval = v;
-      return;
-    }
-  }
-  g_timeseries_path = spec;
-  g_timeseries_interval = 1.0;
-}
-
-bool wants_text_format(const std::string& path) {
-  auto ends_with = [&path](const char* suffix) {
-    const std::string s(suffix);
-    return path.size() >= s.size() &&
-           path.compare(path.size() - s.size(), s.size(), s) == 0;
-  };
-  return ends_with(".txt") || ends_with(".trace");
-}
 }  // namespace
 
-void parse_common_flags(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--trace=", 0) == 0) {
-      g_trace_path = a.substr(8);
-    } else if (a == "--trace" && i + 1 < argc) {
-      g_trace_path = argv[++i];
-    } else if (a.rfind("--metrics=", 0) == 0) {
-      g_metrics_path = a.substr(10);
-    } else if (a == "--metrics" && i + 1 < argc) {
-      g_metrics_path = argv[++i];
-    } else if (a.rfind("--ledger=", 0) == 0) {
-      g_ledger_path = a.substr(9);
-    } else if (a == "--ledger" && i + 1 < argc) {
-      g_ledger_path = argv[++i];
-    } else if (a.rfind("--timeseries=", 0) == 0) {
-      set_timeseries_spec(a.substr(13));
-    } else if (a == "--timeseries" && i + 1 < argc) {
-      set_timeseries_spec(argv[++i]);
-    } else if (a.rfind("--profile=", 0) == 0) {
-      g_profile_path = a.substr(10);
-    } else if (a == "--profile" && i + 1 < argc) {
-      g_profile_path = argv[++i];
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      g_jobs = static_cast<std::size_t>(
-          std::strtoull(a.c_str() + 7, nullptr, 10));
-    } else if (a == "--jobs" && i + 1 < argc) {
-      g_jobs = static_cast<std::size_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-    }
-  }
-  if (!g_profile_path.empty()) {
-    prof::reset();
-    prof::set_enabled(true);
-  }
+Flags parse_common_flags(int argc, const char* const* argv) {
+  Flags flags(argc, argv);
+  g_outputs = sweep::RunOutputs(flags);
+  g_jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
+  g_profile_path = flags.get("profile", "");
+  sweep::start_profile(g_profile_path);
+  return flags;
 }
-
-std::size_t jobs() { return g_jobs; }
 
 void for_each_scenario(std::size_t count,
                        const std::function<void(std::size_t)>& body) {
   sweep::run_indexed(count, g_jobs, body);
 }
 
-const std::string& trace_path() { return g_trace_path; }
+void write_outputs(Testbed& testbed, const std::string& label) {
+  sim::Simulator& simulator = *testbed.simulator;
+  std::cout << g_outputs.write(simulator, label);
+  if (g_outputs.trace.empty()) return;
+  TextTable metrics_table({"metric", "value"});
+  for (const auto& [name, value] : simulator.metrics().all())
+    metrics_table.add_row({name, TextTable::num(value, 3)});
+  if (!simulator.metrics().all().empty())
+    metrics_table.print(std::cout, "run metrics");
 
-const std::string& metrics_path() { return g_metrics_path; }
-
-const std::string& ledger_path() { return g_ledger_path; }
-
-const std::string& timeseries_path() { return g_timeseries_path; }
-
-double timeseries_interval() { return g_timeseries_interval; }
-
-const std::string& profile_path() { return g_profile_path; }
-
-std::string scenario_path(const std::string& base,
-                          const std::string& scenario) {
-  if (scenario.empty()) return base;
-  std::string label = scenario;
-  for (char& c : label) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' &&
-        c != '_' && c != '-') {
-      c = '_';
-    }
-  }
-  const std::size_t dot = base.rfind('.');
-  const std::size_t slash = base.rfind('/');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    return base + "." + label;  // no extension to splice around
-  }
-  return base.substr(0, dot) + "." + label + base.substr(dot);
+  // The analyzer runs straight off the in-memory recorder, so every
+  // traced bench run reports where its GPU seconds went.
+  const analysis::TraceView view(simulator.tracer().events());
+  const analysis::RunAnalysis breakdown = analysis::analyze(view);
+  std::cout << render_bubbles_text(breakdown) << '\n'
+            << render_critical_path_text(breakdown, 5);
 }
 
 std::vector<sim::WorkerId> Testbed::all_workers() const {
@@ -135,14 +58,15 @@ std::vector<sim::WorkerId> Testbed::all_workers() const {
 }
 
 Testbed make_testbed(double bandwidth_gbps) {
-  Testbed t;
-  t.simulator = std::make_unique<sim::Simulator>();
-  if (!g_trace_path.empty()) t.simulator->tracer().set_enabled(true);
-  if (!g_ledger_path.empty()) t.simulator->ledger().set_enabled(true);
-  if (!g_timeseries_path.empty())
-    t.simulator->timeseries().configure(g_timeseries_interval);
   sim::ClusterConfig config;
   config.nic_bandwidth = gbps(bandwidth_gbps);
+  return make_testbed(config);
+}
+
+Testbed make_testbed(const sim::ClusterConfig& config) {
+  Testbed t;
+  t.simulator = std::make_unique<sim::Simulator>();
+  g_outputs.enable(*t.simulator);
   t.cluster = std::make_unique<sim::Cluster>(*t.simulator, config);
   return t;
 }
@@ -256,64 +180,7 @@ RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
   });
 
   const auto report = executor.run(options.iterations, options.warmup);
-
-  if (!g_trace_path.empty()) {
-    // Figures run many scenarios on separate testbeds; a labelled run gets
-    // its own fig.<scenario>.trace, an unlabelled one keeps the legacy
-    // overwrite-last-wins behaviour on the given path.
-    const std::string path = scenario_path(g_trace_path, options.scenario);
-    std::ofstream out(path);
-    if (out.good()) {
-      if (wants_text_format(path)) {
-        testbed.simulator->tracer().write_text(out);
-      } else {
-        testbed.simulator->tracer().write_chrome_json(out);
-      }
-      std::cout << "trace: " << testbed.simulator->tracer().size()
-                << " events -> " << path << "\n";
-    }
-    TextTable metrics_table({"metric", "value"});
-    for (const auto& [name, value] : testbed.simulator->metrics().all())
-      metrics_table.add_row({name, TextTable::num(value, 3)});
-    if (!testbed.simulator->metrics().all().empty())
-      metrics_table.print(std::cout, "run metrics");
-
-    // The analyzer runs straight off the in-memory recorder, so every
-    // traced bench run reports where its GPU seconds went.
-    const analysis::TraceView view(testbed.simulator->tracer().events());
-    const analysis::RunAnalysis breakdown = analysis::analyze(view);
-    std::cout << render_bubbles_text(breakdown) << '\n'
-              << render_critical_path_text(breakdown, 5);
-  }
-  if (!g_metrics_path.empty()) {
-    const std::string path = scenario_path(g_metrics_path, options.scenario);
-    std::ofstream out(path);
-    AUTOPIPE_EXPECT_MSG(out.good(), "cannot open metrics file " << path);
-    const auto metrics = testbed.simulator->metrics().flattened();
-    analysis::write_scalar_map_json(metrics, out);
-    std::cout << "metrics: " << metrics.size() << " values -> " << path
-              << "\n";
-  }
-  if (!g_ledger_path.empty()) {
-    testbed.simulator->ledger().finalize("run_end");
-    const std::string path = scenario_path(g_ledger_path, options.scenario);
-    std::ofstream out(path);
-    AUTOPIPE_EXPECT_MSG(out.good(), "cannot open ledger file " << path);
-    testbed.simulator->ledger().write_text(out);
-    std::cout << "ledger: " << testbed.simulator->ledger().size()
-              << " decisions -> " << path << "\n";
-  }
-  if (testbed.simulator->timeseries().enabled()) {
-    testbed.simulator->timeseries().finalize(testbed.simulator->now(),
-                                             testbed.simulator->metrics());
-    const std::string path =
-        scenario_path(g_timeseries_path, options.scenario);
-    std::ofstream out(path);
-    AUTOPIPE_EXPECT_MSG(out.good(), "cannot open timeseries file " << path);
-    testbed.simulator->timeseries().write_text(out);
-    std::cout << "timeseries: " << testbed.simulator->timeseries().size()
-              << " samples -> " << path << "\n";
-  }
+  write_outputs(testbed, options.scenario);
 
   RunResult result;
   result.throughput = report.throughput;
@@ -367,28 +234,10 @@ bool run_scenario(const std::string& label,
 }
 
 int exit_status() {
-  if (!g_profile_path.empty()) {
-    // Scenario workers joined inside for_each_scenario, so collect() is
-    // safe by the time main() asks for its exit code.
-    prof::set_enabled(false);
-    const std::vector<prof::ThreadProfile> profiles = prof::collect();
-    std::ofstream out(g_profile_path);
-    if (out.good()) {
-      const bool json =
-          g_profile_path.size() >= 5 &&
-          g_profile_path.rfind(".json") == g_profile_path.size() - 5;
-      if (json) {
-        prof::write_chrome_json(profiles, out);
-      } else {
-        prof::write_text(profiles, out);
-      }
-      std::cout << "profile: " << profiles.size() << " thread(s) -> "
-                << g_profile_path << "\n";
-    } else {
-      std::cerr << "cannot open profile file " << g_profile_path << "\n";
-    }
-    g_profile_path.clear();  // idempotent if called twice
-  }
+  // Scenario workers joined inside for_each_scenario, so the capture is
+  // complete by the time main() asks for its exit code.
+  sweep::write_profile(g_profile_path, std::cout);
+  g_profile_path.clear();  // idempotent if called twice
   return g_failed_scenarios == 0 ? 0 : 1;
 }
 

@@ -1,7 +1,8 @@
 // Shared scaffolding for the figure benchmarks: the paper's testbed, the
-// "three identical jobs" shared-cluster emulation, plan construction and
-// standard measurement runs. Every fig*_ binary builds on these so the
-// scenarios stay consistent across figures.
+// "three identical jobs" shared-cluster emulation, plan construction,
+// standard measurement runs and the flags every bench shares. Every bench
+// builds on these so the scenarios stay consistent across figures and its
+// output files match autopipe_sim's and autopipe_sweep's.
 #pragma once
 
 #include <functional>
@@ -13,6 +14,7 @@
 #include "autopipe/controller.hpp"
 #include "baselines/data_parallel.hpp"
 #include "comm/framework.hpp"
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "models/zoo.hpp"
@@ -34,59 +36,33 @@ struct Testbed {
   std::vector<sim::WorkerId> all_workers() const;
 };
 
-/// 5 servers x 2 P100 behind one switch at the given line rate. Tracing is
-/// enabled on the testbed's simulator when `--trace` was parsed.
+/// 5 servers x 2 P100 behind one switch at the given line rate.
 Testbed make_testbed(double bandwidth_gbps);
 
-/// Parse the flags every fig benchmark shares (`--trace=PATH`,
-/// `--metrics=PATH`, `--ledger=PATH`, `--timeseries=PATH[:INTERVAL]`,
-/// `--profile=PATH`, `--jobs=N`). Call at the top of main(); unknown flags
-/// are ignored so each benchmark may layer its own parsing on top.
-void parse_common_flags(int argc, const char* const* argv);
+/// A testbed on any cluster shape. Each testbed's simulator records what
+/// the output flags ask for.
+Testbed make_testbed(const sim::ClusterConfig& config);
 
-/// Worker threads requested via `--jobs` (default 1; 0 = one per core).
-std::size_t jobs();
+/// Parse argv and return it, for each bench to read its own flags from.
+/// Takes the shared ones: the five output flags (docs/TRACING.md,
+/// "Producing a trace"; the profiler records from here until
+/// exit_status()) and `--jobs=N`. Call at the top of main(); throws
+/// contract_error on a malformed flag or number.
+Flags parse_common_flags(int argc, const char* const* argv);
 
-/// Fan `body(0) .. body(count-1)` across the `--jobs` thread pool
-/// (sweep::run_indexed). Each body must confine itself to per-index state
+/// Fan `body(0) .. body(count-1)` across the `--jobs` thread pool (default
+/// 1, 0 = one per core). Each body must confine itself to per-index state
 /// — build its own testbed, write slot i of a preallocated vector — and
 /// emit nothing; the caller renders tables/stdout in index order
 /// afterwards, so benchmark output is identical at any --jobs value.
 void for_each_scenario(std::size_t count,
                        const std::function<void(std::size_t)>& body);
 
-/// The `--trace` path captured by parse_common_flags; empty when unset.
-const std::string& trace_path();
-
-/// The `--metrics` path captured by parse_common_flags; empty when unset.
-const std::string& metrics_path();
-
-/// The `--ledger` path captured by parse_common_flags; empty when unset.
-/// When set, every AutoPipe-controlled run records its decision ledger and
-/// run_pipeline writes it next to the trace (scenario-spliced the same way;
-/// analyze with `autopipe_trace decisions` / `calibration`).
-const std::string& ledger_path();
-
-/// The `--timeseries=PATH[:INTERVAL]` path captured by parse_common_flags;
-/// empty when unset. When set, every run samples its metrics registry at
-/// the interval (default 1 sim-second) and run_pipeline writes the
-/// autopipe-ts-v1 series scenario-spliced like the trace (analyze with
-/// `autopipe_trace timeseries`; see docs/TELEMETRY.md).
-const std::string& timeseries_path();
-double timeseries_interval();
-
-/// The `--profile=PATH` path captured by parse_common_flags; empty when
-/// unset. When set the host self-profiler records from flag parsing until
-/// exit_status(), which writes the capture (autopipe-prof-v1, or Chrome
-/// JSON for a .json path) before returning.
-const std::string& profile_path();
-
-/// `base` with ".<scenario>" spliced in before the extension
-/// ("fig3.trace" + "vgg16_25gbps" -> "fig3.vgg16_25gbps.trace"); scenario
-/// characters outside [A-Za-z0-9._-] become '_'. Returns `base` unchanged
-/// when `scenario` is empty.
-std::string scenario_path(const std::string& base,
-                          const std::string& scenario);
+/// Write the finished run's requested output files, `label` spliced into
+/// each path so every labelled run keeps its own file set; an unlabelled
+/// run writes the paths as given. A traced run also prints its metrics
+/// table, bubble breakdown and critical path.
+void write_outputs(Testbed& testbed, const std::string& label);
 
 /// Emulate `extra_jobs` co-located identical jobs (the paper runs three
 /// identical jobs in every static experiment): each extra job adds one
@@ -130,10 +106,8 @@ struct RunOptions {
   const sim::ResourceTrace* trace = nullptr;
   pipeline::ScheduleMode mode = pipeline::ScheduleMode::kAsync1F1B;
   std::size_t micro_batches = 4;
-  /// Label naming this run within the benchmark ("vgg16_25gbps_autopipe").
-  /// With `--trace=fig.trace`, each labelled run writes its own
-  /// fig.<scenario>.trace instead of the runs overwriting one file; same
-  /// for `--metrics`. Unlabelled runs keep overwrite-last-wins.
+  /// Label naming this run within the benchmark ("vgg16_25gbps_autopipe");
+  /// run_pipeline passes it to write_outputs.
   std::string scenario;
 };
 
@@ -150,7 +124,8 @@ struct RunResult {
   double window_mean(std::size_t lo, std::size_t hi) const;
 };
 
-/// Execute `partition` on the testbed under the options.
+/// Execute `partition` on the testbed under the options, then
+/// write_outputs(testbed, options.scenario).
 RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
                        const partition::Partition& partition,
                        const RunOptions& options);
@@ -167,11 +142,12 @@ double speedup_pct(double a, double b);
 /// continues with its remaining scenarios. Returns whether the body
 /// succeeded. main() must end with `return bench::exit_status();` so a
 /// throwing scenario fails the whole binary instead of vanishing into a
-/// half-filled table.
+/// half-filled table, and so `--profile` gets written.
 bool run_scenario(const std::string& label,
                   const std::function<void()>& body);
 
-/// 0 when every run_scenario body succeeded so far, 1 otherwise.
+/// Write the `--profile` capture, if one was asked for; then 0 when every
+/// run_scenario body succeeded so far, 1 otherwise.
 int exit_status();
 
 }  // namespace autopipe::bench

@@ -6,11 +6,12 @@
 //                     injected == completed + dropped, nothing in flight
 //   3. recovery    — once every fault has cleared, throughput returns to
 //                     within --epsilon of the pre-fault level
-//   4. determinism — the same seed replays to a byte-identical trace
+//   4. determinism — the same seed replays to identical artifacts
+//                     (parity::compare: trace, ledger, metrics, causal
+//                     links, iteration end times, event counts)
 //   5. ledger      — every planning round left exactly one decision record,
-//                     every record reached a terminal outcome, the ledger
-//                     replays byte-identically and round-trips through the
-//                     reader
+//                     every record reached a terminal outcome, and the
+//                     ledger round-trips through the reader
 //
 // The schedule shape is scaled from a fault-free probe run's measured
 // iteration period, so the same harness stresses any model/cluster pair.
@@ -18,7 +19,7 @@
 //   chaos_faults [--seeds=N] [--iterations=N] [--epsilon=X] [--seed0=N]
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -30,6 +31,7 @@
 #include "bench_common.hpp"
 #include "common/expect.hpp"
 #include "faults/fault_plan.hpp"
+#include "parity/differential.hpp"
 
 using namespace autopipe;
 
@@ -44,9 +46,7 @@ struct ChaosOutcome {
   std::size_t wedges = 0;
   std::size_t emergency_replans = 0;
   std::size_t readmissions = 0;
-  std::vector<double> end_times;
-  std::string trace_text;
-  std::string ledger_text;
+  parity::ScenarioResult artifacts;
   std::size_t ledger_size = 0;
   std::size_t decisions = 0;
   bool ledger_resolved = false;
@@ -96,17 +96,11 @@ ChaosOutcome run_chaos(const faults::FaultPlan& fault_plan,
   out.wedges = controller.stats().wedges_detected;
   out.emergency_replans = controller.stats().emergency_replans;
   out.readmissions = controller.stats().readmissions;
-  out.end_times = report.iteration_end_times;
-  std::ostringstream os;
-  simulator.tracer().write_text(os);
-  out.trace_text = os.str();
-  simulator.ledger().finalize("run_end");
+  out.artifacts =
+      parity::collect_artifacts(simulator, report.iteration_end_times);
   out.ledger_resolved = simulator.ledger().all_resolved();
   out.ledger_size = simulator.ledger().size();
   out.decisions = controller.stats().decisions;
-  std::ostringstream ls;
-  simulator.ledger().write_text(ls);
-  out.ledger_text = ls.str();
 
   // Bubble attribution must still partition every worker's wall clock
   // exactly with the fault-downtime class in the mix.
@@ -136,50 +130,32 @@ double mean_period(const std::vector<double>& end_times, std::size_t lo,
   return span > 0.0 ? span / static_cast<double>(hi - lo) : 0.0;
 }
 
-std::size_t flag(int argc, char** argv, const std::string& name,
-                 std::size_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0)
-      return static_cast<std::size_t>(
-          std::strtoull(a.c_str() + prefix.size(), nullptr, 10));
-  }
-  return fallback;
-}
-
-double flag_double(int argc, char** argv, const std::string& name,
-                   double fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0)
-      return std::strtod(a.c_str() + prefix.size(), nullptr);
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
-  const std::size_t seeds = flag(argc, argv, "seeds", 50);
-  const std::size_t seed0 = flag(argc, argv, "seed0", 1);
-  const std::size_t iterations = flag(argc, argv, "iterations", 100);
-  const double epsilon = flag_double(argc, argv, "epsilon", 0.35);
+  const Flags flags = bench::parse_common_flags(argc, argv);
+  const std::int64_t seed_count = flags.get_int("seeds", 50);
+  AUTOPIPE_EXPECT_MSG(seed_count >= 1,
+                      "--seeds must be at least 1, got " << seed_count);
+  const auto seeds = static_cast<std::size_t>(seed_count);
+  const auto seed0 = static_cast<std::size_t>(flags.get_int("seed0", 1));
+  const auto iterations =
+      static_cast<std::size_t>(flags.get_int("iterations", 100));
+  const double epsilon = flags.get_double("epsilon", 0.35);
 
   // Fault-free probe: the measured iteration period anchors the schedule
   // shape so outages are a few iterations long, not a fixed wall-clock
   // guess that a slow model would never reach.
   const ChaosOutcome probe = run_chaos(faults::FaultPlan{}, 30);
-  const double period = mean_period(probe.end_times, 3, 30);
+  const std::vector<double>& probe_ends = probe.artifacts.iteration_end_times;
+  const double period = mean_period(probe_ends, 3, 30);
   AUTOPIPE_EXPECT_MSG(period > 0.0, "probe run produced no usable periods");
   // Anchor the window on the probe's actual timeline: pipeline fill and
   // bursty completions (an in-flight window finishes at one timestamp) make
   // "N periods in" a poor guess for when iteration N lands. Faults begin
   // just after the probe's horizon so the chaos run has a ~27-iteration
   // healthy prefix to measure the pre-fault period on.
-  const double fault_start = probe.end_times.back() + 2 * period;
+  const double fault_start = probe_ends.back() + 2 * period;
   const double fault_clear = fault_start + 30 * period;
   std::cout << "probe: mean iteration period "
             << TextTable::num(period * 1e3, 2) << " ms; fault window ["
@@ -228,7 +204,7 @@ int main(int argc, char** argv) {
                                       "more than any in-flight window");
 
       // 3. recovery: post-clear throughput within epsilon of pre-fault
-      const auto& times = a.end_times;
+      const auto& times = a.artifacts.iteration_end_times;
       std::size_t pre_hi = 0;
       while (pre_hi < times.size() && times[pre_hi] < spec.start) ++pre_hi;
       std::size_t post_lo = pre_hi;
@@ -245,18 +221,19 @@ int main(int argc, char** argv) {
           "throughput did not recover: pre period " << pre << "s, post "
               << post << "s (epsilon " << epsilon << ")");
 
-      // 4. determinism
-      AUTOPIPE_EXPECT_MSG(a.trace_text == b.trace_text,
-                          "same seed replayed to a different trace ("
-                              << a.trace_text.size() << " vs "
-                              << b.trace_text.size() << " bytes)");
+      // 4. determinism (the ledger's included)
+      const parity::Divergence replay =
+          parity::compare(a.artifacts, b.artifacts);
+      AUTOPIPE_EXPECT_MSG(replay.identical,
+                          "same seed replayed differently:\n"
+                              << replay.report);
 
       // Fault downtime must appear in (and not break) bubble attribution.
       AUTOPIPE_EXPECT_MSG(a.bubbles_exact,
                           "bubble classes no longer partition wall clock");
 
-      // 5. ledger: one record per planning round, no dangling outcomes,
-      // deterministic replay, and a lossless reader round-trip.
+      // 5. ledger: one record per planning round, no dangling outcomes
+      // and a lossless reader round-trip.
       AUTOPIPE_EXPECT_MSG(
           a.ledger_size == a.decisions,
           "ledger recorded " << a.ledger_size << " decisions but the "
@@ -264,16 +241,12 @@ int main(int argc, char** argv) {
       AUTOPIPE_EXPECT_MSG(a.ledger_resolved,
                           "ledger left dangling (pending) decision records "
                           "after finalize");
-      AUTOPIPE_EXPECT_MSG(a.ledger_text == b.ledger_text,
-                          "same seed replayed to a different ledger ("
-                              << a.ledger_text.size() << " vs "
-                              << b.ledger_text.size() << " bytes)");
       {
-        std::istringstream in(a.ledger_text);
+        std::istringstream in(a.artifacts.ledger_text);
         const trace::DecisionLedger parsed = analysis::read_ledger(in);
         std::ostringstream re;
         parsed.write_text(re);
-        AUTOPIPE_EXPECT_MSG(re.str() == a.ledger_text,
+        AUTOPIPE_EXPECT_MSG(re.str() == a.artifacts.ledger_text,
                             "ledger does not round-trip through the reader");
       }
 

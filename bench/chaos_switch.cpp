@@ -11,14 +11,13 @@
 //   4. liveness     — the armed crash point actually fired, and abortable
 //                     faults (preemption / link loss) injected before Commit
 //                     really did abort the attempt
-//   5. parity       — the run replays byte-identically under the heap and
-//                     timing-wheel event queues (trace, ledger, metrics,
-//                     time-series); divergences dump artifacts
+//   5. parity       — the run replays identically under the heap and
+//                     timing-wheel event queues (parity::compare: trace,
+//                     ledger, metrics, time series, causal links, iteration
+//                     end times, event counts); divergences dump artifacts
 //
 //   chaos_switch [--seeds=N] [--seed0=N] [--iterations=N] [--artifacts=DIR]
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <cstdint>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -28,6 +27,7 @@
 #include "bench_common.hpp"
 #include "common/expect.hpp"
 #include "faults/switch_fault_plan.hpp"
+#include "parity/differential.hpp"
 
 using namespace autopipe;
 
@@ -86,10 +86,7 @@ std::vector<Cell> build_matrix() {
 }
 
 struct CellRun {
-  std::string trace_text;
-  std::string ledger_text;
-  std::string metrics_text;
-  std::string timeseries_text;
+  parity::ScenarioResult artifacts;
   pipeline::PipelineExecutor::FaultStats stats;
   std::size_t active = 0;
   std::size_t attempts = 0;
@@ -172,7 +169,6 @@ CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
       "chaos_switch_trigger");
 
   const auto report = executor.run(iterations, /*warmup=*/5);
-  (void)report;
 
   CellRun out;
   out.stats = executor.fault_stats();
@@ -184,65 +180,10 @@ CellRun run_cell(const Cell& cell, std::size_t seed, std::size_t iterations,
   out.abandonments = controller.stats().switch_abandonments;
   out.shots = switch_faults.fired().size();
   out.layout_consistent = executor.weight_layout_consistent();
-  std::ostringstream ts;
-  simulator.tracer().write_text(ts);
-  out.trace_text = ts.str();
-  simulator.ledger().finalize("run_end");
+  out.artifacts =
+      parity::collect_artifacts(simulator, report.iteration_end_times);
   out.ledger_resolved = simulator.ledger().all_resolved();
-  std::ostringstream ls;
-  simulator.ledger().write_text(ls);
-  out.ledger_text = ls.str();
-  std::ostringstream ms;
-  for (const auto& [name, value] : simulator.metrics().all())
-    ms << name << "=" << trace::format_double(value) << "\n";
-  out.metrics_text = ms.str();
-  simulator.timeseries().finalize(simulator.now(), simulator.metrics());
-  std::ostringstream tss;
-  simulator.timeseries().write_text(tss);
-  out.timeseries_text = tss.str();
   return out;
-}
-
-std::string g_artifact_dir;
-
-void dump_artifacts(const std::string& label, const CellRun& heap,
-                    const CellRun& wheel) {
-  if (g_artifact_dir.empty()) return;
-  std::filesystem::create_directories(g_artifact_dir);
-  const auto write = [&](const std::string& name, const std::string& text) {
-    std::ofstream os(g_artifact_dir + "/" + label + "." + name);
-    os << text;
-  };
-  write("heap.trace", heap.trace_text);
-  write("wheel.trace", wheel.trace_text);
-  write("heap.ledger", heap.ledger_text);
-  write("wheel.ledger", wheel.ledger_text);
-  write("heap.metrics", heap.metrics_text);
-  write("wheel.metrics", wheel.metrics_text);
-  write("heap.timeseries", heap.timeseries_text);
-  write("wheel.timeseries", wheel.timeseries_text);
-}
-
-std::size_t flag(int argc, char** argv, const std::string& name,
-                 std::size_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0)
-      return static_cast<std::size_t>(
-          std::strtoull(a.c_str() + prefix.size(), nullptr, 10));
-  }
-  return fallback;
-}
-
-std::string flag_str(int argc, char** argv, const std::string& name,
-                     const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return fallback;
 }
 
 bool aborts_switches(faults::FaultEvent::Kind kind) {
@@ -255,11 +196,15 @@ bool aborts_switches(faults::FaultEvent::Kind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
-  const std::size_t seeds = flag(argc, argv, "seeds", 50);
-  const std::size_t seed0 = flag(argc, argv, "seed0", 1);
-  const std::size_t iterations = flag(argc, argv, "iterations", 30);
-  g_artifact_dir = flag_str(argc, argv, "artifacts", "");
+  const Flags flags = bench::parse_common_flags(argc, argv);
+  const std::int64_t seed_count = flags.get_int("seeds", 50);
+  AUTOPIPE_EXPECT_MSG(seed_count >= 1,
+                      "--seeds must be at least 1, got " << seed_count);
+  const auto seeds = static_cast<std::size_t>(seed_count);
+  const auto seed0 = static_cast<std::size_t>(flags.get_int("seed0", 1));
+  const auto iterations =
+      static_cast<std::size_t>(flags.get_int("iterations", 30));
+  const std::string artifact_dir = flags.get("artifacts", "");
 
   const std::vector<Cell> matrix = build_matrix();
   std::cout << "crash-point matrix: " << matrix.size() << " cells x " << seeds
@@ -317,11 +262,11 @@ int main(int argc, char** argv) {
       AUTOPIPE_EXPECT_MSG(heap.ledger_resolved,
                           "ledger left non-terminal records after finalize");
       {
-        std::istringstream in(heap.ledger_text);
+        std::istringstream in(heap.artifacts.ledger_text);
         const trace::DecisionLedger parsed = analysis::read_ledger(in);
         std::ostringstream re;
         parsed.write_text(re);
-        AUTOPIPE_EXPECT_MSG(re.str() == heap.ledger_text,
+        AUTOPIPE_EXPECT_MSG(re.str() == heap.artifacts.ledger_text,
                             "ledger does not round-trip through the reader");
       }
 
@@ -338,16 +283,18 @@ int main(int argc, char** argv) {
       }
 
       // 5. heap/wheel parity
-      const bool parity = heap.trace_text == wheel.trace_text &&
-                          heap.ledger_text == wheel.ledger_text &&
-                          heap.metrics_text == wheel.metrics_text &&
-                          heap.timeseries_text == wheel.timeseries_text;
-      if (!parity) dump_artifacts(label, heap, wheel);
-      AUTOPIPE_EXPECT_MSG(parity,
+      const parity::Divergence d =
+          parity::compare(heap.artifacts, wheel.artifacts);
+      if (!d.identical && !artifact_dir.empty()) {
+        parity::write_divergence(artifact_dir, label, heap.artifacts,
+                                 wheel.artifacts, d.report);
+      }
+      AUTOPIPE_EXPECT_MSG(d.identical,
                           "heap and wheel runs diverged (artifacts "
-                              << (g_artifact_dir.empty() ? "disabled"
-                                                         : g_artifact_dir)
-                              << ")");
+                              << (artifact_dir.empty() ? "disabled"
+                                                       : artifact_dir)
+                              << "):\n"
+                              << d.report);
 
       outcomes[index].shots = heap.shots;
       outcomes[index].aborts = heap.aborted;

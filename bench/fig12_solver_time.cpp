@@ -116,5 +116,5 @@ int main(int argc, char** argv) {
                "reports tens\nof minutes. PipeDream's DP is only fast "
                "because its simplified model ignores per-worker\n"
                "heterogeneity (Observation 2).\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -44,6 +44,9 @@ void fill_table(double bandwidth_gbps, const std::string& title) {
     pipeline::PipelineExecutor executor(*testbed.cluster, model, partition,
                                         config);
     const auto report = executor.run(40, 20);
+    bench::write_outputs(testbed, TextTable::num(bandwidth_gbps, 0) +
+                                      "gbps_inflight" +
+                                      std::to_string(in_flight));
     const double startup = report.iteration_end_times.empty()
                                ? 0.0
                                : report.iteration_end_times.front();
@@ -77,5 +80,5 @@ int main(int argc, char** argv) {
          "uniform layers and\nFP = BP/2. With real transfer times the steady "
          "period stretches beyond the compute\nbottleneck and utilization "
          "drops — extra in-flight batches recover only part of it.\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -89,5 +89,5 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper's shape: joint bandwidth+GPU contention causes the "
                "largest degradations\n(36-60% in the paper's ResNet50/100Gbps "
                "cell).\n";
-  return 0;
+  return bench::exit_status();
 }

@@ -91,5 +91,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nPaper's shape: re-executing the work partition stays ahead "
                "of the stale configuration\neven when resources *increase*.\n";
-  return 0;
+  return bench::exit_status();
 }

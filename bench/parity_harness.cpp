@@ -7,64 +7,21 @@
 //
 //   parity_harness [--seeds=N] [--seed0=N] [--jobs=N] [--artifacts=DIR]
 //
-// With --artifacts, a diverging seed writes the heap and wheel trace /
-// ledger / metrics captures plus the first-divergence report into DIR so a
-// CI job can upload them.
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
+// With --artifacts, a diverging seed writes every heap and wheel text the
+// comparison diffs plus the first-divergence report into DIR
+// (parity::write_divergence) so a CI job can upload them.
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/expect.hpp"
 #include "parity/differential.hpp"
 
 using namespace autopipe;
 
 namespace {
-
-std::size_t flag(int argc, char** argv, const std::string& name,
-                 std::size_t fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0)
-      return static_cast<std::size_t>(
-          std::strtoull(a.c_str() + prefix.size(), nullptr, 10));
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-  }
-  return {};
-}
-
-void write_file(const std::filesystem::path& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-}
-
-/// Dump both captures plus the divergence report for one failing seed.
-void write_artifacts(const std::filesystem::path& dir, std::uint64_t seed,
-                     const parity::ScenarioResult& heap,
-                     const parity::ScenarioResult& wheel,
-                     const std::string& report) {
-  std::filesystem::create_directories(dir);
-  const std::string stem = "seed" + std::to_string(seed);
-  write_file(dir / (stem + ".report.txt"), report);
-  write_file(dir / (stem + ".heap.trace"), heap.trace_text);
-  write_file(dir / (stem + ".wheel.trace"), wheel.trace_text);
-  write_file(dir / (stem + ".heap.ledger"), heap.ledger_text);
-  write_file(dir / (stem + ".wheel.ledger"), wheel.ledger_text);
-  write_file(dir / (stem + ".heap.metrics"), heap.metrics_text);
-  write_file(dir / (stem + ".wheel.metrics"), wheel.metrics_text);
-}
 
 struct SeedRow {
   bool identical = false;
@@ -76,10 +33,13 @@ struct SeedRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
-  const std::size_t seeds = flag(argc, argv, "seeds", 12);
-  const std::size_t seed0 = flag(argc, argv, "seed0", 1);
-  const std::string artifacts = flag_string(argc, argv, "artifacts");
+  const Flags flags = bench::parse_common_flags(argc, argv);
+  const std::int64_t seed_count = flags.get_int("seeds", 12);
+  AUTOPIPE_EXPECT_MSG(seed_count >= 1,
+                      "--seeds must be at least 1, got " << seed_count);
+  const auto seeds = static_cast<std::size_t>(seed_count);
+  const auto seed0 = static_cast<std::uint64_t>(flags.get_int("seed0", 1));
+  const std::string artifacts = flags.get("artifacts", "");
 
   std::cout << "parity: heap (reference) vs wheel (candidate), " << seeds
             << " seeds from " << seed0 << "\n\n";
@@ -111,8 +71,10 @@ int main(int argc, char** argv) {
     if (row.identical) continue;
     ++failures;
     std::cerr << "seed " << seed << " diverged:\n" << row.report;
-    if (!artifacts.empty())
-      write_artifacts(artifacts, seed, row.heap, row.wheel, row.report);
+    if (!artifacts.empty()) {
+      parity::write_divergence(artifacts, "seed" + std::to_string(seed),
+                               row.heap, row.wheel, row.report);
+    }
   }
   table.print(std::cout);
 
@@ -120,8 +82,9 @@ int main(int argc, char** argv) {
     std::cerr << "\n" << failures << "/" << seeds << " seeds diverged";
     if (!artifacts.empty()) std::cerr << "; artifacts in " << artifacts;
     std::cerr << "\n";
-    return 1;
+  } else {
+    std::cout << "\nall " << seeds << " seeds byte-identical across queues\n";
   }
-  std::cout << "\nall " << seeds << " seeds byte-identical across queues\n";
-  return 0;
+  const int status = bench::exit_status();
+  return failures != 0 ? 1 : status;
 }

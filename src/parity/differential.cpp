@@ -1,6 +1,8 @@
 #include "parity/differential.hpp"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -66,7 +68,8 @@ std::string metrics_text(const trace::MetricsRegistry& metrics) {
   return os.str();
 }
 
-/// Serialize every observable artifact of a finished run.
+}  // namespace
+
 ScenarioResult collect_artifacts(sim::Simulator& simulator,
                                  std::vector<double> iteration_end_times) {
   ScenarioResult out;
@@ -95,8 +98,6 @@ ScenarioResult collect_artifacts(sim::Simulator& simulator,
   out.causal_text = cs.str();
   return out;
 }
-
-}  // namespace
 
 ScenarioResult run_scenario(const ScenarioConfig& config,
                             sim::EventQueueKind kind) {
@@ -334,6 +335,27 @@ Divergence run_differential(const ScenarioConfig& config) {
   const ScenarioResult wheel =
       run_scenario(config, sim::EventQueueKind::kWheel);
   return compare(heap, wheel);
+}
+
+void write_divergence(const std::string& dir, const std::string& stem,
+                      const ScenarioResult& heap, const ScenarioResult& wheel,
+                      const std::string& report) {
+  std::filesystem::create_directories(dir);
+  const auto write = [&](const std::string& suffix, const std::string& text) {
+    std::ofstream out(dir + "/" + stem + "." + suffix);
+    out << text;
+  };
+  const auto write_run = [&](const std::string& queue,
+                             const ScenarioResult& run) {
+    write(queue + ".trace", run.trace_text);
+    write(queue + ".ledger", run.ledger_text);
+    write(queue + ".metrics", run.metrics_text);
+    write(queue + ".timeseries", run.timeseries_text);
+    write(queue + ".causal", run.causal_text);
+  };
+  write("report.txt", report);
+  write_run("heap", heap);
+  write_run("wheel", wheel);
 }
 
 }  // namespace autopipe::parity

@@ -9,7 +9,9 @@
 // queue kind, and diffs every observable artifact.
 //
 // Used by tests/parity_test.cpp (ctest tier, ≥50 seeds) and the
-// bench/parity_harness CLI (CI parity-smoke job, divergence artifacts).
+// bench/parity_harness CLI (CI parity-smoke job, divergence artifacts);
+// the chaos_switch and chaos_faults harnesses capture and compare their own
+// scenarios through collect_artifacts() and compare().
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,10 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+
+namespace autopipe::sim {
+class Simulator;
+}
 
 namespace autopipe::parity {
 
@@ -71,6 +77,12 @@ struct ScenarioResult {
 ScenarioResult run_scenario(const ScenarioConfig& config,
                             sim::EventQueueKind kind);
 
+/// Capture every observable artifact of a run that has finished on
+/// `simulator`, finalizing its ledger and time series first. Harnesses that
+/// drive their own scenarios compare runs through this and compare().
+ScenarioResult collect_artifacts(sim::Simulator& simulator,
+                                 std::vector<double> iteration_end_times);
+
 /// Outcome of diffing two runs of the same scenario.
 struct Divergence {
   bool identical = true;
@@ -86,5 +98,12 @@ Divergence compare(const ScenarioResult& reference,
 /// Convenience: run `config` under both queues and diff. The heap is the
 /// reference, the wheel the candidate.
 Divergence run_differential(const ScenarioConfig& config);
+
+/// Dump a divergence for inspection: `<dir>/<stem>.report.txt` holds the
+/// compare() report, and `<dir>/<stem>.{heap,wheel}.{trace,ledger,metrics,
+/// timeseries,causal}` every text compare() diffs. Creates `dir`.
+void write_divergence(const std::string& dir, const std::string& stem,
+                      const ScenarioResult& heap, const ScenarioResult& wheel,
+                      const std::string& report);
 
 }  // namespace autopipe::parity

@@ -1,12 +1,9 @@
 #include "sweep/runner.hpp"
 
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 
-#include "analysis/json.hpp"
 #include "autopipe/controller.hpp"
 #include "cluster/job_manager.hpp"
 #include "cluster/jobs_spec.hpp"
@@ -17,45 +14,37 @@
 #include "pipeline/executor.hpp"
 #include "sim/background.hpp"
 #include "sim/cluster.hpp"
+#include "sweep/outputs.hpp"
 
 namespace autopipe::sweep {
 
 namespace {
 
-/// Shared artifact emission: trace, flattened metrics, optional ledger and
-/// time series, under `<directory>/<label>.*`.
-void emit_artifacts(sim::Simulator& simulator, const std::string& label,
-                    const ArtifactOptions& artifacts, bool with_ledger,
-                    ScenarioResult& result) {
-  const std::string base = artifacts.directory + "/" + label;
-  const auto open = [](const std::string& path) {
-    std::ofstream out(path);
-    if (!out.good())
-      throw std::runtime_error("cannot open artifact file: " + path);
-    return out;
-  };
-  {
-    auto out = open(base + ".trace");
-    simulator.tracer().write_text(out);
-    result.trace_file = base + ".trace";
+/// The files a scenario writes as `<directory>/<label>.*`; none when no
+/// directory was given. Only runs that make decisions write a ledger.
+RunOutputs scenario_outputs(const ScenarioSpec& spec,
+                            const ArtifactOptions& artifacts,
+                            bool with_ledger) {
+  RunOutputs outputs;
+  if (artifacts.directory.empty()) return outputs;
+  const std::string base = artifacts.directory + "/" + spec.label;
+  outputs.trace = base + ".trace";
+  outputs.metrics = base + ".metrics.json";
+  if (with_ledger) outputs.ledger = base + ".ledger";
+  if (artifacts.timeseries_interval > 0.0) {
+    outputs.timeseries = base + ".ts";
+    outputs.timeseries_interval = artifacts.timeseries_interval;
   }
-  {
-    auto out = open(base + ".metrics.json");
-    analysis::write_scalar_map_json(simulator.metrics().flattened(), out);
-    result.metrics_file = base + ".metrics.json";
-  }
-  if (with_ledger) {
-    simulator.ledger().finalize("run_end");
-    auto out = open(base + ".ledger");
-    simulator.ledger().write_text(out);
-    result.ledger_file = base + ".ledger";
-  }
-  if (simulator.timeseries().enabled()) {
-    simulator.timeseries().finalize(simulator.now(), simulator.metrics());
-    auto out = open(base + ".ts");
-    simulator.timeseries().write_text(out);
-    result.timeseries_file = base + ".ts";
-  }
+  return outputs;
+}
+
+void write_outputs(sim::Simulator& simulator, const RunOutputs& outputs,
+                   ScenarioResult& result) {
+  outputs.write(simulator);
+  result.trace_file = outputs.trace;
+  result.metrics_file = outputs.metrics;
+  result.ledger_file = outputs.ledger;
+  result.timeseries_file = outputs.timeseries;
 }
 
 /// The per-job model cycle of a fleet scenario: job-models entries cycled
@@ -78,15 +67,9 @@ std::vector<std::string> fleet_model_cycle(const ScenarioSpec& spec) {
 /// driven by a JobManager (src/cluster/) under the scenario's arbiter.
 void run_fleet_body(const ScenarioSpec& spec, const ArtifactOptions& artifacts,
                     ScenarioResult& result) {
-  const bool emit = !artifacts.directory.empty();
-
+  const RunOutputs outputs = scenario_outputs(spec, artifacts, true);
   sim::Simulator simulator;
-  if (emit) {
-    simulator.tracer().set_enabled(true);
-    simulator.ledger().set_enabled(true);
-    if (artifacts.timeseries_interval > 0.0)
-      simulator.timeseries().configure(artifacts.timeseries_interval);
-  }
+  outputs.enable(simulator);
 
   sim::ClusterConfig cluster_config;
   cluster_config.num_servers = spec.servers;
@@ -157,7 +140,7 @@ void run_fleet_body(const ScenarioSpec& spec, const ArtifactOptions& artifacts,
     result.iteration_p99_ms = s.p99 * 1e3;
   }
 
-  if (emit) emit_artifacts(simulator, spec.label, artifacts, true, result);
+  write_outputs(simulator, outputs, result);
 }
 
 void run_body(const ScenarioSpec& spec, const ArtifactOptions& artifacts,
@@ -166,16 +149,12 @@ void run_body(const ScenarioSpec& spec, const ArtifactOptions& artifacts,
     run_fleet_body(spec, artifacts, result);
     return;
   }
-  const bool emit = !artifacts.directory.empty();
   const auto model = models::model_by_name(spec.model);
 
+  const RunOutputs outputs =
+      scenario_outputs(spec, artifacts, spec.system == "autopipe");
   sim::Simulator simulator;
-  if (emit) {
-    simulator.tracer().set_enabled(true);
-    if (spec.system == "autopipe") simulator.ledger().set_enabled(true);
-    if (artifacts.timeseries_interval > 0.0)
-      simulator.timeseries().configure(artifacts.timeseries_interval);
-  }
+  outputs.enable(simulator);
 
   sim::ClusterConfig cluster_config;
   cluster_config.num_servers = spec.servers;
@@ -263,9 +242,7 @@ void run_body(const ScenarioSpec& spec, const ArtifactOptions& artifacts,
     result.iteration_p99_ms = s.p99 * 1e3;
   }
 
-  if (emit)
-    emit_artifacts(simulator, spec.label, artifacts,
-                   spec.system == "autopipe", result);
+  write_outputs(simulator, outputs, result);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "golden_scenario.hpp"
 #include "parity/differential.hpp"
@@ -169,6 +170,38 @@ TEST(Parity, DivergenceReportNamesFirstDifference) {
             std::string::npos);
   EXPECT_NE(d.report.find("line two"), std::string::npos);
   EXPECT_NE(d.report.find("line 2"), std::string::npos);
+}
+
+TEST(Parity, DivergenceDumpHoldsEveryComparedTextAndTheReport) {
+  ScenarioResult heap;
+  heap.trace_text = "trace\n";
+  heap.ledger_text = "ledger\n";
+  heap.metrics_text = "m=1\n";
+  heap.timeseries_text = "series\n";
+  heap.causal_text = "1<-0 mark:a\n";
+  ScenarioResult wheel = heap;
+  wheel.causal_text = "1<-0 mark:b\n";
+  const Divergence d = parity::compare(heap, wheel);
+  ASSERT_FALSE(d.identical);
+
+  const std::string dir = ::testing::TempDir() + "parity_dump/nested";
+  parity::write_divergence(dir, "seed7", heap, wheel, d.report);
+  const auto slurp = [&dir](const std::string& name) {
+    std::ifstream in(dir + "/seed7." + name);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_EQ(slurp("report.txt"), d.report);
+  for (const auto& [queue, run] :
+       {std::pair<std::string, const ScenarioResult*>{"heap", &heap},
+        std::pair<std::string, const ScenarioResult*>{"wheel", &wheel}}) {
+    EXPECT_EQ(slurp(queue + ".trace"), run->trace_text);
+    EXPECT_EQ(slurp(queue + ".ledger"), run->ledger_text);
+    EXPECT_EQ(slurp(queue + ".metrics"), run->metrics_text);
+    EXPECT_EQ(slurp(queue + ".timeseries"), run->timeseries_text);
+    EXPECT_EQ(slurp(queue + ".causal"), run->causal_text);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Sweep tier (ctest label `sweep`): spec parsing and grid expansion, the
 // fan-out engine's index/exception contract, the gate (analysis/gate.hpp)
 // over sweep and profile reports and every committed bench/baselines file,
-// and the headline determinism guarantee — the same spec produces
+// the run-output layer every driver writes its files through
+// (sweep/outputs.hpp), and the headline determinism guarantee — the same spec produces
 // byte-identical BENCH_sweep.json at every thread count, checked over a
 // 50-seed grid.
 #include <gtest/gtest.h>
@@ -11,18 +12,26 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/gate.hpp"
+#include "analysis/ledger_reader.hpp"
 #include "analysis/profile_report.hpp"
+#include "analysis/timeseries_reader.hpp"
 #include "common/expect.hpp"
+#include "common/flags.hpp"
+#include "common/profile.hpp"
+#include "sim/simulator.hpp"
 #include "sweep/engine.hpp"
+#include "sweep/outputs.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
@@ -381,6 +390,169 @@ TEST(CommittedBaselines, ParseGateCleanAndCarryTheirBounds) {
   EXPECT_FALSE(planner.policy->higher_is_better);
   ASSERT_EQ(planner.values.size(), 1u);
   EXPECT_EQ(planner.values.at("planner/decide_round"), 65000.0);
+}
+
+// ---------------------------------------------------------------------------
+// Run outputs: the files every driver names, enables and writes the same way
+// ---------------------------------------------------------------------------
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "run_outputs_" + name;
+}
+
+bool is_json(const std::string& text) {
+  return !text.empty() && (text[0] == '{' || text[0] == '[');
+}
+
+/// The message `action` throws std::runtime_error with; "" if it does not.
+std::string error_of(const std::function<void()>& action) {
+  try {
+    action();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Run `simulator` through one traced instant and one metric at t = 0.25.
+void run_briefly(sim::Simulator& simulator) {
+  simulator.at(0.25, [&simulator] {
+    simulator.metrics().add("test.events");
+    simulator.tracer().instant(trace::Category::kMark, "tick",
+                               simulator.now(), 1001, 0);
+  });
+  simulator.run();
+}
+
+TEST(RunOutputs, IntervalSplitsOffOnlyAsAPositiveNumber) {
+  using Split = std::pair<std::string, double>;
+  EXPECT_EQ(split_interval("run.ts:0.5"), Split("run.ts", 0.5));
+  EXPECT_EQ(split_interval("run.ts"), Split("run.ts", 1.0));
+  // A colon in a directory name is not an interval.
+  EXPECT_EQ(split_interval("out:dir/run.ts"), Split("out:dir/run.ts", 1.0));
+  for (const char* spec : {"run.ts:0", "run.ts:-1", "run.ts:x", "run.ts:"})
+    EXPECT_EQ(split_interval(spec), Split(spec, 1.0)) << spec;
+
+  const char* argv[] = {"tool", "--timeseries=out:dir/run.ts:0.25",
+                        "--trace", "run.json"};
+  const RunOutputs outputs(Flags(4, argv));
+  EXPECT_EQ(outputs.timeseries, "out:dir/run.ts");
+  EXPECT_EQ(outputs.timeseries_interval, 0.25);
+  EXPECT_EQ(outputs.trace, "run.json");
+  EXPECT_TRUE(outputs.metrics.empty());
+  EXPECT_TRUE(outputs.ledger.empty());
+}
+
+TEST(RunOutputs, LabelIsSplicedInBeforeTheExtension) {
+  EXPECT_EQ(splice_label("fig3.trace", "vgg16_25gbps"),
+            "fig3.vgg16_25gbps.trace");
+  EXPECT_EQ(splice_label("out/fig3", "a"), "out/fig3.a");
+  EXPECT_EQ(splice_label("out.d/fig3", "a"), "out.d/fig3.a");
+  EXPECT_EQ(splice_label("out.d/fig3.json", "a"), "out.d/fig3.a.json");
+  EXPECT_EQ(splice_label("fig3.trace", "a b/c:d"), "fig3.a_b_c_d.trace");
+  EXPECT_EQ(splice_label("fig3.trace", "x.y-z_9"), "fig3.x.y-z_9.trace");
+  EXPECT_EQ(splice_label("fig3.trace", ""), "fig3.trace");
+}
+
+TEST(RunOutputs, FileNamePicksTheTraceAndProfileFormat) {
+  sim::Simulator simulator;
+  RunOutputs traced;
+  traced.trace = temp_path("enable.trace");
+  traced.enable(simulator);
+  run_briefly(simulator);
+  const auto written_trace = [&simulator](const std::string& name) {
+    RunOutputs outputs;
+    outputs.trace = temp_path(name);
+    outputs.write(simulator);
+    return slurp(outputs.trace);
+  };
+  for (const char* name : {"t.trace", "t.txt"}) {
+    const std::string text = written_trace(name);
+    EXPECT_FALSE(is_json(text)) << name;
+    EXPECT_NE(text.find(" mark i tick "), std::string::npos) << name;
+  }
+  for (const char* name : {"t.json", "t.trace.out", "t"})
+    EXPECT_TRUE(is_json(written_trace(name))) << name;
+
+  const auto written_profile = [](const std::string& name) {
+    const std::string path = temp_path(name);
+    start_profile(path);
+    { PROF_SPAN("test/span"); }
+    std::ostringstream log;
+    EXPECT_FALSE(write_profile(path, log).empty()) << name;
+    EXPECT_NE(log.str().find("-> " + path), std::string::npos) << log.str();
+    return slurp(path);
+  };
+  EXPECT_TRUE(is_json(written_profile("p.json")));
+  for (const char* name : {"p.prof", "p.txt", "p.trace"})
+    EXPECT_EQ(written_profile(name).rfind("autopipe-prof-v1", 0), 0u) << name;
+  std::ostringstream silent;
+  EXPECT_TRUE(write_profile("", silent).empty());
+  EXPECT_TRUE(silent.str().empty());
+}
+
+TEST(RunOutputs, LedgerAndTimeSeriesAreFinalizedBeforeTheyAreWritten) {
+  RunOutputs outputs;
+  outputs.ledger = temp_path("final.ledger");
+  outputs.timeseries = temp_path("final.ts");
+  outputs.timeseries_interval = 0.1;
+  sim::Simulator simulator;
+  outputs.enable(simulator);
+  EXPECT_FALSE(simulator.tracer().enabled());
+  ASSERT_TRUE(simulator.ledger().enabled());
+  ASSERT_TRUE(simulator.timeseries().enabled());
+  simulator.ledger().set_run_info(4, 2, "toy");
+  trace::DecisionRecord pending;
+  pending.kind = "neighborhood";
+  pending.num_workers = 2;
+  simulator.ledger().add(pending);
+  run_briefly(simulator);  // ends between the 0.2 and 0.3 rows
+  const std::string log = outputs.write(simulator);
+  EXPECT_NE(log.find("ledger: 1 decisions -> " + outputs.ledger + "\n"),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("timeseries: 4 samples every 0.100s -> " +
+                     outputs.timeseries + "\n"),
+            std::string::npos)
+      << log;
+
+  const trace::DecisionLedger ledger =
+      analysis::read_ledger_file(outputs.ledger);
+  ASSERT_EQ(ledger.size(), 1u);
+  EXPECT_TRUE(ledger.all_resolved());
+  EXPECT_EQ(ledger.records()[0].outcome.reason, "run_end");
+  const analysis::TimeSeries series =
+      analysis::read_timeseries_file(outputs.timeseries);
+  ASSERT_FALSE(series.rows.empty());
+  EXPECT_EQ(series.interval, 0.1);
+  EXPECT_EQ(series.rows.back()[series.column_index("time")], 0.25);
+  EXPECT_EQ(simulator.now(), 0.25);
+}
+
+TEST(RunOutputs, UnwritablePathThrowsAndNamesIt) {
+  const std::string dir = ::testing::TempDir() + "run_outputs_missing_dir/";
+  sim::Simulator simulator;
+  for (std::string RunOutputs::*file :
+       {&RunOutputs::trace, &RunOutputs::metrics, &RunOutputs::ledger,
+        &RunOutputs::timeseries}) {
+    RunOutputs outputs;
+    outputs.*file = dir + "run.out";
+    EXPECT_NE(error_of([&] { outputs.check_writable(); }).find(dir + "run.out"),
+              std::string::npos);
+    EXPECT_NE(error_of([&] { outputs.write(simulator, "a b"); })
+                  .find(dir + "run.a_b.out"),
+              std::string::npos);
+  }
+  EXPECT_NE(error_of([&] { start_profile(dir + "run.prof"); })
+                .find(dir + "run.prof"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,16 +9,10 @@
 //   autopipe_sim --model bert48 --schedule dapple --micro-batches 8
 //                --system autopipe --bw-drop-iter 30 --bw-drop-gbps 10
 //   autopipe_sim --model alexnet --system baseline --scheme ps
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
-#include <utility>
 
-#include "analysis/json.hpp"
 #include "analysis/report.hpp"
-#include "common/profile.hpp"
 #include "analysis/trace_view.hpp"
 #include "autopipe/controller.hpp"
 #include "baselines/data_parallel.hpp"
@@ -37,6 +31,7 @@
 #include "sim/background.hpp"
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
+#include "sweep/outputs.hpp"
 
 using namespace autopipe;
 
@@ -110,117 +105,31 @@ void usage() {
       "  --verbose             debug logging\n";
 }
 
-// Split "PATH[:INTERVAL]". The suffix after the last ':' is an interval
-// only when it parses fully as a positive number, so paths that happen to
-// contain colons keep working.
-std::pair<std::string, double> split_timeseries_spec(const std::string& spec) {
-  const std::string::size_type colon = spec.rfind(':');
-  if (colon != std::string::npos && colon + 1 < spec.size()) {
-    char* end = nullptr;
-    const double v = std::strtod(spec.c_str() + colon + 1, &end);
-    if (end != nullptr && *end == '\0' && v > 0.0)
-      return {spec.substr(0, colon), v};
-  }
-  return {spec, 1.0};
-}
-
-/// Output files requested on the command line; empty path = not requested.
-struct OutputPaths {
-  std::string trace;
-  std::string metrics;
-  std::string ledger;
-  std::string timeseries;
-  std::string profile;
-  double timeseries_interval = 1.0;
-};
-
-/// Serialize whatever outputs were requested. Shared by the single-job and
-/// --jobs-spec fleet paths so both emit identical artifact formats.
-void emit_outputs(sim::Simulator& simulator, const OutputPaths& paths) {
-  if (!paths.trace.empty()) {
-    std::ofstream out(paths.trace);
-    AUTOPIPE_EXPECT_MSG(out.good(), "cannot open trace file " << paths.trace);
-    const bool text =
-        paths.trace.size() >= 4 &&
-        (paths.trace.rfind(".txt") == paths.trace.size() - 4 ||
-         (paths.trace.size() >= 6 &&
-          paths.trace.rfind(".trace") == paths.trace.size() - 6));
-    if (text) {
-      simulator.tracer().write_text(out);
-    } else {
-      simulator.tracer().write_chrome_json(out);
-    }
-    std::cout << "trace: " << simulator.tracer().size() << " events -> "
-              << paths.trace << "\n";
+/// Write the requested files of the finished run; a traced run also
+/// prints its bubble breakdown. Shared by the single-job and --jobs-spec
+/// fleet paths so both emit identical artifact formats.
+void emit_outputs(sim::Simulator& simulator, const sweep::RunOutputs& outputs,
+                  const std::string& profile_path) {
+  std::cout << outputs.write(simulator);
+  if (!outputs.trace.empty()) {
     // Breakdown straight off the in-memory recorder — the same report
     // `autopipe_trace bubbles` would print from the file.
     const analysis::TraceView view(simulator.tracer().events());
     std::cout << analysis::render_bubbles_text(analysis::analyze(view));
   }
-
-  if (!paths.metrics.empty()) {
-    std::ofstream out(paths.metrics);
-    AUTOPIPE_EXPECT_MSG(out.good(),
-                        "cannot open metrics file " << paths.metrics);
-    const auto flattened = simulator.metrics().flattened();
-    analysis::write_scalar_map_json(flattened, out);
-    std::cout << "metrics: " << flattened.size() << " values -> "
-              << paths.metrics << "\n";
-  }
-
-  if (!paths.ledger.empty()) {
-    // Terminal-state any decision still mid-measurement, then serialize.
-    simulator.ledger().finalize("run_end");
-    std::ofstream out(paths.ledger);
-    AUTOPIPE_EXPECT_MSG(out.good(),
-                        "cannot open ledger file " << paths.ledger);
-    simulator.ledger().write_text(out);
-    std::cout << "ledger: " << simulator.ledger().size() << " decisions -> "
-              << paths.ledger << "\n";
-  }
-
-  if (!paths.timeseries.empty()) {
-    simulator.timeseries().finalize(simulator.now(), simulator.metrics());
-    std::ofstream out(paths.timeseries);
-    AUTOPIPE_EXPECT_MSG(out.good(),
-                        "cannot open timeseries file " << paths.timeseries);
-    simulator.timeseries().write_text(out);
-    std::cout << "timeseries: " << simulator.timeseries().size()
-              << " samples every "
-              << TextTable::num(paths.timeseries_interval, 3) << "s -> "
-              << paths.timeseries << "\n";
-  }
-
-  if (!paths.profile.empty()) {
-    prof::set_enabled(false);
-    const std::vector<prof::ThreadProfile> profiles = prof::collect();
-    std::ofstream out(paths.profile);
-    AUTOPIPE_EXPECT_MSG(out.good(),
-                        "cannot open profile file " << paths.profile);
-    const bool json =
-        paths.profile.size() >= 5 &&
-        paths.profile.rfind(".json") == paths.profile.size() - 5;
-    if (json) {
-      prof::write_chrome_json(profiles, out);
-    } else {
-      prof::write_text(profiles, out);
-    }
-    std::size_t spans = 0;
-    for (const prof::ThreadProfile& tp : profiles)
-      spans += tp.spans.size() + tp.aggregates.size();
-    std::cout << "profile: " << spans << " span record(s) across "
-              << profiles.size() << " thread(s) -> " << paths.profile << "\n";
-  }
+  sweep::write_profile(profile_path, std::cout);
 }
 
 /// Co-tenancy mode: the whole fleet run, from parsed spec to summary
 /// tables. Returns the process exit code.
 int run_fleet(sim::Simulator& simulator, sim::Cluster& cluster,
-              const cluster::FleetSpec& fleet, const OutputPaths& paths) {
+              const cluster::FleetSpec& fleet,
+              const sweep::RunOutputs& outputs,
+              const std::string& profile_path) {
   cluster::JobManager manager(simulator, cluster, fleet);
   const cluster::FleetReport fr = manager.run();
 
-  emit_outputs(simulator, paths);
+  emit_outputs(simulator, outputs, profile_path);
 
   TextTable jobs({"job", "model", "priority", "samples/s", "util", "commits",
                   "contention aborts", "finished at (s)"});
@@ -268,44 +177,18 @@ int main(int argc, char** argv) {
                           ? comm::SyncScheme::kParameterServer
                           : comm::SyncScheme::kRing;
 
-  sim::Simulator simulator;
-  const std::string trace_path = flags.get("trace", "");
-  const std::string metrics_path = flags.get("metrics", "");
-  const std::string ledger_path = flags.get("ledger", "");
   // Fail on an unwritable output path now, not after the whole run.
-  const auto expect_writable = [](const std::string& path, const char* what) {
-    std::ofstream probe(path);
-    if (!probe.good()) {
-      std::cerr << "autopipe_sim: cannot open " << what << " file: " << path
-                << "\n";
-      std::exit(2);
-    }
-  };
-  if (!trace_path.empty()) {
-    expect_writable(trace_path, "trace");
-    simulator.tracer().set_enabled(true);
-  }
-  if (!metrics_path.empty()) expect_writable(metrics_path, "metrics");
-  if (!ledger_path.empty()) {
-    expect_writable(ledger_path, "ledger");
-    simulator.ledger().set_enabled(true);
-  }
-  std::string timeseries_path;
-  double timeseries_interval = 1.0;
-  if (flags.has("timeseries")) {
-    std::tie(timeseries_path, timeseries_interval) =
-        split_timeseries_spec(flags.get("timeseries", ""));
-    expect_writable(timeseries_path, "timeseries");
-    simulator.timeseries().configure(timeseries_interval);
-  }
+  const sweep::RunOutputs outputs(flags);
   const std::string profile_path = flags.get("profile", "");
-  if (!profile_path.empty()) {
-    expect_writable(profile_path, "profile");
-    prof::reset();
-    prof::set_enabled(true);
+  try {
+    outputs.check_writable();
+    sweep::start_profile(profile_path);
+  } catch (const std::exception& e) {
+    std::cerr << "autopipe_sim: " << e.what() << "\n";
+    return 2;
   }
-  const OutputPaths outputs{trace_path,      metrics_path, ledger_path,
-                            timeseries_path, profile_path, timeseries_interval};
+  sim::Simulator simulator;
+  outputs.enable(simulator);
   sim::ClusterConfig cluster_config;
   cluster_config.num_servers =
       static_cast<std::size_t>(flags.get_int("servers", 5));
@@ -361,7 +244,7 @@ int main(int argc, char** argv) {
     }
     for (const std::string& flag : flags.unused())
       std::cerr << "warning: unknown flag --" << flag << " (see --help)\n";
-    return run_fleet(simulator, cluster, fleet, outputs);
+    return run_fleet(simulator, cluster, fleet, outputs, profile_path);
   }
 
   const auto iterations =
@@ -466,7 +349,7 @@ int main(int argc, char** argv) {
 
   const auto report = executor.run(iterations, warmup);
 
-  emit_outputs(simulator, outputs);
+  emit_outputs(simulator, outputs, profile_path);
 
   TextTable summary({"metric", "value"});
   summary.add_row({"model", model.name()});

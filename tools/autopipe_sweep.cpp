@@ -17,9 +17,9 @@
 
 #include "analysis/profile_report.hpp"
 #include "common/flags.hpp"
-#include "common/profile.hpp"
 #include "common/table.hpp"
 #include "sweep/engine.hpp"
+#include "sweep/outputs.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
@@ -111,15 +111,11 @@ int main(int argc, char** argv) {
   for (const std::string& flag : flags.unused())
     std::cerr << "warning: unknown flag --" << flag << " (see --help)\n";
 
-  if (!profile_path.empty()) {
-    std::ofstream probe(profile_path);
-    if (!probe.good()) {
-      std::cerr << "autopipe_sweep: cannot open profile file: "
-                << profile_path << "\n";
-      return 2;
-    }
-    prof::reset();
-    prof::set_enabled(true);
+  try {
+    sweep::start_profile(profile_path);
+  } catch (const std::exception& e) {
+    std::cerr << "autopipe_sweep: " << e.what() << "\n";
+    return 2;
   }
 
   // Fail on an unwritable output now, not after the whole sweep.
@@ -143,29 +139,11 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  if (!profile_path.empty()) {
-    // Worker threads joined inside run_indexed, so collect() is safe.
-    prof::set_enabled(false);
-    const std::vector<prof::ThreadProfile> profiles = prof::collect();
-    const analysis::ProfileReport profile_report =
-        analysis::build_profile_report(profiles);
-    for (const analysis::ProfileEntry& e : profile_report.categories) {
-      result.profile.push_back(
-          {e.name, e.count, e.inclusive_ns, e.exclusive_ns});
-    }
-    std::ofstream out(profile_path);
-    const bool json =
-        profile_path.size() >= 5 &&
-        profile_path.rfind(".json") == profile_path.size() - 5;
-    if (json) {
-      prof::write_chrome_json(profiles, out);
-    } else {
-      prof::write_text(profiles, out);
-    }
-    std::cout << "profile: " << profile_report.categories.size()
-              << " categories across " << profiles.size()
-              << " thread(s) -> " << profile_path << "\n";
-  }
+  // Worker threads joined inside run_indexed, so the capture is complete.
+  const analysis::ProfileReport profile_report = analysis::build_profile_report(
+      sweep::write_profile(profile_path, std::cout));
+  for (const analysis::ProfileEntry& e : profile_report.categories)
+    result.profile.push_back({e.name, e.count, e.inclusive_ns, e.exclusive_ns});
 
   sweep::write_summary_table(result, std::cout);
   std::cout << "wall: " << TextTable::num(result.wall_seconds, 2) << "s on "

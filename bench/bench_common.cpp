@@ -22,7 +22,7 @@ std::size_t g_jobs = 1;
 Flags parse_common_flags(int argc, const char* const* argv) {
   Flags flags(argc, argv);
   g_outputs = sweep::RunOutputs(flags);
-  g_jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
+  g_jobs = flags.get_count("jobs", 1);
   g_profile_path = flags.get("profile", "");
   sweep::start_profile(g_profile_path);
   return flags;

@@ -134,13 +134,10 @@ double mean_period(const std::vector<double>& end_times, std::size_t lo,
 
 int main(int argc, char** argv) {
   const Flags flags = bench::parse_common_flags(argc, argv);
-  const std::int64_t seed_count = flags.get_int("seeds", 50);
-  AUTOPIPE_EXPECT_MSG(seed_count >= 1,
-                      "--seeds must be at least 1, got " << seed_count);
-  const auto seeds = static_cast<std::size_t>(seed_count);
-  const auto seed0 = static_cast<std::size_t>(flags.get_int("seed0", 1));
-  const auto iterations =
-      static_cast<std::size_t>(flags.get_int("iterations", 100));
+  const std::size_t seeds = flags.get_count("seeds", 50);
+  AUTOPIPE_EXPECT_MSG(seeds >= 1, "--seeds must be at least 1");
+  const std::size_t seed0 = flags.get_count("seed0", 1);
+  const std::size_t iterations = flags.get_count("iterations", 100);
   const double epsilon = flags.get_double("epsilon", 0.35);
 
   // Fault-free probe: the measured iteration period anchors the schedule

@@ -197,13 +197,10 @@ bool aborts_switches(faults::FaultEvent::Kind kind) {
 
 int main(int argc, char** argv) {
   const Flags flags = bench::parse_common_flags(argc, argv);
-  const std::int64_t seed_count = flags.get_int("seeds", 50);
-  AUTOPIPE_EXPECT_MSG(seed_count >= 1,
-                      "--seeds must be at least 1, got " << seed_count);
-  const auto seeds = static_cast<std::size_t>(seed_count);
-  const auto seed0 = static_cast<std::size_t>(flags.get_int("seed0", 1));
-  const auto iterations =
-      static_cast<std::size_t>(flags.get_int("iterations", 30));
+  const std::size_t seeds = flags.get_count("seeds", 50);
+  AUTOPIPE_EXPECT_MSG(seeds >= 1, "--seeds must be at least 1");
+  const std::size_t seed0 = flags.get_count("seed0", 1);
+  const std::size_t iterations = flags.get_count("iterations", 30);
   const std::string artifact_dir = flags.get("artifacts", "");
 
   const std::vector<Cell> matrix = build_matrix();

@@ -34,10 +34,8 @@ struct SeedRow {
 
 int main(int argc, char** argv) {
   const Flags flags = bench::parse_common_flags(argc, argv);
-  const std::int64_t seed_count = flags.get_int("seeds", 12);
-  AUTOPIPE_EXPECT_MSG(seed_count >= 1,
-                      "--seeds must be at least 1, got " << seed_count);
-  const auto seeds = static_cast<std::size_t>(seed_count);
+  const std::size_t seeds = flags.get_count("seeds", 12);
+  AUTOPIPE_EXPECT_MSG(seeds >= 1, "--seeds must be at least 1");
   const auto seed0 = static_cast<std::uint64_t>(flags.get_int("seed0", 1));
   const std::string artifacts = flags.get("artifacts", "");
 

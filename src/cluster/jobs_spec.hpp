@@ -38,6 +38,7 @@ struct JobSpec {
   std::size_t batch = 0;
   /// Initially-owned workers; empty = assigned by assign_default_workers.
   std::vector<sim::WorkerId> workers;
+  bool operator==(const JobSpec&) const = default;
 };
 
 /// One scripted preemption: the worker goes down at `at` and returns
@@ -47,6 +48,7 @@ struct PreemptSpec {
   sim::WorkerId worker = 0;
   Seconds at = 0.0;
   Seconds duration = 0.0;
+  bool operator==(const PreemptSpec&) const = default;
 };
 
 struct FleetSpec {
@@ -55,6 +57,7 @@ struct FleetSpec {
   Seconds claim_window = 0.05;
   std::vector<JobSpec> jobs;
   std::vector<PreemptSpec> preempts;
+  bool operator==(const FleetSpec&) const = default;
 };
 
 /// Parse the fleet grammar above. Throws contract_error (with a line

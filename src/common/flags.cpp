@@ -63,6 +63,14 @@ std::int64_t Flags::get_int(const std::string& name,
   return v;
 }
 
+std::size_t Flags::get_count(const std::string& name,
+                             std::size_t fallback) const {
+  const std::int64_t v = get_int(name, static_cast<std::int64_t>(fallback));
+  AUTOPIPE_EXPECT_MSG(
+      v >= 0, "--" << name << " expects a non-negative integer, got " << v);
+  return static_cast<std::size_t>(v);
+}
+
 bool Flags::get_bool(const std::string& name, bool fallback) const {
   queried_[name] = true;
   const auto it = values_.find(name);

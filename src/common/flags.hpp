@@ -4,6 +4,7 @@
 // configuration language.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -22,6 +23,8 @@ class Flags {
                   const std::string& fallback) const;
   double get_double(const std::string& name, double fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// A count: get_int that also rejects a negative value, naming the flag.
+  std::size_t get_count(const std::string& name, std::size_t fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
   /// Flags that were provided but never queried — typo detection for tools

@@ -1,6 +1,8 @@
 #include "faults/fault_plan.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -264,24 +266,32 @@ FaultEvent parse_event_line(const std::string& line, std::size_t line_no,
                             Seconds& t_out) {
   std::istringstream ls(line);
   std::string kind;
+  std::string index_text;
+  std::string extra;
   double t = -1.0;
+  double scale = 0.0;
   std::size_t index = 0;
-  AUTOPIPE_EXPECT_MSG(static_cast<bool>(ls >> t >> kind >> index),
+  const bool fields = static_cast<bool>(ls >> t >> kind >> index_text);
+  const char* const last = index_text.data() + index_text.size();
+  const auto [end, ec] = std::from_chars(index_text.data(), last, index);
+  AUTOPIPE_EXPECT_MSG(fields && ec == std::errc() && end == last,
                       "fault spec line " << line_no << ": expected "
                       "'<time> <kind> <index> [value]', got '" << line << "'");
+  // Only straggler_begin takes a fourth field, and no line takes a fifth.
+  AUTOPIPE_EXPECT_MSG(kind != "straggler_begin" || ls >> scale,
+                      "fault spec line " << line_no
+                                         << ": straggler_begin needs a "
+                                            "scale in (0,1)");
+  AUTOPIPE_EXPECT_MSG(!(ls >> extra), "fault spec line "
+                                          << line_no << ": unexpected '"
+                                          << extra << "' after the fields");
   t_out = t;
   if (kind == "gpu_down") return FaultPlan::gpu_down(index);
   if (kind == "gpu_up") return FaultPlan::gpu_up(index);
   if (kind == "link_down") return FaultPlan::link_down(index);
   if (kind == "link_up") return FaultPlan::link_up(index);
-  if (kind == "straggler_begin") {
-    double scale = 0.0;
-    AUTOPIPE_EXPECT_MSG(static_cast<bool>(ls >> scale),
-                        "fault spec line " << line_no
-                                           << ": straggler_begin needs a "
-                                              "scale in (0,1)");
+  if (kind == "straggler_begin")
     return FaultPlan::straggler_begin(index, scale);
-  }
   if (kind == "straggler_end") return FaultPlan::straggler_end(index);
   if (kind == "profiler_drop") return FaultPlan::profiler_drop(index);
   if (kind == "profiler_restore") return FaultPlan::profiler_restore(index);
@@ -358,22 +368,30 @@ FaultPlan parse_random(const std::string& body, std::size_t num_servers,
     AUTOPIPE_EXPECT_MSG(numeric, "fault spec: random entry "
                                      << entry_no << ": field '" << key
                                      << "': bad number '" << raw << "'");
+    // The seed and the counts take whole non-negative numbers.
+    const auto whole = [&] {
+      AUTOPIPE_EXPECT_MSG(
+          value >= 0.0 && value < 0x1p64 && value == std::trunc(value),
+          "fault spec: random entry " << entry_no << ": field '" << key
+              << "' wants a non-negative integer, got '" << raw << "'");
+      return static_cast<std::uint64_t>(value);
+    };
     if (key == "seed") {
-      spec.seed = static_cast<std::uint64_t>(value);
+      spec.seed = whole();
     } else if (key == "start") {
       spec.start = value;
     } else if (key == "clear") {
       spec.clear_by = value;
     } else if (key == "gpus") {
-      spec.gpu_preemptions = static_cast<std::size_t>(value);
+      spec.gpu_preemptions = whole();
     } else if (key == "links") {
-      spec.link_failures = static_cast<std::size_t>(value);
+      spec.link_failures = whole();
     } else if (key == "flaps") {
-      spec.link_flaps = static_cast<std::size_t>(value);
+      spec.link_flaps = whole();
     } else if (key == "stragglers") {
-      spec.stragglers = static_cast<std::size_t>(value);
+      spec.stragglers = whole();
     } else if (key == "profiler_drops") {
-      spec.profiler_drops = static_cast<std::size_t>(value);
+      spec.profiler_drops = whole();
     } else if (key == "min_outage") {
       spec.min_outage = value;
     } else if (key == "max_outage") {

@@ -72,18 +72,18 @@ void write_bench_json(const SweepResult& result, std::ostream& os,
       json.kv("switches", r.switches);
       json.kv("switch_aborts", r.switch_aborts);
       json.kv("events", r.events);
-      if (r.spec.jobs > 1) {
+      if (!r.fleet.jobs.empty()) {
         // Co-tenancy view; omitted for single-tenant scenarios so legacy
         // bench JSON stays byte-stable.
-        json.kv("fleet_jobs", r.spec.jobs);
-        json.kv("arbiter", r.spec.arbiter);
-        json.kv("fleet_jain", r.fleet_jain);
-        json.kv("fleet_conflicts", r.fleet_conflicts);
-        json.kv("fleet_grants", r.fleet_grants);
-        json.kv("fleet_contention_aborts", r.fleet_contention_aborts);
+        json.kv("fleet_jobs", r.fleet.jobs.size());
+        json.kv("arbiter", r.fleet.arbiter);
+        json.kv("fleet_jain", r.fleet.jain);
+        json.kv("fleet_conflicts", r.fleet.conflicts);
+        json.kv("fleet_grants", r.fleet.grants);
+        json.kv("fleet_contention_aborts", r.fleet.contention_aborts);
         json.key("job_throughputs");
         json.begin_array();
-        for (double t : r.job_throughputs) json.value(t);
+        for (const auto& job : r.fleet.jobs) json.value(job.report.throughput);
         json.end();
       }
     } else {

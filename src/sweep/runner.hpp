@@ -1,17 +1,32 @@
-// One scenario, run in isolation. Every run_scenario call builds its own
-// Simulator / Cluster / planner / executor / controller from the
-// ScenarioSpec alone — no shared mutable state, no environmental input —
-// so scenarios are both bit-reproducible (seeded Rng streams derived from
+// One scenario, run in isolation. Every run is built by one Scenario from
+// the ScenarioSpec alone — no shared mutable state, no environmental input
+// — so scenarios are both bit-reproducible (seeded Rng streams derived from
 // spec.seed) and safe to run concurrently from the sweep engine's pool.
+// autopipe_sim builds its runs through the same Scenario.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
-#include <vector>
 
+#include "autopipe/controller.hpp"
+#include "baselines/data_parallel.hpp"
+#include "cluster/job_manager.hpp"
+#include "faults/fault_plan.hpp"
+#include "models/model.hpp"
+#include "partition/partition.hpp"
+#include "pipeline/executor.hpp"
+#include "pipeline/report.hpp"
+#include "sim/background.hpp"
+#include "sim/cluster.hpp"
+#include "sim/simulator.hpp"
+#include "sim/trace.hpp"
 #include "sweep/spec.hpp"
 
 namespace autopipe::sweep {
+
+struct RunOutputs;
 
 /// Per-scenario artifact emission. When `directory` is non-empty each
 /// scenario writes `<directory>/<label>.trace` (text event trace) and
@@ -35,7 +50,7 @@ struct ScenarioResult {
   /// Exception text when !ok; the sweep keeps going and reports it.
   std::string error;
 
-  double throughput = 0.0;       ///< samples/sec (simulated)
+  double throughput = 0.0;       ///< samples/sec (simulated), fleet total
   double utilization = 0.0;      ///< mean worker busy fraction
   std::size_t batch = 0;         ///< mini-batch size the run used
   std::size_t switches = 0;      ///< partition switches committed
@@ -45,15 +60,10 @@ struct ScenarioResult {
   double iteration_p95_ms = 0.0;
   double iteration_p99_ms = 0.0;
 
-  // Fleet scenarios only (spec.jobs > 1): aggregate throughput lands in
-  // `throughput`, these carry the co-tenancy view. Zero/empty — and never
-  // serialized — for single-tenant scenarios, so legacy bench JSON is
-  // byte-stable.
-  double fleet_jain = 0.0;               ///< Jain fairness over job throughputs
-  std::size_t fleet_conflicts = 0;       ///< claim rounds with >= 2 claims
-  std::size_t fleet_grants = 0;          ///< arbiter grants
-  std::size_t fleet_contention_aborts = 0;
-  std::vector<double> job_throughputs;   ///< per-job samples/s, job order
+  /// The co-tenancy view of a fleet scenario (per-job reports, fairness,
+  /// arbitration counts); empty — and never serialized — for a single job,
+  /// so single-tenant bench JSON is byte-stable.
+  cluster::FleetReport fleet;
 
   double wall_seconds = 0.0;  ///< host wall-clock (non-deterministic)
 
@@ -63,9 +73,66 @@ struct ScenarioResult {
   std::string timeseries_file;
 };
 
-/// Run the scenario to completion. Exceptions from anywhere inside the run
-/// (bad fault spec, executor contract violation, unwritable artifact) are
-/// captured into {ok=false, error}; this never throws.
+/// One run, built whole from a ScenarioSpec: the simulator with the
+/// recorders `outputs` asks for, the cluster, co-located jobs and churn,
+/// then either the JobManager fleet, the data-parallel baseline, or the
+/// planned pipeline with its controller and iteration-anchored resource
+/// changes, and last the fault plan. A single job's fault plan is installed
+/// after its controller attaches, a fleet's before its controllers are
+/// built; the order decides which trace events the plan's `topology`
+/// instants cause (docs/BENCHMARKS.md, "One scenario builder").
+class Scenario {
+ public:
+  /// Throws on input the run cannot take: an unknown name, a malformed
+  /// fault spec, a fleet the cluster cannot seat, or a fault plan for the
+  /// baseline, which has no recovery path.
+  Scenario(const ScenarioSpec& spec, const RunOutputs& outputs);
+  Scenario(const Scenario&) = delete;
+  Scenario& operator=(const Scenario&) = delete;
+
+  /// Run to completion and summarize; `spec`, `ok`, the wall time and the
+  /// file names are left to the caller.
+  ScenarioResult run();
+
+  sim::Simulator& simulator() { return simulator_; }
+  sim::Cluster& cluster() { return *cluster_; }
+  const models::ModelSpec& model() const { return model_; }
+  const faults::FaultPlan& fault_plan() const { return fault_plan_; }
+  /// The planner's partition; a planned single job only (system "even"
+  /// starts from an even split instead).
+  const partition::Partition& planned() const { return *planned_; }
+  /// The pipeline; null for a fleet and for the baseline.
+  const pipeline::PipelineExecutor* executor() const { return executor_.get(); }
+  /// The pipeline's controller; null unless system is "autopipe".
+  const core::AutoPipeController* controller() const {
+    return controller_.get();
+  }
+  /// The single job's execution report once run() returned.
+  const pipeline::ExecutionReport& report() const { return report_; }
+
+ private:
+  void install_faults();
+
+  ScenarioSpec spec_;
+  models::ModelSpec model_;
+  sim::Simulator simulator_;
+  std::unique_ptr<sim::Cluster> cluster_;
+  /// Its installed events refer to it, so it lives as long as the run.
+  sim::BackgroundWorkload churn_;
+  faults::FaultPlan fault_plan_;
+  std::unique_ptr<cluster::JobManager> fleet_;
+  std::optional<baselines::DataParallelConfig> baseline_;
+  std::optional<partition::Partition> planned_;
+  std::unique_ptr<pipeline::PipelineExecutor> executor_;
+  std::unique_ptr<core::AutoPipeController> controller_;
+  sim::ResourceTrace resource_changes_;
+  pipeline::ExecutionReport report_;
+};
+
+/// Build, run, summarize and write the scenario's artifacts. Exceptions
+/// from anywhere inside the run (bad fault spec, executor contract
+/// violation, unwritable artifact) are captured into {ok=false, error};
+/// this never throws.
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const ArtifactOptions& artifacts = {});
 

@@ -106,6 +106,25 @@ std::size_t SweepSpec::scenario_count() const {
 }
 
 std::vector<ScenarioSpec> SweepSpec::expand() const {
+  // A jobs value n > 1 is a fleet cycling through job-models, or through
+  // the scenario's model when there are none (the parser validated names).
+  std::vector<std::string> mix;
+  for (const std::string& name : split(job_models, '+'))
+    mix.push_back(trim(name));
+  const auto fleet_of = [&](std::size_t n, const std::string& model) {
+    cluster::FleetSpec fleet;
+    if (n < 2) return fleet;
+    fleet.arbiter = arbiter;
+    for (std::size_t k = 0; k < n; ++k) {
+      cluster::JobSpec job;
+      job.model = mix.empty() ? model : mix[k % mix.size()];
+      job.iterations = iterations;
+      job.warmup = warmup;
+      fleet.jobs.push_back(std::move(job));
+    }
+    return fleet;
+  };
+
   std::vector<ScenarioSpec> out;
   out.reserve(scenario_count());
   for (const std::string& model : models)
@@ -125,9 +144,7 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
                       s.gpus_per_server = gps;
                       s.bandwidth_gbps = bw;
                       s.extra_jobs = extra;
-                      s.jobs = fleet;
-                      s.job_models = job_models;
-                      s.arbiter = arbiter;
+                      s.fleet = fleet_of(fleet, model);
                       s.churn = ch;
                       s.faults = faults[f];
                       s.seed = seed;

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "cluster/jobs_spec.hpp"
+
 namespace autopipe::sweep {
 
 /// One fully-specified scenario: everything a runner needs to reproduce the
@@ -29,7 +31,8 @@ struct ScenarioSpec {
   std::string label;
 
   std::string model = "resnet50";
-  /// autopipe | pipedream | even (mirrors `autopipe_sim --system`).
+  /// autopipe | pipedream | even | baseline (`autopipe_sim --system`; the
+  /// sweep grammar takes the first three).
   std::string system = "autopipe";
   std::size_t servers = 5;
   std::size_t gpus_per_server = 2;
@@ -40,22 +43,27 @@ struct ScenarioSpec {
   std::string faults;
   std::uint64_t seed = 1;
 
-  /// Co-tenancy axis: number of independent AutoPipe jobs sharing the
-  /// cluster. 1 (the default) runs the classic single-tenant path; > 1
-  /// runs a JobManager fleet (src/cluster/) and records the fleet_* result
-  /// fields. Single-tenant labels and report rows are unchanged.
-  std::size_t jobs = 1;
-  /// '+'-separated per-job model mix cycled across fleet jobs
-  /// ("alexnet+vgg16"); empty = every job trains `model`. Fleet runs only.
-  std::string job_models;
-  /// Cluster arbiter policy for fleet runs: greedy | priority | auction.
-  std::string arbiter = "greedy";
+  /// Co-tenant AutoPipe jobs sharing the cluster under the fleet's arbiter
+  /// (src/cluster/); empty runs the single job the fields below describe.
+  /// The sweep's jobs, job-models and arbiter keys and `autopipe_sim
+  /// --jobs-spec` both produce it.
+  cluster::FleetSpec fleet;
 
   std::size_t iterations = 40;
   std::size_t warmup = 10;
   std::size_t micro_batches = 4;
   /// 1f1b | gpipe | dapple | chimera | 2bw.
   std::string schedule = "1f1b";
+
+  // autopipe_sim inputs with no sweep key.
+  std::string framework = "pytorch";  ///< pytorch | tensorflow | mxnet
+  std::string scheme = "ring";        ///< ps, or anything else for ring
+  std::size_t batch = 0;              ///< mini-batch size; 0 = the model's
+  /// After this many iterations every NIC drops to bw_drop_gbps; 0 = never.
+  std::size_t bw_drop_iter = 0;
+  double bw_drop_gbps = 10.0;
+  /// After this many iterations every GPU gains a tenant; 0 = never.
+  std::size_t jobs_iter = 0;
 };
 
 /// The parsed grid: per-axis value lists plus the run-shape scalars shared
@@ -85,9 +93,11 @@ struct SweepSpec {
 
   /// The ordered cross product. Axis nesting (outermost first): model,
   /// system, servers, gpus-per-server, bandwidth, extra-jobs, jobs, churn,
-  /// faults, seed; each axis iterates its values in spec order. The jobs
-  /// axis only contributes a label component (".J<n>") when n > 1, so
-  /// single-tenant labels are stable across spec versions.
+  /// faults, seed; each axis iterates its values in spec order. A jobs
+  /// value n > 1 becomes a fleet of n jobs cycling through job-models (or
+  /// the scenario's model) with the spec's iterations, warmup and arbiter,
+  /// and adds a label component (".J<n>.<arbiter>"); n = 1 is the single
+  /// job with an empty fleet, so single-tenant labels are stable.
   std::vector<ScenarioSpec> expand() const;
 };
 

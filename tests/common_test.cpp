@@ -335,6 +335,20 @@ TEST(Flags, RejectsMalformedInput) {
   Flags flags(2, nonnum);
   EXPECT_THROW(flags.get_double("x", 0), contract_error);
   EXPECT_THROW(flags.get_int("x", 0), contract_error);
+  EXPECT_THROW(flags.get_count("x", 0), contract_error);
+  const char* negative[] = {"tool", "--servers=-1"};
+  const Flags counts(2, negative);
+  EXPECT_EQ(counts.get_int("servers", 0), -1);
+  try {
+    counts.get_count("servers", 5);
+    FAIL() << "negative count accepted";
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--servers expects a non-negative "
+                                         "integer, got -1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(counts.get_count("missing", 5), 5u);
 }
 
 TEST(Flags, TracksUnusedFlags) {

@@ -98,6 +98,25 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
                contract_error);
   EXPECT_THROW(faults::parse_spec("@/no/such/fault/file", 2, 2),
                contract_error);
+  // A schedule line takes exactly its fields; the index is a whole number.
+  for (const char* line :
+       {"1.0 gpu_down 1 junk", "2.0 gpu_up 1x", "1.0 gpu_down -1",
+        "1.0 link_down 1.5", "0.5 straggler_begin 0 0.5 0.7",
+        "0.5 straggler_end 0 0.5"}) {
+    EXPECT_THROW(faults::parse_spec(line, 2, 2), contract_error) << line;
+  }
+  EXPECT_EQ(faults::parse_spec("1.0 gpu_down 1;2.0 gpu_up 1", 2, 2).size(),
+            2u);
+  // The seed and the counts of a random spec are non-negative integers.
+  for (const std::string key :
+       {"seed", "gpus", "links", "flaps", "stragglers", "profiler_drops"}) {
+    for (const char* value : {"1.5", "-1", "-3", "1e30"}) {
+      EXPECT_THROW(faults::parse_spec("random:" + key + "=" + value, 2, 2),
+                   contract_error)
+          << key << "=" << value;
+    }
+  }
+  EXPECT_NO_THROW(faults::parse_spec("random:seed=3,gpus=1,start=1.5", 2, 2));
 }
 
 namespace {

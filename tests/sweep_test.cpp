@@ -2,9 +2,10 @@
 // fan-out engine's index/exception contract, the gate (analysis/gate.hpp)
 // over sweep and profile reports and every committed bench/baselines file,
 // the run-output layer every driver writes its files through
-// (sweep/outputs.hpp), and the headline determinism guarantee — the same spec produces
-// byte-identical BENCH_sweep.json at every thread count, checked over a
-// 50-seed grid.
+// (sweep/outputs.hpp), the one scenario builder every run goes through
+// (sweep/runner.hpp), and the headline determinism guarantee — the same
+// spec produces byte-identical BENCH_sweep.json at every thread count,
+// checked over a 50-seed grid and over faulted co-tenant fleets.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,9 +27,11 @@
 #include "analysis/ledger_reader.hpp"
 #include "analysis/profile_report.hpp"
 #include "analysis/timeseries_reader.hpp"
+#include "cluster/jobs_spec.hpp"
 #include "common/expect.hpp"
 #include "common/flags.hpp"
 #include "common/profile.hpp"
+#include "common/units.hpp"
 #include "sim/simulator.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/outputs.hpp"
@@ -92,6 +95,35 @@ TEST(SweepSpec, ScheduleTakesExactlyThePipelineNames) {
     EXPECT_EQ(parse_sweep_spec(std::string("schedule = ") + name).schedule,
               name);
   EXPECT_THROW(parse_sweep_spec("schedule = foo"), contract_error);
+}
+
+TEST(SweepSpec, JobsAxisExpandsToTheFleetAJobsSpecWrites) {
+  const std::vector<ScenarioSpec> scenarios =
+      parse_sweep_spec(
+          "model = resnet50; jobs = 1, 3; job-models = alexnet+vgg16;"
+          "arbiter = auction; iterations = 25; warmup = 4")
+          .expand();
+  ASSERT_EQ(scenarios.size(), 2u);
+  EXPECT_EQ(scenarios[0].fleet, cluster::FleetSpec{});
+  const cluster::FleetSpec& fleet = scenarios[1].fleet;
+  ASSERT_EQ(fleet.jobs.size(), 3u);
+  EXPECT_EQ(fleet.arbiter, "auction");
+  EXPECT_EQ(fleet.jobs[0].model, "alexnet");
+  EXPECT_EQ(fleet.jobs[1].model, "vgg16");
+  EXPECT_EQ(fleet.jobs[2].model, "alexnet");
+  EXPECT_EQ(fleet.jobs[2].iterations, 25u);
+  EXPECT_EQ(fleet.jobs[2].warmup, 4u);
+  EXPECT_EQ(fleet, cluster::parse_jobs_spec(
+                       "arbiter = auction\n"
+                       "job = model=alexnet iterations=25 warmup=4\n"
+                       "job = model=vgg16 iterations=25 warmup=4\n"
+                       "job = model=alexnet iterations=25 warmup=4\n"));
+  // Without job-models every job trains the scenario's model.
+  const std::vector<ScenarioSpec> plain =
+      parse_sweep_spec("model = vgg16; jobs = 2").expand();
+  ASSERT_EQ(plain[0].fleet.jobs.size(), 2u);
+  for (const cluster::JobSpec& job : plain[0].fleet.jobs)
+    EXPECT_EQ(job.model, "vgg16");
 }
 
 TEST(SweepSpec, RejectsMalformedInput) {
@@ -556,6 +588,98 @@ TEST(RunOutputs, UnwritablePathThrowsAndNamesIt) {
 }
 
 // ---------------------------------------------------------------------------
+// The one scenario builder: the inputs only autopipe_sim sets
+// ---------------------------------------------------------------------------
+
+ScenarioSpec small_job(const std::string& system) {
+  ScenarioSpec spec;
+  spec.model = "alexnet";
+  spec.system = system;
+  spec.servers = 2;
+  spec.gpus_per_server = 1;
+  spec.iterations = 12;
+  spec.warmup = 2;
+  return spec;
+}
+
+TEST(Scenario, ResourceChangesLandAtTheirIterations) {
+  ScenarioSpec spec = small_job("pipedream");
+  spec.extra_jobs = 1;
+  spec.bw_drop_iter = 5;
+  spec.bw_drop_gbps = 2.0;
+  spec.jobs_iter = 7;
+  RunOutputs outputs;
+  outputs.trace = temp_path("changes.trace");
+  Scenario scenario(spec, outputs);
+  sim::Cluster& cluster = scenario.cluster();
+  for (std::size_t s = 0; s < spec.servers; ++s)
+    EXPECT_EQ(cluster.nic_bandwidth(s), gbps(25.0));
+  for (sim::WorkerId w = 0; w < cluster.num_workers(); ++w)
+    EXPECT_EQ(cluster.gpu(w).tenant_count(), 2);
+
+  const ScenarioResult result = scenario.run();
+  EXPECT_GT(result.throughput, 0.0);
+  for (std::size_t s = 0; s < spec.servers; ++s)
+    EXPECT_EQ(cluster.nic_bandwidth(s), gbps(2.0));
+  for (sim::WorkerId w = 0; w < cluster.num_workers(); ++w)
+    EXPECT_EQ(cluster.gpu(w).tenant_count(), 3);
+#if AUTOPIPE_TRACING
+  // Each change is caused by the iteration mark it is anchored to.
+  std::map<std::uint64_t, std::string> iteration_of;
+  std::vector<std::string> anchors;
+  for (const trace::Event& e : scenario.simulator().tracer().events()) {
+    if (e.name == "iteration") iteration_of[e.eid] = *e.find_arg("n");
+    if (e.name == "resource_event") anchors.push_back(iteration_of[e.cause]);
+  }
+  EXPECT_EQ(anchors, (std::vector<std::string>{"5", "7"}));
+#endif
+}
+
+TEST(Scenario, FrameworkSchemeAndBatchReachTheExecutor) {
+  ScenarioSpec spec = small_job("autopipe");
+  spec.framework = "tensorflow";
+  spec.scheme = "ps";
+  spec.batch = 16;
+  const Scenario scenario(spec, RunOutputs{});
+  ASSERT_NE(scenario.executor(), nullptr);
+  EXPECT_NE(scenario.controller(), nullptr);
+  const pipeline::ExecutorConfig& config = scenario.executor()->config();
+  EXPECT_EQ(config.sync_scheme, comm::SyncScheme::kParameterServer);
+  EXPECT_EQ(config.framework.name, comm::tensorflow_profile().name);
+  EXPECT_EQ(scenario.executor()->batch_size(), 16u);
+  EXPECT_EQ(Scenario(small_job("autopipe"), RunOutputs{})
+                .executor()
+                ->config()
+                .sync_scheme,
+            comm::SyncScheme::kRing);
+}
+
+TEST(Scenario, BaselineRunsWithoutAnExecutorAndWritesItsTrace) {
+  const ScenarioSpec spec = small_job("baseline");
+  RunOutputs outputs;
+  outputs.trace = temp_path("baseline.trace");
+  outputs.metrics = temp_path("baseline.metrics.json");
+  Scenario scenario(spec, outputs);
+  EXPECT_EQ(scenario.executor(), nullptr);
+  EXPECT_EQ(scenario.controller(), nullptr);
+  const ScenarioResult result = scenario.run();
+  EXPECT_GT(result.throughput, 0.0);
+  EXPECT_EQ(result.switches, 0u);
+  EXPECT_EQ(scenario.report().iteration_end_times.size(), spec.iterations);
+  const std::string log = outputs.write(scenario.simulator());
+  EXPECT_NE(log.find("-> " + outputs.trace), std::string::npos) << log;
+  EXPECT_TRUE(is_json(slurp(outputs.metrics)));
+#if AUTOPIPE_TRACING
+  EXPECT_NE(slurp(outputs.trace).find(" comm b flow "), std::string::npos);
+#endif
+
+  // The data-parallel baseline has no recovery path for a fault plan.
+  ScenarioSpec faulted = spec;
+  faulted.faults = "random:seed=3";
+  EXPECT_THROW(Scenario(faulted, RunOutputs{}), contract_error);
+}
+
+// ---------------------------------------------------------------------------
 // The headline guarantee: thread count never changes the report
 // ---------------------------------------------------------------------------
 
@@ -587,6 +711,21 @@ TEST(SweepDeterminism, ByteIdenticalBenchJsonAcrossThreadCounts) {
             std::string::npos);
   EXPECT_EQ(serial, bench_json_at_jobs(scenarios, 2));
   EXPECT_EQ(serial, bench_json_at_jobs(scenarios, 8));
+
+  // Churny three-job fleets under a random fault plan: the JobManager, its
+  // arbiter and the fault plan all run through the same builder.
+  const std::vector<ScenarioSpec> fleets =
+      parse_sweep_spec(
+          "model = alexnet; servers = 3; jobs = 3; job-models = alexnet+vgg16;"
+          "churn = true; faults = random:seed=4; seed = 1..4; iterations = 12;"
+          "warmup = 3")
+          .expand();
+  ASSERT_EQ(fleets.size(), 4u);
+  const std::string fleet_serial = bench_json_at_jobs(fleets, 1);
+  EXPECT_NE(fleet_serial.find("\"fleet_jobs\": 3"), std::string::npos);
+  EXPECT_EQ(fleet_serial.find("\"ok\": false"), std::string::npos)
+      << fleet_serial;
+  EXPECT_EQ(fleet_serial, bench_json_at_jobs(fleets, 4));
 }
 
 }  // namespace

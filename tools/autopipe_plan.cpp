@@ -37,15 +37,13 @@ int main(int argc, char** argv) {
   }
 
   const auto model = models::model_by_name(flags.get("model", "resnet50"));
-  const auto batch = flags.get_int("batch", 0) > 0
-                         ? static_cast<std::size_t>(flags.get_int("batch", 0))
-                         : model.default_batch_size();
+  std::size_t batch = flags.get_count("batch", 0);
+  if (batch == 0) batch = model.default_batch_size();
 
   sim::Simulator simulator;
   sim::ClusterConfig config;
-  config.num_servers = static_cast<std::size_t>(flags.get_int("servers", 5));
-  config.gpus_per_server =
-      static_cast<std::size_t>(flags.get_int("gpus-per-server", 2));
+  config.num_servers = flags.get_count("servers", 5);
+  config.gpus_per_server = flags.get_count("gpus-per-server", 2);
   config.nic_bandwidth = gbps(flags.get_double("bandwidth", 25));
   sim::Cluster cluster(simulator, config);
   for (std::int64_t j = 0; j < flags.get_int("extra-jobs", 0); ++j)

@@ -9,29 +9,18 @@
 //   autopipe_sim --model bert48 --schedule dapple --micro-batches 8
 //                --system autopipe --bw-drop-iter 30 --bw-drop-gbps 10
 //   autopipe_sim --model alexnet --system baseline --scheme ps
+#include <cstdint>
 #include <iostream>
-#include <memory>
+#include <optional>
 
 #include "analysis/report.hpp"
 #include "analysis/trace_view.hpp"
-#include "autopipe/controller.hpp"
-#include "baselines/data_parallel.hpp"
-#include "cluster/job_manager.hpp"
 #include "cluster/jobs_spec.hpp"
-#include "common/expect.hpp"
 #include "common/flags.hpp"
 #include "common/log.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/units.hpp"
-#include "faults/fault_plan.hpp"
-#include "models/zoo.hpp"
-#include "partition/pipedream_planner.hpp"
-#include "pipeline/executor.hpp"
-#include "sim/background.hpp"
-#include "sim/cluster.hpp"
-#include "sim/trace.hpp"
 #include "sweep/outputs.hpp"
+#include "sweep/runner.hpp"
 
 using namespace autopipe;
 
@@ -105,9 +94,46 @@ void usage() {
       "  --verbose             debug logging\n";
 }
 
+/// The scenario the flags describe. Only the flags the run uses are read,
+/// so the rest warn as unknown: the single-job flags under --jobs-spec and
+/// the pipeline's under --system baseline. Throws on a malformed value.
+sweep::ScenarioSpec scenario_from_flags(const Flags& flags) {
+  sweep::ScenarioSpec spec;
+  spec.model = flags.get("model", "resnet50");
+  spec.system = flags.get("system", "autopipe");
+  spec.framework = flags.get("framework", "pytorch");
+  spec.scheme = flags.get("scheme", "ring");
+  spec.servers = flags.get_count("servers", 5);
+  spec.gpus_per_server = flags.get_count("gpus-per-server", 2);
+  spec.bandwidth_gbps = flags.get_double("bandwidth", 25);
+  spec.extra_jobs = static_cast<int>(flags.get_int("extra-jobs", 0));
+  spec.churn = flags.get_bool("churn", false);
+  // The seed drives only the churn; without --churn it is unused.
+  if (spec.churn)
+    spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  spec.faults = flags.get("faults", "");
+
+  const std::string jobs_spec = flags.get("jobs-spec", "");
+  if (!jobs_spec.empty()) {
+    spec.fleet = cluster::load_jobs_spec(jobs_spec);
+    return spec;
+  }
+  spec.iterations = flags.get_count("iterations", 100);
+  spec.warmup = flags.get_count("warmup", 20);
+  spec.batch = flags.get_count("batch", 0);
+  if (spec.system == "baseline") return spec;
+  spec.schedule = flags.get("schedule", "1f1b");
+  spec.micro_batches = flags.get_count("micro-batches", 4);
+  if (flags.has("bw-drop-iter")) {
+    spec.bw_drop_iter = flags.get_count("bw-drop-iter", 0);
+    spec.bw_drop_gbps = flags.get_double("bw-drop-gbps", 10);
+  }
+  spec.jobs_iter = flags.get_count("jobs-iter", 0);
+  return spec;
+}
+
 /// Write the requested files of the finished run; a traced run also
-/// prints its bubble breakdown. Shared by the single-job and --jobs-spec
-/// fleet paths so both emit identical artifact formats.
+/// prints its bubble breakdown.
 void emit_outputs(sim::Simulator& simulator, const sweep::RunOutputs& outputs,
                   const std::string& profile_path) {
   std::cout << outputs.write(simulator);
@@ -120,17 +146,7 @@ void emit_outputs(sim::Simulator& simulator, const sweep::RunOutputs& outputs,
   sweep::write_profile(profile_path, std::cout);
 }
 
-/// Co-tenancy mode: the whole fleet run, from parsed spec to summary
-/// tables. Returns the process exit code.
-int run_fleet(sim::Simulator& simulator, sim::Cluster& cluster,
-              const cluster::FleetSpec& fleet,
-              const sweep::RunOutputs& outputs,
-              const std::string& profile_path) {
-  cluster::JobManager manager(simulator, cluster, fleet);
-  const cluster::FleetReport fr = manager.run();
-
-  emit_outputs(simulator, outputs, profile_path);
-
+void print_fleet_report(const cluster::FleetReport& fr) {
   TextTable jobs({"job", "model", "priority", "samples/s", "util", "commits",
                   "contention aborts", "finished at (s)"});
   for (const auto& j : fr.jobs) {
@@ -156,7 +172,44 @@ int run_fleet(sim::Simulator& simulator, sim::Cluster& cluster,
   summary.add_row({"contention aborts",
                    std::to_string(fr.contention_aborts)});
   summary.print(std::cout, "autopipe_sim fleet report");
-  return 0;
+}
+
+void print_report(sweep::Scenario& scenario, const sweep::ScenarioSpec& spec,
+                  const sweep::ScenarioResult& result) {
+  const pipeline::ExecutionReport& report = scenario.report();
+  TextTable summary({"metric", "value"});
+  summary.add_row({"model", scenario.model().name()});
+  summary.add_row({"system", spec.system});
+  summary.add_row({"initial partition", scenario.planned().to_string()});
+  summary.add_row({"final partition",
+                   scenario.executor()->current_partition().to_string()});
+  summary.add_row({"throughput (samples/s)",
+                   TextTable::num(result.throughput, 1)});
+  if (report.iteration_end_times.size() > spec.warmup + 1) {
+    summary.add_row({"iteration time p50 (ms)",
+                     TextTable::num(result.iteration_p50_ms, 3)});
+    summary.add_row({"iteration time p95 (ms)",
+                     TextTable::num(result.iteration_p95_ms, 3)});
+    summary.add_row({"iteration time p99 (ms)",
+                     TextTable::num(result.iteration_p99_ms, 3)});
+  }
+  summary.add_row({"worker utilization",
+                   TextTable::num(result.utilization, 3)});
+  summary.add_row({"partition switches", std::to_string(result.switches)});
+  summary.add_row({"bytes on wire (GB)",
+                   TextTable::num(report.bytes_on_wire / 1e9, 2)});
+  if (const core::AutoPipeController* controller = scenario.controller()) {
+    const core::AutoPipeController::Stats& stats = controller->stats();
+    summary.add_row({"decisions", std::to_string(stats.decisions)});
+    summary.add_row({"changes detected",
+                     std::to_string(stats.changes_detected)});
+    summary.add_row({"decision host time (ms)",
+                     TextTable::num(stats.total_decision_wall_seconds * 1e3,
+                                    2)});
+  }
+  for (const auto& [name, value] : scenario.simulator().metrics().all())
+    summary.add_row({name, TextTable::num(value, 3)});
+  summary.print(std::cout, "autopipe_sim report");
 }
 
 }  // namespace
@@ -169,226 +222,40 @@ int main(int argc, char** argv) {
   }
   if (flags.get_bool("verbose", false)) set_log_level(LogLevel::kDebug);
 
-  const auto model = models::model_by_name(flags.get("model", "resnet50"));
-  const std::string system = flags.get("system", "autopipe");
-  const auto framework =
-      comm::framework_by_name(flags.get("framework", "pytorch"));
-  const auto scheme = flags.get("scheme", "ring") == "ps"
-                          ? comm::SyncScheme::kParameterServer
-                          : comm::SyncScheme::kRing;
-
-  // Fail on an unwritable output path now, not after the whole run.
+  // Fail on a malformed flag, an unwritable output path or a scenario the
+  // builder rejects now, not after the whole run.
+  sweep::ScenarioSpec spec;
   const sweep::RunOutputs outputs(flags);
   const std::string profile_path = flags.get("profile", "");
+  std::optional<sweep::Scenario> scenario;
   try {
+    spec = scenario_from_flags(flags);
     outputs.check_writable();
     sweep::start_profile(profile_path);
+    scenario.emplace(spec, outputs);
   } catch (const std::exception& e) {
     std::cerr << "autopipe_sim: " << e.what() << "\n";
     return 2;
   }
-  sim::Simulator simulator;
-  outputs.enable(simulator);
-  sim::ClusterConfig cluster_config;
-  cluster_config.num_servers =
-      static_cast<std::size_t>(flags.get_int("servers", 5));
-  cluster_config.gpus_per_server =
-      static_cast<std::size_t>(flags.get_int("gpus-per-server", 2));
-  cluster_config.nic_bandwidth = gbps(flags.get_double("bandwidth", 25));
-  sim::Cluster cluster(simulator, cluster_config);
-
-  const auto extra_jobs = flags.get_int("extra-jobs", 0);
-  for (std::int64_t j = 0; j < extra_jobs; ++j) {
-    for (sim::WorkerId w = 0; w < cluster.num_workers(); ++w)
-      cluster.add_background_job(w);
-  }
-  if (flags.get_bool("churn", false)) {
-    sim::BackgroundWorkloadConfig churn;
-    churn.horizon = 600.0;
-    static sim::BackgroundWorkload background(
-        churn, Rng(static_cast<std::uint64_t>(flags.get_int("seed", 1))));
-    background.install(simulator, cluster);
-  }
-
-  // Co-tenancy mode: --jobs-spec replaces the single-job pipeline below
-  // with a JobManager fleet. Shares the cluster/churn/fault environment and
-  // all --trace/--metrics/--ledger/--timeseries/--profile outputs.
-  const std::string jobs_spec_arg = flags.get("jobs-spec", "");
-  if (!jobs_spec_arg.empty()) {
-    cluster::FleetSpec fleet;
-    try {
-      fleet = cluster::load_jobs_spec(jobs_spec_arg);
-      cluster::assign_default_workers(fleet, cluster.num_workers());
-    } catch (const std::exception& e) {
-      std::cerr << "autopipe_sim: bad --jobs-spec: " << e.what() << "\n";
-      return 2;
-    }
-    faults::FaultPlan fleet_faults;
-    const std::string fleet_fault_spec = flags.get("faults", "");
-    if (!fleet_fault_spec.empty()) {
-      try {
-        fleet_faults = faults::parse_spec(fleet_fault_spec,
-                                          cluster_config.num_servers,
-                                          cluster_config.gpus_per_server);
-      } catch (const std::exception& e) {
-        std::cerr << "autopipe_sim: bad --faults spec: " << e.what() << "\n";
-        return 2;
-      }
-      fleet_faults.install(simulator, cluster,
-                           [](const faults::FaultEvent& ev) {
-                             LOG_DEBUG("fault: " << ev.describe());
-                           });
-      std::cout << "faults: " << fleet_faults.size()
-                << " scheduled events (horizon "
-                << TextTable::num(fleet_faults.horizon(), 2) << "s)\n";
-    }
-    for (const std::string& flag : flags.unused())
-      std::cerr << "warning: unknown flag --" << flag << " (see --help)\n";
-    return run_fleet(simulator, cluster, fleet, outputs, profile_path);
-  }
-
-  const auto iterations =
-      static_cast<std::size_t>(flags.get_int("iterations", 100));
-  const auto warmup = static_cast<std::size_t>(flags.get_int("warmup", 20));
-
-  // Baseline short-circuits: plain data parallelism.
-  if (system == "baseline") {
-    baselines::DataParallelConfig dp;
-    dp.framework = framework;
-    dp.sync_scheme = scheme;
-    dp.batch_size = static_cast<std::size_t>(flags.get_int("batch", 0));
-    std::vector<sim::WorkerId> all(cluster.num_workers());
-    for (sim::WorkerId w = 0; w < all.size(); ++w) all[w] = w;
-    const auto report = baselines::run_data_parallel(
-        cluster, model, all, iterations, warmup, dp);
-    std::cout << "data-parallel baseline: "
-              << TextTable::num(report.throughput, 1) << " samples/s over "
-              << iterations << " iterations\n";
-    return 0;
-  }
-
-  // Plan.
-  const auto env = partition::EnvironmentView::from_cluster(
-      cluster, framework, scheme);
-  partition::PipeDreamPlanner planner(model, env,
-                                      model.default_batch_size());
-  const auto plan = planner.plan(cluster.num_workers());
-  const auto partition =
-      system == "even" ? partition::Partition::even_split(
-                             model.num_layers(),
-                             [&] {
-                               std::vector<sim::WorkerId> all(
-                                   cluster.num_workers());
-                               for (sim::WorkerId w = 0; w < all.size(); ++w)
-                                 all[w] = w;
-                               return all;
-                             }())
-                       : plan.partition;
-
-  pipeline::ExecutorConfig executor_config;
-  executor_config.framework = framework;
-  executor_config.sync_scheme = scheme;
-  executor_config.mode =
-      pipeline::schedule_by_name(flags.get("schedule", "1f1b"));
-  executor_config.micro_batches =
-      static_cast<std::size_t>(flags.get_int("micro-batches", 4));
-  executor_config.batch_size =
-      static_cast<std::size_t>(flags.get_int("batch", 0));
-  pipeline::PipelineExecutor executor(cluster, model, partition,
-                                      executor_config);
-
-  std::unique_ptr<core::AutoPipeController> controller;
-  if (system == "autopipe") {
-    core::ControllerConfig cc;
-    cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-    cc.use_meta_network = false;
-    controller = std::make_unique<core::AutoPipeController>(
-        cluster, executor, cc, nullptr, nullptr);
-    controller->attach();
-  }
-
-  sim::ResourceTrace trace;
-  if (flags.has("bw-drop-iter")) {
-    trace.at_iteration(
-        static_cast<std::size_t>(flags.get_int("bw-drop-iter", 0)),
-        sim::ResourceTrace::set_all_nic_bandwidth(
-            gbps(flags.get_double("bw-drop-gbps", 10))));
-  }
-  if (flags.has("jobs-iter")) {
-    trace.at_iteration(
-        static_cast<std::size_t>(flags.get_int("jobs-iter", 0)),
-        sim::ResourceTrace::add_job_all_gpus());
-  }
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, cluster);
-    if (controller) controller->on_iteration(iters);
-  });
-
-  faults::FaultPlan fault_plan;
-  const std::string faults_spec = flags.get("faults", "");
-  if (!faults_spec.empty()) {
-    try {
-      fault_plan = faults::parse_spec(faults_spec, cluster_config.num_servers,
-                                      cluster_config.gpus_per_server);
-    } catch (const std::exception& e) {
-      std::cerr << "autopipe_sim: bad --faults spec: " << e.what() << "\n";
-      return 2;
-    }
-    fault_plan.install(simulator, cluster,
-                       [](const faults::FaultEvent& ev) {
-                         LOG_DEBUG("fault: " << ev.describe());
-                       });
-    std::cout << "faults: " << fault_plan.size()
+  if (!spec.faults.empty()) {
+    std::cout << "faults: " << scenario->fault_plan().size()
               << " scheduled events (horizon "
-              << TextTable::num(fault_plan.horizon(), 2) << "s)\n";
+              << TextTable::num(scenario->fault_plan().horizon(), 2)
+              << "s)\n";
   }
-
-  for (const std::string& flag : flags.unused()) {
+  for (const std::string& flag : flags.unused())
     std::cerr << "warning: unknown flag --" << flag << " (see --help)\n";
-  }
 
-  const auto report = executor.run(iterations, warmup);
-
-  emit_outputs(simulator, outputs, profile_path);
-
-  TextTable summary({"metric", "value"});
-  summary.add_row({"model", model.name()});
-  summary.add_row({"system", system});
-  summary.add_row({"initial partition", plan.partition.to_string()});
-  summary.add_row({"final partition",
-                   executor.current_partition().to_string()});
-  summary.add_row({"throughput (samples/s)",
-                   TextTable::num(report.throughput, 1)});
-  Histogram iter_times;
-  for (std::size_t i = warmup + 1; i < report.iteration_end_times.size();
-       ++i) {
-    iter_times.add(report.iteration_end_times[i] -
-                   report.iteration_end_times[i - 1]);
+  const sweep::ScenarioResult result = scenario->run();
+  emit_outputs(scenario->simulator(), outputs, profile_path);
+  if (!spec.fleet.jobs.empty()) {
+    print_fleet_report(result.fleet);
+  } else if (spec.system == "baseline") {
+    std::cout << "data-parallel baseline: "
+              << TextTable::num(result.throughput, 1) << " samples/s over "
+              << spec.iterations << " iterations\n";
+  } else {
+    print_report(*scenario, spec, result);
   }
-  if (!iter_times.empty()) {
-    const Histogram::Summary s = iter_times.summary();
-    summary.add_row({"iteration time p50 (ms)", TextTable::num(s.p50 * 1e3, 3)});
-    summary.add_row({"iteration time p95 (ms)", TextTable::num(s.p95 * 1e3, 3)});
-    summary.add_row({"iteration time p99 (ms)", TextTable::num(s.p99 * 1e3, 3)});
-  }
-  summary.add_row({"worker utilization",
-                   TextTable::num(report.worker_utilization, 3)});
-  summary.add_row({"partition switches",
-                   std::to_string(executor.switches_performed())});
-  summary.add_row({"bytes on wire (GB)",
-                   TextTable::num(report.bytes_on_wire / 1e9, 2)});
-  if (controller) {
-    summary.add_row({"decisions",
-                     std::to_string(controller->stats().decisions)});
-    summary.add_row({"changes detected",
-                     std::to_string(controller->stats().changes_detected)});
-    summary.add_row(
-        {"decision host time (ms)",
-         TextTable::num(
-             controller->stats().total_decision_wall_seconds * 1e3, 2)});
-  }
-  for (const auto& [name, value] : simulator.metrics().all())
-    summary.add_row({name, TextTable::num(value, 3)});
-  summary.print(std::cout, "autopipe_sim report");
   return 0;
 }

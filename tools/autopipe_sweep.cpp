@@ -34,10 +34,12 @@ void usage() {
       "  --spec SPEC|@FILE     sweep spec (required); `key = v1, v2` lines\n"
       "                        separated by newlines or ';'. Axes: model,\n"
       "                        system, servers, gpus-per-server, bandwidth,\n"
-      "                        extra-jobs, churn, faults, seed (lo..hi\n"
-      "                        ranges). Scalars: iterations, warmup,\n"
-      "                        micro-batches, schedule. See\n"
-      "                        docs/BENCHMARKS.md\n"
+      "                        extra-jobs, jobs (co-tenant fleet size),\n"
+      "                        churn, faults, seed (lo..hi ranges).\n"
+      "                        Scalars: iterations, warmup, micro-batches,\n"
+      "                        schedule, job-models (fleet model mix,\n"
+      "                        'a+b'), arbiter (greedy | priority |\n"
+      "                        auction). See docs/BENCHMARKS.md\n"
       "  --jobs N              worker threads (default 1; 0 = one per core)\n"
       "  --out PATH            write BENCH_sweep.json here\n"
       "  --timing              include the host-timing section in --out\n"
@@ -73,8 +75,10 @@ int main(int argc, char** argv) {
   }
 
   sweep::SweepSpec spec;
+  std::size_t jobs = 1;
   try {
     spec = sweep::load_sweep_spec(spec_arg);
+    jobs = flags.get_count("jobs", 1);
   } catch (const std::exception& e) {
     std::cerr << "autopipe_sweep: " << e.what() << "\n";
     return 2;
@@ -87,7 +91,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
   const std::string out_path = flags.get("out", "");
   const bool timing = flags.get_bool("timing", false);
   sweep::ArtifactOptions artifacts;
@@ -95,9 +98,11 @@ int main(int argc, char** argv) {
   if (flags.has("timeseries")) {
     const std::string value = flags.get("timeseries", "");
     // Bare --timeseries parses as the boolean "true": take the default.
+    char* end = nullptr;
     artifacts.timeseries_interval =
-        value == "true" ? 1.0 : std::strtod(value.c_str(), nullptr);
-    if (!(artifacts.timeseries_interval > 0.0)) {
+        value == "true" ? 1.0 : std::strtod(value.c_str(), &end);
+    if (!(artifacts.timeseries_interval > 0.0) ||
+        (end != nullptr && *end != '\0')) {
       std::cerr << "autopipe_sweep: --timeseries expects a positive "
                    "interval, got '" << value << "'\n";
       return 2;

@@ -16,6 +16,7 @@
 //   autopipe_trace gantt run.trace --width=120
 //   autopipe_trace diff before.trace after.trace --tolerance=1e-9
 //   autopipe_trace gate BENCH_sweep.json sweep_smoke_baseline.json
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -117,44 +119,59 @@ struct Options {
   bool check = false;
   std::size_t top = 10;
   std::size_t width = 100;
-  std::size_t window = 5;
+  std::string window;  // `switches` and the analyses: a count; blame: T0..T1
   double tolerance = 0.0;
   double drop = 0.2;
   bool flame = false;
   std::string ledger;
-  std::string window_range;       // blame: "T0..T1"
   std::size_t blame_iteration = 0;  // blame: 1-based iteration, 0 = unset
   std::uint64_t job = 0;            // blame: co-tenant job id, 0 = unset
 };
 
+/// Parse all of `value` into `out`, a count or a number; otherwise say
+/// which option wanted what and return false.
+template <typename T>
+bool parse_value(const std::string& option, const std::string& value,
+                 T& out) {
+  const char* const last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, out);
+  if (ec == std::errc() && end == last) return true;
+  std::cerr << "autopipe_trace: " << option << " expects "
+            << (std::is_integral_v<T> ? "a non-negative integer" : "a number")
+            << ", got '" << value << "'\n";
+  return false;
+}
+
+/// The iteration window the analyses read from --window (default 5).
+bool window_count(const Options& opts, std::size_t& out) {
+  out = 5;
+  return opts.window.empty() || parse_value("--window", opts.window, out);
+}
+
 bool parse_options(int argc, char** argv, Options& opts) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
+    // What follows the '=' of the "--name=" branches below.
+    const std::string value = arg.substr(arg.find('=') + 1);
+    bool ok = true;
     if (arg == "--json") {
       opts.json = true;
     } else if (arg.rfind("--top=", 0) == 0) {
-      opts.top = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 6, nullptr, 10));
+      ok = parse_value("--top", value, opts.top);
     } else if (arg.rfind("--width=", 0) == 0) {
-      opts.width = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 8, nullptr, 10));
+      ok = parse_value("--width", value, opts.width);
     } else if (arg.rfind("--window=", 0) == 0) {
-      // `switches` reads --window as an iteration count; `blame` as a
-      // T0..T1 time range. Keep both raw forms and let each command pick.
-      opts.window_range = arg.substr(9);
-      opts.window = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 9, nullptr, 10));
+      opts.window = value;
     } else if (arg.rfind("--iteration=", 0) == 0) {
-      opts.blame_iteration = static_cast<std::size_t>(
-          std::strtoull(arg.c_str() + 12, nullptr, 10));
+      ok = parse_value("--iteration", value, opts.blame_iteration);
     } else if (arg.rfind("--job=", 0) == 0) {
-      opts.job = std::strtoull(arg.c_str() + 6, nullptr, 10);
+      ok = parse_value("--job", value, opts.job);
     } else if (arg.rfind("--tolerance=", 0) == 0) {
-      opts.tolerance = std::strtod(arg.c_str() + 12, nullptr);
+      ok = parse_value("--tolerance", value, opts.tolerance);
     } else if (arg.rfind("--ledger=", 0) == 0) {
-      opts.ledger = arg.substr(9);
+      opts.ledger = value;
     } else if (arg.rfind("--drop=", 0) == 0) {
-      opts.drop = std::strtod(arg.c_str() + 7, nullptr);
+      ok = parse_value("--drop", value, opts.drop);
     } else if (arg == "--flame") {
       opts.flame = true;
     } else if (arg == "--check") {
@@ -165,6 +182,7 @@ bool parse_options(int argc, char** argv, Options& opts) {
     } else {
       opts.positional.push_back(arg);
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -281,10 +299,12 @@ int main(int argc, char** argv) {
         std::cerr << "diff needs exactly two trace files\n";
         return 2;
       }
+      std::size_t window = 0;
+      if (!window_count(opts, window)) return 2;
       const analysis::RunAnalysis a =
-          analysis::analyze(load(opts.positional[0]), opts.window);
+          analysis::analyze(load(opts.positional[0]), window);
       const analysis::RunAnalysis b =
-          analysis::analyze(load(opts.positional[1]), opts.window);
+          analysis::analyze(load(opts.positional[1]), window);
       const auto deltas = analysis::diff_analyses(a, b, opts.tolerance);
       if (opts.json) {
         analysis::write_diff_json(deltas, std::cout);
@@ -361,7 +381,7 @@ int main(int argc, char** argv) {
     }
 
     if (command == "blame") {
-      if (!opts.window_range.empty() && opts.blame_iteration != 0) {
+      if (!opts.window.empty() && opts.blame_iteration != 0) {
         std::cerr << "blame takes --window or --iteration, not both\n";
         return 2;
       }
@@ -384,16 +404,17 @@ int main(int argc, char** argv) {
                                                  opts.job)
                      : analysis::blame_iteration(graph, view,
                                                  opts.blame_iteration);
-      } else if (!opts.window_range.empty()) {
-        const std::string::size_type dots = opts.window_range.find("..");
+      } else if (!opts.window.empty()) {
+        const std::string::size_type dots = opts.window.find("..");
         if (dots == std::string::npos) {
           std::cerr << "--window for blame needs T0..T1 (seconds)\n";
           return 2;
         }
-        const double t0 =
-            std::strtod(opts.window_range.substr(0, dots).c_str(), nullptr);
-        const double t1 =
-            std::strtod(opts.window_range.substr(dots + 2).c_str(), nullptr);
+        double t0 = 0.0;
+        double t1 = 0.0;
+        if (!parse_value("--window", opts.window.substr(0, dots), t0) ||
+            !parse_value("--window", opts.window.substr(dots + 2), t1))
+          return 2;
         if (t1 < t0) {
           std::cerr << "--window T0..T1 must not end before it begins\n";
           return 2;
@@ -411,7 +432,9 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const analysis::RunAnalysis a = analysis::analyze(view, opts.window);
+    std::size_t window = 0;
+    if (!window_count(opts, window)) return 2;
+    const analysis::RunAnalysis a = analysis::analyze(view, window);
     if (command == "summary") {
       if (opts.json) {
         analysis::write_summary_json(a, std::cout);

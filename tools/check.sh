@@ -20,36 +20,27 @@ build="${BUILD_DIR:-$repo/build}"
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 cmake_args=(-DAUTOPIPE_WERROR=ON)
-ledger_smoke_only=0
-sweep_smoke_only=0
-parity_only=0
-telemetry_only=0
-chaos_switch_only=0
-causal_only=0
-cotenancy_only=0
-if [[ "${1:-}" == "--sanitize" ]]; then
-  build="${BUILD_DIR:-$repo/build-asan}"
-  cmake_args=(-DAUTOPIPE_SANITIZE=ON)
-  export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
-  export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
-elif [[ "${1:-}" == "--ledger-smoke" ]]; then
-  ledger_smoke_only=1
-elif [[ "${1:-}" == "--sweep-smoke" ]]; then
-  sweep_smoke_only=1
-elif [[ "${1:-}" == "--parity" ]]; then
-  parity_only=1
-elif [[ "${1:-}" == "--telemetry" ]]; then
-  telemetry_only=1
-elif [[ "${1:-}" == "--chaos-switch" ]]; then
-  chaos_switch_only=1
-elif [[ "${1:-}" == "--causal" ]]; then
-  causal_only=1
-elif [[ "${1:-}" == "--cotenancy" ]]; then
-  cotenancy_only=1
-elif [[ $# -gt 0 ]]; then
-  echo "usage: tools/check.sh [--sanitize|--ledger-smoke|--sweep-smoke|--parity|--telemetry|--chaos-switch|--causal|--cotenancy]" >&2
-  exit 2
-fi
+only=""  # the one smoke a mode flag runs instead of the whole check
+case "${1:-}" in
+  "") ;;
+  --sanitize)
+    build="${BUILD_DIR:-$repo/build-asan}"
+    cmake_args=(-DAUTOPIPE_SANITIZE=ON)
+    export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
+    export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
+    ;;
+  --ledger-smoke) only=ledger_smoke ;;
+  --sweep-smoke) only=sweep_smoke ;;
+  --parity) only=parity_smoke ;;
+  --telemetry) only=telemetry_smoke ;;
+  --chaos-switch) only=chaos_switch_smoke ;;
+  --causal) only=causal_smoke ;;
+  --cotenancy) only=cotenancy_smoke ;;
+  *)
+    echo "usage: tools/check.sh [--sanitize|--ledger-smoke|--sweep-smoke|--parity|--telemetry|--chaos-switch|--causal|--cotenancy]" >&2
+    exit 2
+    ;;
+esac
 
 # Deterministic controller scenario with the decision ledger on; every
 # record must reach a terminal outcome and the text form must round-trip
@@ -219,44 +210,8 @@ cmake -B "$build" -S "$repo" "${cmake_args[@]}"
 echo "== build =="
 cmake --build "$build" -j "$jobs"
 
-if [[ "$ledger_smoke_only" == 1 ]]; then
-  ledger_smoke
-  echo "OK"
-  exit 0
-fi
-
-if [[ "$sweep_smoke_only" == 1 ]]; then
-  sweep_smoke
-  echo "OK"
-  exit 0
-fi
-
-if [[ "$parity_only" == 1 ]]; then
-  parity_smoke
-  echo "OK"
-  exit 0
-fi
-
-if [[ "$telemetry_only" == 1 ]]; then
-  telemetry_smoke
-  echo "OK"
-  exit 0
-fi
-
-if [[ "$chaos_switch_only" == 1 ]]; then
-  chaos_switch_smoke
-  echo "OK"
-  exit 0
-fi
-
-if [[ "$causal_only" == 1 ]]; then
-  causal_smoke
-  echo "OK"
-  exit 0
-fi
-
-if [[ "$cotenancy_only" == 1 ]]; then
-  cotenancy_smoke
+if [[ -n "$only" ]]; then
+  "$only"
   echo "OK"
   exit 0
 fi
@@ -277,6 +232,12 @@ echo "== analyzer smoke =="
 "$build/tools/autopipe_trace" diff \
     "$repo/tests/golden/bandwidth_drop.trace" \
     "$repo/tests/golden/bandwidth_drop.trace" --json > /dev/null
+# A malformed option value is a usage error (exit 2), not a silent zero.
+status=0
+"$build/tools/autopipe_trace" critical-path --top=abc \
+    "$repo/tests/golden/bandwidth_drop.trace" 2> /dev/null || status=$?
+[[ "$status" == 2 ]] ||
+  { echo "analyzer smoke: --top=abc exited $status" >&2; exit 1; }
 
 ledger_smoke
 

@@ -4,6 +4,7 @@
 // episodes. The RL policy's job is to beat "always" (which thrashes under
 // churn) while staying close to the best fixed threshold without tuning.
 #include <iostream>
+#include <tuple>
 
 #include "autopipe/training.hpp"
 #include "bench_common.hpp"
@@ -13,38 +14,32 @@ using namespace autopipe;
 namespace {
 
 double run_policy(core::ControllerConfig::ArbiterMode mode,
-                  rl::DqnAgent* agent, std::uint64_t scenario_seed,
-                  const std::string& label) {
+                  rl::DqnAgent* agent, const std::string& label) {
   const auto model = models::vgg16();
   bench::Testbed t = bench::make_testbed(25);
   const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
                                           comm::SyncScheme::kRing);
-  pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
-                                      pipeline::ExecutorConfig{});
-  core::ControllerConfig cc;
-  cc.arbiter_mode = mode;
-  cc.use_meta_network = false;
-  cc.decision_interval = 3;
-  core::AutoPipeController controller(*t.cluster, executor, cc, nullptr,
-                                      agent);
-  controller.attach();
-
   // Regime changes that persist (the case re-configuration exists for),
   // with one short-lived dip that a good arbiter should ride out.
-  (void)scenario_seed;
   sim::ResourceTrace trace;
   trace.at_iteration(12, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
   for (sim::WorkerId w : {0u, 1u, 2u, 3u})
     trace.at_iteration(40, sim::ResourceTrace::add_gpu_job(w));
   trace.at_iteration(64, sim::ResourceTrace::set_all_nic_bandwidth(gbps(8)));
   trace.at_iteration(70, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, *t.cluster);
-    controller.on_iteration(iters);
-  });
-  const double throughput = executor.run(100, 20).throughput;
-  bench::write_outputs(t, label);
-  return throughput;
+
+  core::ControllerConfig cc;
+  cc.arbiter_mode = mode;
+  cc.use_meta_network = false;
+  cc.decision_interval = 3;
+  bench::RunOptions options;
+  options.controller = cc;
+  options.agent = agent;
+  options.iterations = 100;
+  options.warmup = 20;
+  options.trace = &trace;
+  options.scenario = label;
+  return bench::run_pipeline(t, model, plan.partition, options).throughput;
 }
 
 }  // namespace
@@ -57,29 +52,23 @@ int main(int argc, char** argv) {
   rl::DqnConfig dc;
   dc.state_dim = encoder.arbiter_dim();
   rl::DqnAgent agent(dc, 77);
-  core::ScenarioConfig scenario;
   const auto training =
       core::train_arbiter_offline(agent, models::resnet50(), 24, 30, 99);
   agent.begin_online_adaptation();
 
+  using Mode = core::ControllerConfig::ArbiterMode;
+  const std::tuple<const char*, Mode, const char*> policies[] = {
+      {"never switch (static)", Mode::kNeverSwitch, "never"},
+      {"always switch", Mode::kAlwaysSwitch, "always"},
+      {"threshold (5% gain)", Mode::kThreshold, "threshold"},
+      {"RL (offline-trained)", Mode::kRl, "rl"},
+  };
   TextTable table({"arbiter", "throughput (img/s)"});
-  table.add_row({"never switch (static)",
-                 TextTable::num(run_policy(
-                     core::ControllerConfig::ArbiterMode::kNeverSwitch,
-                     nullptr, 5, "never"), 1)});
-  table.add_row({"always switch",
-                 TextTable::num(run_policy(
-                     core::ControllerConfig::ArbiterMode::kAlwaysSwitch,
-                     nullptr, 5, "always"), 1)});
-  table.add_row({"threshold (5% gain)",
-                 TextTable::num(run_policy(
-                     core::ControllerConfig::ArbiterMode::kThreshold,
-                     nullptr, 5, "threshold"), 1)});
-  table.add_row({"RL (offline-trained)",
-                 TextTable::num(run_policy(
-                     core::ControllerConfig::ArbiterMode::kRl, &agent, 5,
-                     "rl"),
-                 1)});
+  for (const auto& [name, mode, label] : policies) {
+    rl::DqnAgent* policy_agent = mode == Mode::kRl ? &agent : nullptr;
+    table.add_row(
+        {name, TextTable::num(run_policy(mode, policy_agent, label), 1)});
+  }
   table.print(std::cout,
               "Ablation — switch arbiter under persistent regime changes "
               "(VGG16, 25 Gbps)");

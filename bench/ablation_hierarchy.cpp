@@ -22,12 +22,12 @@ double run_on(const models::ModelSpec& model,
     config.rack_uplink_bandwidth = gbps(uplink_gbps);
   }
   bench::Testbed t = bench::make_testbed(config);
-  pipeline::PipelineExecutor executor(*t.cluster, model, partition,
-                                      pipeline::ExecutorConfig{});
-  const double throughput = executor.run(80, 30).throughput;
-  bench::write_outputs(t, two_tier ? "uplink" + TextTable::num(uplink_gbps, 0)
-                                   : "single_switch");
-  return throughput;
+  bench::RunOptions options;
+  options.iterations = 80;
+  options.warmup = 30;
+  options.scenario = two_tier ? "uplink" + TextTable::num(uplink_gbps, 0)
+                              : "single_switch";
+  return bench::run_pipeline(t, model, partition, options).throughput;
 }
 
 }  // namespace

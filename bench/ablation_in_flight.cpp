@@ -26,13 +26,14 @@ int main(int argc, char** argv) {
       const auto in_flight = static_cast<std::size_t>(
           static_cast<int>(now) + delta);
       bench::Testbed t = bench::make_testbed(25);
-      pipeline::ExecutorConfig config;
-      config.in_flight = in_flight;
-      pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
-                                          config);
-      const auto report = executor.run(120, 40);
-      bench::write_outputs(t, model.name() + "_inflight" +
-                                  std::to_string(in_flight));
+      RunOptions options;
+      options.executor.in_flight = in_flight;
+      options.iterations = 120;
+      options.warmup = 40;
+      options.scenario =
+          model.name() + "_inflight" + std::to_string(in_flight);
+      const auto report =
+          bench::run_pipeline(t, model, plan.partition, options);
       Bytes peak = 0.0;
       for (sim::WorkerId w : plan.partition.all_workers()) {
         peak = std::max(peak, pipeline::worker_memory_footprint(

@@ -77,9 +77,10 @@ int main(int argc, char** argv) {
           model, plan.partition, env, model.default_batch_size());
       const auto a1 = std::chrono::steady_clock::now();
       analytic_us += std::chrono::duration<double>(a1 - a0).count() * 1e6;
+      bench::RunOptions options;
+      options.scenario = "probe" + std::to_string(i);
       const double measured =
-          bench::run_pipeline(t, model, plan.partition, bench::RunOptions{})
-              .throughput;
+          bench::run_pipeline(t, model, plan.partition, options).throughput;
       analytic_errors.push_back(
           std::abs(encoder.normalize_throughput(predicted) -
                    encoder.normalize_throughput(measured)));

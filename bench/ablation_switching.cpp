@@ -10,57 +10,47 @@ using namespace autopipe;
 
 namespace {
 
-struct Outcome {
-  double throughput = 0.0;
-  double stall = 0.0;
-};
-
-Outcome run_with(pipeline::PipelineExecutor::SwitchMode mode,
-                 const std::string& label) {
+pipeline::ExecutionReport run_with(
+    pipeline::PipelineExecutor::SwitchMode mode, const std::string& label) {
   const auto model = models::vgg16();
   bench::Testbed t = bench::make_testbed(25);
   const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
                                           comm::SyncScheme::kRing);
-  pipeline::PipelineExecutor executor(*t.cluster, model, plan.partition,
-                                      pipeline::ExecutorConfig{});
+  sim::ResourceTrace trace;
+  trace.at_iteration(10, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
+  trace.at_iteration(30, sim::ResourceTrace::set_all_nic_bandwidth(gbps(40)));
+
   core::ControllerConfig cc;
   cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
   cc.use_meta_network = false;
   cc.decision_interval = 3;
   cc.switch_mode = mode;
-  core::AutoPipeController controller(*t.cluster, executor, cc, nullptr,
-                                      nullptr);
-  controller.attach();
-
-  sim::ResourceTrace trace;
-  trace.at_iteration(10, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
-  trace.at_iteration(30, sim::ResourceTrace::set_all_nic_bandwidth(gbps(40)));
-  executor.set_iteration_callback([&](std::size_t iters) {
-    trace.apply_iteration(iters, *t.cluster);
-    controller.on_iteration(iters);
-  });
-  const auto report = executor.run(50, 8);
-  bench::write_outputs(t, label);
-  return Outcome{report.throughput, report.switch_stall};
+  bench::RunOptions options;
+  options.controller = cc;
+  options.iterations = 50;
+  options.warmup = 8;
+  options.trace = &trace;
+  options.scenario = label;
+  return bench::run_pipeline(t, model, plan.partition, options);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  const Outcome fine =
+  const auto fine =
       run_with(pipeline::PipelineExecutor::SwitchMode::kFineGrained,
                "fine_grained");
-  const Outcome stop =
+  const auto stop =
       run_with(pipeline::PipelineExecutor::SwitchMode::kStopTheWorld,
                "stop_the_world");
 
   TextTable table({"switching", "throughput (img/s)",
                    "injection stall (s)"});
   table.add_row({"fine-grained (AutoPipe)", TextTable::num(fine.throughput, 1),
-                 TextTable::num(fine.stall, 3)});
+                 TextTable::num(fine.switch_stall, 3)});
   table.add_row({"stop-the-world", TextTable::num(stop.throughput, 1),
-                 TextTable::num(stop.stall, 3)});
+                 TextTable::num(stop.switch_stall, 3)});
   table.print(std::cout,
               "Ablation — state-switching mechanism (VGG16, two bandwidth "
               "changes)");

@@ -1,7 +1,10 @@
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <iostream>
+#include <map>
+#include <set>
 
 #include "analysis/report.hpp"
 #include "analysis/trace_view.hpp"
@@ -15,6 +18,7 @@ namespace autopipe::bench {
 
 namespace {
 sweep::RunOutputs g_outputs;
+std::set<std::string> g_labels;  // every label write_outputs has taken
 std::string g_profile_path;
 std::size_t g_jobs = 1;
 }  // namespace
@@ -22,6 +26,7 @@ std::size_t g_jobs = 1;
 Flags parse_common_flags(int argc, const char* const* argv) {
   Flags flags(argc, argv);
   g_outputs = sweep::RunOutputs(flags);
+  g_labels.clear();
   g_jobs = flags.get_count("jobs", 1);
   g_profile_path = flags.get("profile", "");
   sweep::start_profile(g_profile_path);
@@ -34,6 +39,9 @@ void for_each_scenario(std::size_t count,
 }
 
 void write_outputs(Testbed& testbed, const std::string& label) {
+  AUTOPIPE_EXPECT_MSG(!label.empty() && g_labels.insert(label).second,
+                      "every bench run needs a label of its own naming its "
+                      "files, got '" << label << "'");
   sim::Simulator& simulator = *testbed.simulator;
   std::cout << g_outputs.write(simulator, label);
   if (g_outputs.trace.empty()) return;
@@ -126,89 +134,69 @@ partition::PlanResult plan_refined(const Testbed& testbed,
   const auto env = partition::EnvironmentView::from_cluster(
       *testbed.cluster, framework, scheme);
   partition::PlanResult plan = plan_current(testbed, model, framework, scheme);
-  const std::size_t batch = model.default_batch_size();
-  Seconds best = partition::analytic_batch_time(model, plan.partition, env,
-                                                batch);
-  for (int round = 0; round < 50; ++round) {
-    bool improved = false;
-    for (const auto& candidate :
-         partition::two_worker_candidates(plan.partition)) {
-      const Seconds t = partition::analytic_batch_time(model,
-                                                       candidate.partition,
-                                                       env, batch);
-      if (t < best * 0.999) {
-        best = t;
-        plan.partition = candidate.partition;
-        improved = true;
-      }
-    }
-    if (!improved) break;
-  }
+  partition::Descent descent = partition::descend(
+      model, plan.partition, env, model.default_batch_size(), 50);
+  plan.partition = std::move(descent.partition);
   plan.in_flight = partition::optimal_in_flight(plan.partition);
-  plan.predicted_batch_time = best;
+  plan.predicted_batch_time = descent.batch_time;
   return plan;
 }
 
-RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
-                       const partition::Partition& partition,
-                       const RunOptions& options) {
-  pipeline::ExecutorConfig config;
-  config.framework = options.framework;
-  config.sync_scheme = options.scheme;
-  config.mode = options.mode;
-  config.micro_batches = options.micro_batches;
-  pipeline::PipelineExecutor executor(*testbed.cluster, model, partition,
-                                      config);
+core::ControllerConfig autopipe_controller() {
+  core::ControllerConfig cc;
+  cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
+  cc.use_meta_network = false;
+  cc.decision_interval = 3;
+  // Predicted gains below this floor are not worth a migration; measured
+  // validation reverts mispredicted switches.
+  cc.candidate_gain_floor = 0.02;
+  return cc;
+}
 
-  std::unique_ptr<core::AutoPipeController> controller;
-  if (options.autopipe) {
-    core::ControllerConfig cc;
-    cc.arbiter_mode = core::ControllerConfig::ArbiterMode::kThreshold;
-    cc.use_meta_network = false;
-    cc.decision_interval = options.decision_interval;
-    // Predicted gains below this floor are not worth a migration; measured
-    // validation reverts mispredicted switches.
-    cc.candidate_gain_floor = 0.02;
-    cc.replan_on_change = true;
-    controller = std::make_unique<core::AutoPipeController>(
-        *testbed.cluster, executor, cc, nullptr, nullptr);
+pipeline::ExecutionReport run_pipeline(Testbed& testbed,
+                                       const models::ModelSpec& model,
+                                       const partition::Partition& partition,
+                                       const RunOptions& options) {
+  pipeline::PipelineExecutor executor(*testbed.cluster, model, partition,
+                                      options.executor);
+  std::optional<core::AutoPipeController> controller;
+  if (options.controller) {
+    controller.emplace(*testbed.cluster, executor, *options.controller,
+                       nullptr, options.agent);
+    controller->attach();
   }
   executor.set_iteration_callback([&](std::size_t iters) {
     if (options.trace)
       options.trace->apply_iteration(iters, *testbed.cluster);
     if (controller) controller->on_iteration(iters);
   });
-
-  const auto report = executor.run(options.iterations, options.warmup);
+  pipeline::ExecutionReport report =
+      executor.run(options.iterations, options.warmup);
   write_outputs(testbed, options.scenario);
-
-  RunResult result;
-  result.throughput = report.throughput;
-  result.per_iteration = report.iteration_throughput;
-  result.end_times = report.iteration_end_times;
-  result.batch = executor.batch_size();
-  result.switches = executor.switches_performed();
-  result.utilization = report.worker_utilization;
-  return result;
+  return report;
 }
 
-double RunResult::window_mean(std::size_t lo, std::size_t hi) const {
+pipeline::ExecutionReport run_baseline(Testbed& testbed,
+                                       const models::ModelSpec& model,
+                                       const RunOptions& options) {
+  pipeline::ExecutionReport report = baselines::run_data_parallel(
+      *testbed.cluster, model, testbed.all_workers(), options.iterations,
+      options.warmup,
+      baselines::DataParallelConfig{options.executor.batch_size,
+                                    options.executor.framework,
+                                    options.executor.sync_scheme});
+  write_outputs(testbed, options.scenario);
+  return report;
+}
+
+double window_mean(const pipeline::ExecutionReport& report, std::size_t lo,
+                   std::size_t hi) {
+  const std::vector<Seconds>& end_times = report.iteration_end_times;
   AUTOPIPE_EXPECT(lo < hi && hi <= end_times.size());
   const double start = lo == 0 ? 0.0 : end_times[lo - 1];
   const double span = end_times[hi - 1] - start;
   AUTOPIPE_EXPECT(span > 0.0);
-  return static_cast<double>((hi - lo) * batch) / span;
-}
-
-double run_baseline(Testbed& testbed, const models::ModelSpec& model,
-                    const RunOptions& options) {
-  baselines::DataParallelConfig config;
-  config.framework = options.framework;
-  config.sync_scheme = options.scheme;
-  return baselines::run_data_parallel(
-             *testbed.cluster, model, testbed.all_workers(),
-             options.iterations, options.warmup, config)
-      .throughput;
+  return static_cast<double>((hi - lo) * report.batch_size) / span;
 }
 
 double speedup_pct(double a, double b) {
@@ -239,6 +227,80 @@ int exit_status() {
   sweep::write_profile(g_profile_path, std::cout);
   g_profile_path.clear();  // idempotent if called twice
   return g_failed_scenarios == 0 ? 0 : 1;
+}
+
+void degradation_panels(
+    std::ostream& out, const std::string& model_title,
+    const std::string& network_title, const models::ModelSpec& network_model,
+    const std::string& gap_column,
+    const std::function<Degradation(const models::ModelSpec&, double,
+                                    const std::string&)>& measure) {
+  std::map<std::string, std::optional<Degradation>> cells;  // by label
+  const auto add_row = [&](TextTable& table, const std::string& axis,
+                           const models::ModelSpec& model, double bw) {
+    const std::string label =
+        model.name() + "_" + TextTable::num(bw, 0) + "gbps";
+    const auto [cell, fresh] = cells.try_emplace(label);
+    if (fresh)
+      run_scenario(label, [&] { cell->second = measure(model, bw, label); });
+    if (!cell->second) return;
+    const double actual = cell->second->actual;
+    const double optimal = std::max(cell->second->optimal, actual);
+    table.add_row({axis, TextTable::num(actual, 1), TextTable::num(optimal, 1),
+                   TextTable::num(speedup_pct(optimal, actual), 1) + "%"});
+  };
+  TextTable by_model({"model", "actual (img/s)", "optimal (img/s)",
+                      gap_column});
+  for (const auto& model : models::image_models())
+    add_row(by_model, model.name(), model, 25);
+  by_model.print(out, model_title);
+  out << '\n';
+  TextTable by_network({"network", "actual (img/s)", "optimal (img/s)",
+                        gap_column});
+  for (double bw : kBandwidthGridGbps)
+    add_row(by_network, TextTable::num(bw, 0) + "Gbps", network_model, bw);
+  by_network.print(out, network_title);
+}
+
+void dynamic_series(const std::string& figure, const std::string& title,
+                    const models::ModelSpec& model,
+                    const sim::ResourceTrace& changes,
+                    std::span<const SeriesPhase> phases) {
+  const auto run = [&](bool autopipe) {
+    Testbed t = make_testbed(25);
+    const auto plan = plan_pipedream(t, model, comm::pytorch_profile(),
+                                     comm::SyncScheme::kRing);
+    RunOptions options;
+    if (autopipe) options.controller = autopipe_controller();
+    options.trace = &changes;
+    options.iterations = phases.back().end;
+    options.warmup = 5;
+    options.scenario = autopipe ? "autopipe" : "pipedream";
+    return run_pipeline(t, model, plan.partition, options);
+  };
+  pipeline::ExecutionReport pipedream;
+  pipeline::ExecutionReport autopipe;
+  if (!run_scenario("pipedream", [&] { pipedream = run(false); }) ||
+      !run_scenario("autopipe", [&] { autopipe = run(true); }))
+    return;
+
+  TextTable series({"iteration", "PipeDream (img/s)", "AutoPipe (img/s)"});
+  for (std::size_t i = 4; i < pipedream.iteration_end_times.size(); i += 5) {
+    series.add_row({std::to_string(i + 1),
+                    TextTable::num(window_mean(pipedream, i - 4, i + 1), 1),
+                    TextTable::num(window_mean(autopipe, i - 4, i + 1), 1)});
+  }
+  series.print(std::cout, figure + " — " + title);
+
+  TextTable summary({"phase", "PipeDream", "AutoPipe", "speedup"});
+  for (const SeriesPhase& phase : phases) {
+    const double pd = window_mean(pipedream, phase.begin, phase.end);
+    const double ap = window_mean(autopipe, phase.begin, phase.end);
+    summary.add_row({phase.name, TextTable::num(pd, 1), TextTable::num(ap, 1),
+                     TextTable::num(speedup_pct(ap, pd), 0) + "%"});
+  }
+  std::cout << '\n';
+  summary.print(std::cout, figure + " — per-phase means");
 }
 
 }  // namespace autopipe::bench

@@ -1,13 +1,17 @@
-// Shared scaffolding for the figure benchmarks: the paper's testbed, the
-// "three identical jobs" shared-cluster emulation, plan construction,
-// standard measurement runs and the flags every bench shares. Every bench
-// builds on these so the scenarios stay consistent across figures and its
-// output files match autopipe_sim's and autopipe_sweep's.
+// Shared scaffolding for the figure and ablation benchmarks: the paper's
+// testbed, the "three identical jobs" shared-cluster emulation, plan
+// construction, the one run path (run_pipeline and run_baseline: every run
+// is labelled and writes its own file set), the two drivers Figs 3-6 and
+// Figs 9-10 share, and the flags every bench takes. Every bench builds on
+// these so the scenarios stay consistent across figures and its output
+// files match autopipe_sim's and autopipe_sweep's.
 #pragma once
 
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,9 +63,10 @@ void for_each_scenario(std::size_t count,
                        const std::function<void(std::size_t)>& body);
 
 /// Write the finished run's requested output files, `label` spliced into
-/// each path so every labelled run keeps its own file set; an unlabelled
-/// run writes the paths as given. A traced run also prints its metrics
-/// table, bubble breakdown and critical path.
+/// each path so every run keeps its own file set. Throws contract_error on
+/// an empty label or one an earlier run took since parse_common_flags. A
+/// traced run also prints its metrics table, bubble breakdown and critical
+/// path.
 void write_outputs(Testbed& testbed, const std::string& label);
 
 /// Emulate `extra_jobs` co-located identical jobs (the paper runs three
@@ -92,47 +97,45 @@ partition::PlanResult plan_refined(const Testbed& testbed,
                                    const comm::FrameworkProfile& framework,
                                    comm::SyncScheme scheme);
 
+/// The figures' AutoPipe controller: threshold arbiter, analytic
+/// integrated-model predictor (no pre-trained networks required, so the
+/// benches run out of the box), a decision every 3 iterations and a 2%
+/// predicted-gain floor.
+core::ControllerConfig autopipe_controller();
+
 struct RunOptions {
-  comm::FrameworkProfile framework = comm::pytorch_profile();
-  comm::SyncScheme scheme = comm::SyncScheme::kRing;
+  pipeline::ExecutorConfig executor{};
+  /// Attach an AutoPipe controller with this config; none runs the
+  /// partition as planned.
+  std::optional<core::ControllerConfig> controller{};
+  /// The RL arbiter's agent, for a controller in ArbiterMode::kRl.
+  rl::DqnAgent* agent = nullptr;
   std::size_t iterations = 40;
   std::size_t warmup = 10;
-  /// Attach an AutoPipe controller (threshold arbiter + analytic
-  /// integrated-model predictor — no pre-trained networks required, so the
-  /// benches run out of the box; the RL/meta ablation bench swaps these).
-  bool autopipe = false;
-  std::size_t decision_interval = 3;
   /// Iteration-anchored resource events applied during the run.
   const sim::ResourceTrace* trace = nullptr;
-  pipeline::ScheduleMode mode = pipeline::ScheduleMode::kAsync1F1B;
-  std::size_t micro_batches = 4;
-  /// Label naming this run within the benchmark ("vgg16_25gbps_autopipe");
-  /// run_pipeline passes it to write_outputs.
+  /// Label naming this run within the benchmark ("vgg16_25gbps_actual");
+  /// required, passed to write_outputs.
   std::string scenario;
-};
-
-struct RunResult {
-  double throughput = 0.0;             // samples/sec
-  std::vector<double> per_iteration;   // instantaneous series
-  std::vector<double> end_times;       // completion instant per iteration
-  std::size_t batch = 0;
-  std::size_t switches = 0;
-  double utilization = 0.0;
-
-  /// Mean throughput between iterations [lo, hi) computed on elapsed
-  /// simulated time (robust to completion bursts).
-  double window_mean(std::size_t lo, std::size_t hi) const;
 };
 
 /// Execute `partition` on the testbed under the options, then
 /// write_outputs(testbed, options.scenario).
-RunResult run_pipeline(Testbed& testbed, const models::ModelSpec& model,
-                       const partition::Partition& partition,
-                       const RunOptions& options);
+pipeline::ExecutionReport run_pipeline(Testbed& testbed,
+                                       const models::ModelSpec& model,
+                                       const partition::Partition& partition,
+                                       const RunOptions& options);
 
-/// Vanilla data-parallel baseline over all workers.
-double run_baseline(Testbed& testbed, const models::ModelSpec& model,
-                    const RunOptions& options);
+/// Vanilla data-parallel baseline over all workers, in the executor
+/// config's framework and sync scheme; writes its files like run_pipeline.
+pipeline::ExecutionReport run_baseline(Testbed& testbed,
+                                       const models::ModelSpec& model,
+                                       const RunOptions& options);
+
+/// Mean throughput between iterations [lo, hi) of `report`, computed on
+/// elapsed simulated time (robust to completion bursts).
+double window_mean(const pipeline::ExecutionReport& report, std::size_t lo,
+                   std::size_t hi);
 
 /// Percentage improvement of a over b.
 double speedup_pct(double a, double b);
@@ -149,5 +152,46 @@ bool run_scenario(const std::string& label,
 /// Write the `--profile` capture, if one was asked for; then 0 when every
 /// run_scenario body succeeded so far, 1 otherwise.
 int exit_status();
+
+/// One cell of Figs 3-6 in img/s: PipeDream's stale plan ("actual") and a
+/// re-plan for the changed environment ("optimal"), both run after the
+/// change.
+struct Degradation {
+  double actual = 0.0;
+  double optimal = 0.0;
+};
+
+/// Print the two panels of Figs 3-6 to `out`: panel a over the image
+/// models at 25 Gbps, panel b over the bandwidth grid for `network_model`.
+/// Each (model, bandwidth) cell is measured once, through run_scenario, so
+/// panel b's 25 Gbps cell is panel a's and a failed cell leaves its rows
+/// out; `measure` gets the cell's label ("vgg16_25gbps") to prefix its
+/// runs' labels. The optimal column is max(optimal, actual): an oracle
+/// never adopts the worse of the two plans. `gap_column` heads the
+/// percentage column.
+void degradation_panels(
+    std::ostream& out, const std::string& model_title,
+    const std::string& network_title, const models::ModelSpec& network_model,
+    const std::string& gap_column,
+    const std::function<Degradation(const models::ModelSpec&, double,
+                                    const std::string&)>& measure);
+
+/// One phase of a Figs 9-10 run: iterations [begin, end).
+struct SeriesPhase {
+  const char* name;
+  std::size_t begin;
+  std::size_t end;
+};
+
+/// Figs 9-10: run `model` on PipeDream's plan at 25 Gbps through the
+/// resource `changes` until the last phase ends, once as planned
+/// ("pipedream") and once under autopipe_controller() ("autopipe"), each
+/// through run_scenario. Then print both speed series in 5-iteration
+/// windows under "<figure> — <title>" and each phase's mean; nothing when
+/// a run failed.
+void dynamic_series(const std::string& figure, const std::string& title,
+                    const models::ModelSpec& model,
+                    const sim::ResourceTrace& changes,
+                    std::span<const SeriesPhase> phases);
 
 }  // namespace autopipe::bench

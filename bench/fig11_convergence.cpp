@@ -48,11 +48,12 @@ double measure_iters_per_sec(const models::ModelSpec& model,
   trace.at_iteration(100,
                      sim::ResourceTrace::set_all_nic_bandwidth(gbps(25)));
   RunOptions options;
-  options.mode = paradigm.mode;
-  options.autopipe = paradigm.autopipe;
+  options.executor.mode = paradigm.mode;
+  if (paradigm.autopipe) options.controller = bench::autopipe_controller();
   options.trace = &trace;
   options.iterations = 130;
   options.warmup = 20;
+  options.scenario = model.name() + "_" + paradigm.name;
   const double tput =
       bench::run_pipeline(t, model, plan.partition, options).throughput;
   return tput / static_cast<double>(model.default_batch_size());

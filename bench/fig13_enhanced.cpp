@@ -12,7 +12,8 @@ using bench::RunOptions;
 
 namespace {
 
-double measure(pipeline::ScheduleMode mode, bool enhanced) {
+double measure(pipeline::ScheduleMode mode, bool enhanced,
+               const std::string& label) {
   const auto model = models::bert48();
   bench::Testbed t = bench::make_testbed(100);
   bench::add_shared_jobs(t, 1);
@@ -29,12 +30,13 @@ double measure(pipeline::ScheduleMode mode, bool enhanced) {
     trace.at_iteration(24, sim::ResourceTrace::add_gpu_job(w));
 
   RunOptions options;
-  options.mode = mode;
-  options.micro_batches = 8;
-  options.autopipe = enhanced;
+  options.executor.mode = mode;
+  options.executor.micro_batches = 8;
+  if (enhanced) options.controller = bench::autopipe_controller();
   options.trace = &trace;
   options.iterations = 80;
   options.warmup = 30;
+  options.scenario = label + (enhanced ? "_autopipe" : "_vanilla");
   return bench::run_pipeline(t, model, partition, options).throughput;
 }
 
@@ -50,8 +52,8 @@ int main(int argc, char** argv) {
   TextTable table({"system", "vanilla (seq/s)", "AutoPipe-enhanced (seq/s)",
                    "improvement"});
   for (const auto& [name, mode] : systems) {
-    const double vanilla = measure(mode, false);
-    const double enhanced = measure(mode, true);
+    const double vanilla = measure(mode, false, name);
+    const double enhanced = measure(mode, true, name);
     table.add_row({name, TextTable::num(vanilla, 1),
                    TextTable::num(enhanced, 1),
                    TextTable::num(bench::speedup_pct(enhanced, vanilla), 1) +

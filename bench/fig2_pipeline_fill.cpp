@@ -36,17 +36,17 @@ void fill_table(double bandwidth_gbps, const std::string& title) {
                    "steady img/s", "utilization"});
   for (std::size_t in_flight : {4u, 5u, 6u}) {
     bench::Testbed testbed = bench::make_testbed(bandwidth_gbps);
-    pipeline::ExecutorConfig config;
-    config.framework.per_layer_overhead = 0.0;
-    config.framework.comm_efficiency = 1.0;
-    config.framework.compute_efficiency = 1.0;
-    config.in_flight = in_flight;
-    pipeline::PipelineExecutor executor(*testbed.cluster, model, partition,
-                                        config);
-    const auto report = executor.run(40, 20);
-    bench::write_outputs(testbed, TextTable::num(bandwidth_gbps, 0) +
-                                      "gbps_inflight" +
-                                      std::to_string(in_flight));
+    bench::RunOptions options;
+    options.executor.framework.per_layer_overhead = 0.0;
+    options.executor.framework.comm_efficiency = 1.0;
+    options.executor.framework.compute_efficiency = 1.0;
+    options.executor.in_flight = in_flight;
+    options.iterations = 40;
+    options.warmup = 20;
+    options.scenario = TextTable::num(bandwidth_gbps, 0) + "gbps_inflight" +
+                       std::to_string(in_flight);
+    const auto report =
+        bench::run_pipeline(testbed, model, partition, options);
     const double startup = report.iteration_end_times.empty()
                                ? 0.0
                                : report.iteration_end_times.front();

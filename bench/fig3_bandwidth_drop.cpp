@@ -4,33 +4,25 @@
 // re-executes the work partition for the halved environment. Panel (a)
 // varies the model at 25 Gbps; panel (b) varies the network speed for
 // VGG16 — the same axes as the paper.
-#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hpp"
 
 using namespace autopipe;
-using bench::RunOptions;
 
 namespace {
 
-struct Pair {
-  double actual = 0.0;
-  double optimal = 0.0;
-};
-
-Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
-  Pair out;
+bench::Degradation measure(const models::ModelSpec& model,
+                           double bandwidth_gbps, const std::string& label) {
+  bench::Degradation out;
   {
     // Actual: plan at full bandwidth, run at half.
     bench::Testbed t = bench::make_testbed(bandwidth_gbps);
     const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
                                             comm::SyncScheme::kRing);
     t.cluster->set_all_nic_bandwidth(gbps(bandwidth_gbps / 2.0));
-    RunOptions options;
-    options.scenario = model.name() + "_" +
-                       TextTable::num(bandwidth_gbps, 0) + "gbps_actual";
-    out.actual = bench::run_pipeline(t, model, plan.partition, options)
+    out.actual = bench::run_pipeline(t, model, plan.partition,
+                                     {.scenario = label + "_actual"})
                      .throughput;
   }
   {
@@ -38,15 +30,10 @@ Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
     bench::Testbed t = bench::make_testbed(bandwidth_gbps / 2.0);
     const auto plan = bench::plan_refined(t, model, comm::pytorch_profile(),
                                           comm::SyncScheme::kRing);
-    RunOptions options;
-    options.scenario = model.name() + "_" +
-                       TextTable::num(bandwidth_gbps, 0) + "gbps_optimal";
-    out.optimal = bench::run_pipeline(t, model, plan.partition, options)
+    out.optimal = bench::run_pipeline(t, model, plan.partition,
+                                      {.scenario = label + "_optimal"})
                       .throughput;
   }
-  // The "optimal" configuration is whichever of the two plans executes
-  // better in the changed environment — an oracle never adopts a worse one.
-  out.optimal = std::max(out.optimal, out.actual);
   return out;
 }
 
@@ -54,43 +41,12 @@ Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  {
-    TextTable table({"model", "actual (img/s)", "optimal (img/s)",
-                     "degradation"});
-    for (const auto& model : models::image_models()) {
-      Pair p;
-      if (!bench::run_scenario(model.name() + "_25gbps",
-                               [&] { p = measure(model, 25); }))
-        continue;
-      table.add_row({model.name(), TextTable::num(p.actual, 1),
-                     TextTable::num(p.optimal, 1),
-                     TextTable::num(bench::speedup_pct(p.optimal, p.actual), 1) +
-                         "%"});
-    }
-    table.print(std::cout,
-                "Fig 3a — bandwidth halved mid-training, model axis "
-                "(25 Gbps -> 12.5 Gbps)");
-  }
-  std::cout << '\n';
-  {
-    TextTable table({"network", "actual (img/s)", "optimal (img/s)",
-                     "degradation"});
-    const auto model = models::vgg16();
-    for (double bw : bench::kBandwidthGridGbps) {
-      Pair p;
-      if (!bench::run_scenario("vgg16_" + TextTable::num(bw, 0) + "gbps",
-                               [&] { p = measure(model, bw); }))
-        continue;
-      table.add_row({TextTable::num(bw, 0) + "Gbps",
-                     TextTable::num(p.actual, 1),
-                     TextTable::num(p.optimal, 1),
-                     TextTable::num(bench::speedup_pct(p.optimal, p.actual), 1) +
-                         "%"});
-    }
-    table.print(std::cout,
-                "Fig 3b — bandwidth halved mid-training, network axis "
-                "(VGG16)");
-  }
+  bench::degradation_panels(
+      std::cout,
+      "Fig 3a — bandwidth halved mid-training, model axis "
+      "(25 Gbps -> 12.5 Gbps)",
+      "Fig 3b — bandwidth halved mid-training, network axis (VGG16)",
+      models::vgg16(), "degradation", measure);
   std::cout << "\nPaper's shape: re-planning wins everywhere; degradation is "
                "worst on slow networks\n(up to 55% at 10 Gbps) and on "
                "communication-heavy models.\n";

@@ -2,30 +2,25 @@
 // An extra training job lands on every GPU mid-experiment (the paper adds a
 // ResNet50 job per device). "Actual" keeps the original partition planned
 // for exclusive GPUs; "Optimal" re-plans for the contended speeds.
-#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hpp"
 
 using namespace autopipe;
-using bench::RunOptions;
 
 namespace {
 
-struct Pair {
-  double actual = 0.0;
-  double optimal = 0.0;
-};
-
-Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
-  Pair out;
+bench::Degradation measure(const models::ModelSpec& model,
+                           double bandwidth_gbps, const std::string& label) {
+  bench::Degradation out;
   {
     bench::Testbed t = bench::make_testbed(bandwidth_gbps);
     const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
                                             comm::SyncScheme::kRing);
     for (sim::WorkerId w = 0; w < t.cluster->num_workers(); ++w)
       t.cluster->add_background_job(w);
-    out.actual = bench::run_pipeline(t, model, plan.partition, RunOptions{})
+    out.actual = bench::run_pipeline(t, model, plan.partition,
+                                     {.scenario = label + "_actual"})
                      .throughput;
   }
   {
@@ -34,12 +29,10 @@ Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
       t.cluster->add_background_job(w);
     const auto plan = bench::plan_refined(t, model, comm::pytorch_profile(),
                                           comm::SyncScheme::kRing);
-    out.optimal = bench::run_pipeline(t, model, plan.partition, RunOptions{})
+    out.optimal = bench::run_pipeline(t, model, plan.partition,
+                                      {.scenario = label + "_optimal"})
                       .throughput;
   }
-  // The "optimal" configuration is whichever of the two plans executes
-  // better in the changed environment — an oracle never adopts a worse one.
-  out.optimal = std::max(out.optimal, out.actual);
   return out;
 }
 
@@ -47,35 +40,10 @@ Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  {
-    TextTable table({"model", "actual (img/s)", "optimal (img/s)",
-                     "degradation"});
-    for (const auto& model : models::image_models()) {
-      const Pair p = measure(model, 25);
-      table.add_row({model.name(), TextTable::num(p.actual, 1),
-                     TextTable::num(p.optimal, 1),
-                     TextTable::num(bench::speedup_pct(p.optimal, p.actual), 1) +
-                         "%"});
-    }
-    table.print(std::cout,
-                "Fig 4a — one extra job per GPU, model axis (25 Gbps)");
-  }
-  std::cout << '\n';
-  {
-    TextTable table({"network", "actual (img/s)", "optimal (img/s)",
-                     "degradation"});
-    const auto model = models::resnet50();
-    for (double bw : bench::kBandwidthGridGbps) {
-      const Pair p = measure(model, bw);
-      table.add_row({TextTable::num(bw, 0) + "Gbps",
-                     TextTable::num(p.actual, 1),
-                     TextTable::num(p.optimal, 1),
-                     TextTable::num(bench::speedup_pct(p.optimal, p.actual), 1) +
-                         "%"});
-    }
-    table.print(std::cout,
-                "Fig 4b — one extra job per GPU, network axis (ResNet50)");
-  }
+  bench::degradation_panels(
+      std::cout, "Fig 4a — one extra job per GPU, model axis (25 Gbps)",
+      "Fig 4b — one extra job per GPU, network axis (ResNet50)",
+      models::resnet50(), "degradation", measure);
   std::cout << "\nPaper's shape: GPU contention hurts across all models; the "
                "gap to optimal grows with\nnetwork speed (39% at 10 Gbps -> "
                "45% at 100 Gbps in the paper) because computation\nis a "

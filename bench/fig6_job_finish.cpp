@@ -2,23 +2,17 @@
 // resources increase. "Actual" keeps the plan computed under contention;
 // "Optimal" re-plans for the now-exclusive cluster. Re-configuration pays
 // off for resource increases too.
-#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hpp"
 
 using namespace autopipe;
-using bench::RunOptions;
 
 namespace {
 
-struct Pair {
-  double actual = 0.0;
-  double optimal = 0.0;
-};
-
-Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
-  Pair out;
+bench::Degradation measure(const models::ModelSpec& model,
+                           double bandwidth_gbps, const std::string& label) {
+  bench::Degradation out;
   // Plan under contention: a foreign distributed job holds servers 3-4
   // (half their NIC capacity, one extra tenant per GPU), and the planner
   // planned around it.
@@ -38,7 +32,7 @@ Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
     // Actual: the old job left, but we keep the contended-era plan.
     bench::Testbed t = bench::make_testbed(bandwidth_gbps);
     out.actual = bench::run_pipeline(t, model, contended_plan.partition,
-                                     RunOptions{})
+                                     {.scenario = label + "_actual"})
                      .throughput;
   }
   {
@@ -46,12 +40,10 @@ Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
     bench::Testbed t = bench::make_testbed(bandwidth_gbps);
     const auto plan = bench::plan_refined(t, model, comm::pytorch_profile(),
                                           comm::SyncScheme::kRing);
-    out.optimal = bench::run_pipeline(t, model, plan.partition, RunOptions{})
+    out.optimal = bench::run_pipeline(t, model, plan.partition,
+                                      {.scenario = label + "_optimal"})
                       .throughput;
   }
-  // The "optimal" configuration is whichever of the two plans executes
-  // better in the changed environment — an oracle never adopts a worse one.
-  out.optimal = std::max(out.optimal, out.actual);
   return out;
 }
 
@@ -59,36 +51,11 @@ Pair measure(const models::ModelSpec& model, double bandwidth_gbps) {
 
 int main(int argc, char** argv) {
   bench::parse_common_flags(argc, argv);
-  {
-    TextTable table({"model", "actual (img/s)", "optimal (img/s)",
-                     "headroom"});
-    for (const auto& model : models::image_models()) {
-      const Pair p = measure(model, 25);
-      table.add_row({model.name(), TextTable::num(p.actual, 1),
-                     TextTable::num(p.optimal, 1),
-                     TextTable::num(bench::speedup_pct(p.optimal, p.actual), 1) +
-                         "%"});
-    }
-    table.print(std::cout,
-                "Fig 6a — old distributed job finishes, model axis (25 Gbps)");
-  }
-  std::cout << '\n';
-  {
-    TextTable table({"network", "actual (img/s)", "optimal (img/s)",
-                     "headroom"});
-    const auto model = models::resnet50();
-    for (double bw : bench::kBandwidthGridGbps) {
-      const Pair p = measure(model, bw);
-      table.add_row({TextTable::num(bw, 0) + "Gbps",
-                     TextTable::num(p.actual, 1),
-                     TextTable::num(p.optimal, 1),
-                     TextTable::num(bench::speedup_pct(p.optimal, p.actual), 1) +
-                         "%"});
-    }
-    table.print(std::cout,
-                "Fig 6b — old distributed job finishes, network axis "
-                "(ResNet50)");
-  }
+  bench::degradation_panels(
+      std::cout,
+      "Fig 6a — old distributed job finishes, model axis (25 Gbps)",
+      "Fig 6b — old distributed job finishes, network axis (ResNet50)",
+      models::resnet50(), "headroom", measure);
   std::cout << "\nPaper's shape: re-executing the work partition stays ahead "
                "of the stale configuration\neven when resources *increase*.\n";
   return bench::exit_status();

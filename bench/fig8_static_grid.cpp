@@ -24,11 +24,11 @@ struct Cell {
 
 Cell measure(const models::ModelSpec& model,
              const comm::FrameworkProfile& framework, comm::SyncScheme scheme,
-             double bandwidth_gbps) {
+             double bandwidth_gbps, const std::string& label) {
   Cell cell;
   RunOptions options;
-  options.framework = framework;
-  options.scheme = scheme;
+  options.executor.framework = framework;
+  options.executor.sync_scheme = scheme;
   // Long, identical measurement windows: the replicated-stage pipelines
   // oscillate slowly (round-robin x sync-gating beats), so short windows
   // alias the wave.
@@ -37,7 +37,8 @@ Cell measure(const models::ModelSpec& model,
   {
     bench::Testbed t = bench::make_testbed(bandwidth_gbps);
     bench::add_shared_jobs(t, 2);
-    cell.baseline = bench::run_baseline(t, model, options);
+    options.scenario = label + "_baseline";
+    cell.baseline = bench::run_baseline(t, model, options).throughput;
   }
   // PipeDream plans from its exclusive-GPU, uniform-bandwidth, ring-assumed
   // profile — oblivious to the two co-located jobs.
@@ -49,16 +50,17 @@ Cell measure(const models::ModelSpec& model,
   {
     bench::Testbed t = bench::make_testbed(bandwidth_gbps);
     bench::add_shared_jobs(t, 2);
+    options.scenario = label + "_pipedream";
     cell.pipedream =
         bench::run_pipeline(t, model, plan.partition, options).throughput;
   }
   {
     bench::Testbed t = bench::make_testbed(bandwidth_gbps);
     bench::add_shared_jobs(t, 2);
-    RunOptions ap = options;
-    ap.autopipe = true;
+    options.controller = bench::autopipe_controller();
+    options.scenario = label + "_autopipe";
     cell.autopipe =
-        bench::run_pipeline(t, model, plan.partition, ap).throughput;
+        bench::run_pipeline(t, model, plan.partition, options).throughput;
   }
   return cell;
 }
@@ -84,7 +86,10 @@ int main(int argc, char** argv) {
       TextTable table({"bandwidth", "baseline", "PipeDream", "AutoPipe",
                        "AP vs base", "AP vs PD"});
       for (double bw : bench::kBandwidthGridGbps) {
-        const Cell cell = measure(model, combo.framework, combo.scheme, bw);
+        const Cell cell =
+            measure(model, combo.framework, combo.scheme, bw,
+                    model.name() + "_" + combo.label + "_" +
+                        TextTable::num(bw, 0) + "gbps");
         table.add_row(
             {TextTable::num(bw, 0) + "Gbps", TextTable::num(cell.baseline, 1),
              TextTable::num(cell.pipedream, 1),

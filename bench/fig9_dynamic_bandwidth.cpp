@@ -1,22 +1,16 @@
-// Fig 9: training under dynamic bandwidth. ResNet50, Ring/PyTorch. The
-// link starts at 10 Gbps and steps to 25/40/100 Gbps at iterations
-// 20/40/60. PipeDream keeps its iteration-0 partition; AutoPipe
-// re-configures. We print both per-iteration speed series — the two lines
-// of the paper's figure.
+// Fig 9: training under dynamic bandwidth. VGG16, Ring/PyTorch. The link
+// starts at 25 Gbps and steps to 10/40/10 Gbps at iterations 20/40/60.
+// PipeDream keeps its iteration-0 partition; AutoPipe re-configures. We
+// print both per-iteration speed series — the two lines of the paper's
+// figure.
 #include <iostream>
 
 #include "bench_common.hpp"
 
 using namespace autopipe;
-using bench::RunOptions;
 
-namespace {
-
-bench::RunResult run_series(bool autopipe_on) {
-  const auto model = models::vgg16();
-  bench::Testbed t = bench::make_testbed(25);
-  const auto plan = bench::plan_pipedream(t, model, comm::pytorch_profile(),
-                                          comm::SyncScheme::kRing);
+int main(int argc, char** argv) {
+  bench::parse_common_flags(argc, argv);
   // The paper steps bandwidth 10 -> 25 -> 40 -> 100 Gbps. In our substrate a
   // 10 Gbps-planned ResNet50 pipeline is already compute-bound at higher
   // speeds, so rising steps alone leave nothing to re-configure (see
@@ -26,51 +20,13 @@ bench::RunResult run_series(bool autopipe_on) {
   trace.at_iteration(20, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
   trace.at_iteration(40, sim::ResourceTrace::set_all_nic_bandwidth(gbps(40)));
   trace.at_iteration(60, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
-
-  RunOptions options;
-  options.autopipe = autopipe_on;
-  options.trace = &trace;
-  options.iterations = 80;
-  options.warmup = 5;
-  options.scenario = autopipe_on ? "autopipe" : "pipedream";
-  return bench::run_pipeline(t, model, plan.partition, options);
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
-  bench::RunResult pipedream;
-  bench::RunResult autopipe;
-  if (!bench::run_scenario("pipedream", [&] { pipedream = run_series(false); }) ||
-      !bench::run_scenario("autopipe", [&] { autopipe = run_series(true); })) {
-    return bench::exit_status();
-  }
-
-  TextTable table({"iteration", "PipeDream (img/s)", "AutoPipe (img/s)"});
-  for (std::size_t i = 4; i < pipedream.end_times.size(); i += 5) {
-    table.add_row({std::to_string(i + 1),
-                   TextTable::num(pipedream.window_mean(i - 4, i + 1), 1),
-                   TextTable::num(autopipe.window_mean(i - 4, i + 1), 1)});
-  }
-  table.print(std::cout,
-              "Fig 9 — VGG16 under dynamic bandwidth "
-              "(25G -> 10G@20 -> 40G@40 -> 10G@60)");
-
-  TextTable summary({"phase", "PipeDream", "AutoPipe", "speedup"});
-  const std::pair<std::size_t, std::size_t> phases[] = {
-      {5, 20}, {25, 40}, {45, 60}, {65, 80}};
-  const char* labels[] = {"25Gbps", "10Gbps", "40Gbps", "10Gbps(2)"};
-  for (int p = 0; p < 4; ++p) {
-    const double pd = pipedream.window_mean(phases[p].first,
-                                            phases[p].second);
-    const double ap = autopipe.window_mean(phases[p].first,
-                                           phases[p].second);
-    summary.add_row({labels[p], TextTable::num(pd, 1), TextTable::num(ap, 1),
-                     TextTable::num(bench::speedup_pct(ap, pd), 0) + "%"});
-  }
-  std::cout << '\n';
-  summary.print(std::cout, "Fig 9 — per-phase means");
+  const bench::SeriesPhase phases[] = {
+      {"25Gbps", 5, 20}, {"10Gbps", 25, 40}, {"40Gbps", 45, 60},
+      {"10Gbps(2)", 65, 80}};
+  bench::dynamic_series("Fig 9",
+                        "VGG16 under dynamic bandwidth "
+                        "(25G -> 10G@20 -> 40G@40 -> 10G@60)",
+                        models::vgg16(), trace, phases);
   std::cout << "\nPaper's shape: AutoPipe leads throughout and the gap widens "
                "as bandwidth grows.\n";
   return bench::exit_status();

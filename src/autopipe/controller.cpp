@@ -461,29 +461,11 @@ std::pair<partition::Partition, double> AutoPipeController::replan(
         partition::remap_workers(scoped_plan.partition, owned_);
     return scoped_plan;
   }();
-  // Refine with a short neighbourhood descent under the integrated model:
-  // each round steps to the last move that beat the running best.
-  Seconds best = partition::analytic_batch_time(executor_.model(),
-                                                plan.partition, env,
-                                                executor_.batch_size());
-  for (int round = 0; round < 20; ++round) {
-    const auto& stages = plan.partition.stages();
-    partition::enumerate_moves(stages, moves_);
-    scratch_ = stages;
-    std::optional<partition::Move> step;
-    for (const partition::Move& move : moves_) {
-      partition::apply_move(scratch_, move);
-      const Seconds t = partition::analytic_batch_time(
-          executor_.model(), scratch_, env, executor_.batch_size());
-      partition::undo_move(scratch_, stages, move);
-      if (t < best * 0.999) {
-        best = t;
-        step = move;
-      }
-    }
-    if (!step) break;
-    plan.partition = partition::apply_move(plan.partition, *step);
-  }
+  // Refine with a short neighbourhood descent under the integrated model.
+  partition::Descent refined = partition::descend(
+      executor_.model(), plan.partition, env, executor_.batch_size(), 20);
+  plan.partition = std::move(refined.partition);
+  Seconds best = refined.batch_time;
   // Heterogeneity-aware alternative: keep the current stage structure but
   // re-draw the layer boundaries in proportion to the profiled speeds. This
   // escapes the multi-slow-stage local optimum the count-based DP and the

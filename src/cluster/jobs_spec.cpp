@@ -1,32 +1,18 @@
 #include "cluster/jobs_spec.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/expect.hpp"
+#include "common/parse.hpp"
 #include "models/zoo.hpp"
 
 namespace autopipe::cluster {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(s);
-  while (std::getline(is, item, sep)) out.push_back(item);
-  return out;
-}
+using parse::split;
+using parse::trim;
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
   throw contract_error("jobs spec: line " + std::to_string(line_no) + ": " +
@@ -35,26 +21,18 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 double parse_double(std::size_t line_no, const std::string& key,
                     const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    if (pos != v.size())
-      fail(line_no, "bad number '" + v + "' for '" + key + "'");
-    return d;
-  } catch (const contract_error&) {
-    throw;
-  } catch (const std::exception&) {
-    fail(line_no, "bad number '" + v + "' for '" + key + "'");
-  }
+  const auto d = parse::number(v);
+  if (!d) fail(line_no, "bad number '" + v + "' for '" + key + "'");
+  return *d;
 }
 
 std::uint64_t parse_u64(std::size_t line_no, const std::string& key,
                         const std::string& v) {
-  const double d = parse_double(line_no, key, v);
-  if (d < 0 || d != static_cast<double>(static_cast<std::uint64_t>(d)))
+  const auto n = parse::integer<std::uint64_t>(v);
+  if (!n)
     fail(line_no, "'" + key + "' wants a non-negative integer, got '" + v +
                       "'");
-  return static_cast<std::uint64_t>(d);
+  return *n;
 }
 
 /// `a..b` inclusive ranges and comma lists: "0..3", "0,2,5", "4".
@@ -163,22 +141,7 @@ FleetSpec parse_jobs_spec(const std::string& text) {
   FleetSpec spec;
   bool saw_arbiter = false, saw_window = false;
 
-  // Same statement discipline as the sweep grammar: '#' comments run to end
-  // of line; newlines and ';' both end a statement. Line numbers are carried
-  // through the split so every diagnostic can name its source line.
-  std::vector<std::pair<std::size_t, std::string>> statements;
-  {
-    std::size_t line_no = 0;
-    for (std::string chunk : split(text, '\n')) {
-      ++line_no;
-      const std::size_t hash = chunk.find('#');
-      if (hash != std::string::npos) chunk.resize(hash);
-      for (const std::string& stmt : split(chunk, ';'))
-        statements.emplace_back(line_no, stmt);
-    }
-  }
-
-  for (const auto& [line_no, raw] : statements) {
+  for (const auto& [line_no, raw] : parse::statements(text)) {
     const std::string line = trim(raw);
     if (line.empty()) continue;
     const std::size_t eq = line.find('=');
@@ -220,16 +183,7 @@ FleetSpec parse_jobs_spec(const std::string& text) {
 }
 
 FleetSpec load_jobs_spec(const std::string& arg) {
-  if (!arg.empty() && arg[0] == '@') {
-    const std::string path = arg.substr(1);
-    std::ifstream in(path);
-    if (!in.good())
-      throw std::runtime_error("cannot read jobs spec file: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parse_jobs_spec(text.str());
-  }
-  return parse_jobs_spec(arg);
+  return parse_jobs_spec(parse::spec_text(arg, "jobs spec"));
 }
 
 void assign_default_workers(FleetSpec& spec, std::size_t num_workers) {

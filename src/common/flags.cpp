@@ -1,8 +1,7 @@
 #include "common/flags.hpp"
 
-#include <cstdlib>
-
 #include "common/expect.hpp"
+#include "common/parse.hpp"
 
 namespace autopipe {
 
@@ -41,12 +40,11 @@ double Flags::get_double(const std::string& name, double fallback) const {
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  AUTOPIPE_EXPECT_MSG(end && *end == '\0',
-                      "--" << name << " expects a number, got '"
-                           << it->second << "'");
-  return v;
+  const auto v = parse::number(it->second);
+  AUTOPIPE_EXPECT_MSG(v.has_value(), "--" << name
+                                          << " expects a finite number, got '"
+                                          << it->second << "'");
+  return *v;
 }
 
 std::int64_t Flags::get_int(const std::string& name,
@@ -54,13 +52,11 @@ std::int64_t Flags::get_int(const std::string& name,
   queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const std::int64_t v =
-      std::strtoll(it->second.c_str(), &end, 10);
-  AUTOPIPE_EXPECT_MSG(end && *end == '\0',
-                      "--" << name << " expects an integer, got '"
-                           << it->second << "'");
-  return v;
+  const auto v = parse::integer<std::int64_t>(it->second);
+  AUTOPIPE_EXPECT_MSG(v.has_value(), "--" << name
+                                          << " expects an integer, got '"
+                                          << it->second << "'");
+  return *v;
 }
 
 std::size_t Flags::get_count(const std::string& name,

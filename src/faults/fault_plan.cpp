@@ -1,13 +1,13 @@
 #include "faults/fault_plan.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "common/expect.hpp"
+#include "common/parse.hpp"
 #include "common/profile.hpp"
 
 namespace autopipe::faults {
@@ -270,13 +270,13 @@ FaultEvent parse_event_line(const std::string& line, std::size_t line_no,
   std::string extra;
   double t = -1.0;
   double scale = 0.0;
-  std::size_t index = 0;
   const bool fields = static_cast<bool>(ls >> t >> kind >> index_text);
-  const char* const last = index_text.data() + index_text.size();
-  const auto [end, ec] = std::from_chars(index_text.data(), last, index);
-  AUTOPIPE_EXPECT_MSG(fields && ec == std::errc() && end == last,
+  const std::optional<std::size_t> parsed =
+      parse::integer<std::size_t>(index_text);
+  AUTOPIPE_EXPECT_MSG(fields && parsed,
                       "fault spec line " << line_no << ": expected "
                       "'<time> <kind> <index> [value]', got '" << line << "'");
+  const std::size_t index = *parsed;
   // Only straggler_begin takes a fourth field, and no line takes a fifth.
   AUTOPIPE_EXPECT_MSG(kind != "straggler_begin" || ls >> scale,
                       "fault spec line " << line_no
@@ -356,25 +356,20 @@ FaultPlan parse_random(const std::string& body, std::size_t num_servers,
                                           << entry_no << ": empty key in '"
                                           << kv << "'");
     const std::string raw = kv.substr(eq + 1);
-    bool numeric = false;
-    double value = 0.0;
-    std::size_t used = 0;
-    try {
-      value = std::stod(raw, &used);
-      numeric = used == raw.size();
-    } catch (const std::invalid_argument&) {
-    } catch (const std::out_of_range&) {
-    }
-    AUTOPIPE_EXPECT_MSG(numeric, "fault spec: random entry "
-                                     << entry_no << ": field '" << key
-                                     << "': bad number '" << raw << "'");
+    const auto parsed = parse::number(raw);
+    AUTOPIPE_EXPECT_MSG(parsed.has_value(),
+                        "fault spec: random entry "
+                            << entry_no << ": field '" << key
+                            << "': bad number '" << raw << "'");
+    const double value = *parsed;
     // The seed and the counts take whole non-negative numbers.
     const auto whole = [&] {
+      const auto n = parse::integer<std::uint64_t>(raw);
       AUTOPIPE_EXPECT_MSG(
-          value >= 0.0 && value < 0x1p64 && value == std::trunc(value),
+          n.has_value(),
           "fault spec: random entry " << entry_no << ": field '" << key
               << "' wants a non-negative integer, got '" << raw << "'");
-      return static_cast<std::uint64_t>(value);
+      return *n;
     };
     if (key == "seed") {
       spec.seed = whole();

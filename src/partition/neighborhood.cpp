@@ -1,8 +1,10 @@
 #include "partition/neighborhood.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/expect.hpp"
+#include "partition/analytic_eval.hpp"
 
 namespace autopipe::partition {
 
@@ -79,6 +81,32 @@ std::vector<Candidate> two_worker_candidates(const Partition& current) {
     Partition candidate = apply_move(current, move);
     auto changed = current.changed_workers(candidate);
     out.push_back(Candidate{std::move(candidate), std::move(changed)});
+  }
+  return out;
+}
+
+Descent descend(const models::ModelSpec& model, const Partition& start,
+                const EnvironmentView& env, std::size_t batch,
+                std::size_t max_rounds) {
+  Descent out{start, analytic_batch_time(model, start, env, batch)};
+  std::vector<Move> moves;
+  std::vector<StageAssignment> scratch;
+  for (std::size_t round = 0; round < max_rounds; ++round) {
+    const auto& stages = out.partition.stages();
+    enumerate_moves(stages, moves);
+    scratch = stages;
+    std::optional<Move> step;
+    for (const Move& move : moves) {
+      apply_move(scratch, move);
+      const Seconds t = analytic_batch_time(model, scratch, env, batch);
+      undo_move(scratch, stages, move);
+      if (t < out.batch_time * 0.999) {
+        out.batch_time = t;
+        step = move;
+      }
+    }
+    if (!step) break;
+    out.partition = apply_move(out.partition, *step);
   }
   return out;
 }

@@ -15,6 +15,9 @@
 #include <span>
 #include <vector>
 
+#include "common/units.hpp"
+#include "models/model.hpp"
+#include "partition/environment.hpp"
 #include "partition/partition.hpp"
 
 namespace autopipe::partition {
@@ -70,5 +73,18 @@ struct Candidate {
 /// Every move of `current`, materialized, in enumerate_moves order. For
 /// callers off the planning hot path; planning rounds score moves in place.
 std::vector<Candidate> two_worker_candidates(const Partition& current);
+
+/// Where descend() stopped.
+struct Descent {
+  Partition partition;
+  Seconds batch_time;  ///< analytic_batch_time of `partition`
+};
+
+/// Hill-climb from `start` under the integrated model: each round scores
+/// every move and steps to the last one that beat the running best batch
+/// time by 0.1%, for at most `max_rounds` rounds or until none does.
+Descent descend(const models::ModelSpec& model, const Partition& start,
+                const EnvironmentView& env, std::size_t batch,
+                std::size_t max_rounds);
 
 }  // namespace autopipe::partition

@@ -1,7 +1,6 @@
 #include "sweep/outputs.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +8,7 @@
 
 #include "analysis/json.hpp"
 #include "common/flags.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "sim/simulator.hpp"
 
@@ -29,11 +29,9 @@ std::ofstream open_output(const std::string& path, const char* what) {
 
 std::pair<std::string, double> split_interval(const std::string& spec) {
   const std::string::size_type colon = spec.rfind(':');
-  if (colon != std::string::npos && colon + 1 < spec.size()) {
-    char* end = nullptr;
-    const double v = std::strtod(spec.c_str() + colon + 1, &end);
-    if (end != nullptr && *end == '\0' && v > 0.0)
-      return {spec.substr(0, colon), v};
+  if (colon != std::string::npos) {
+    const auto v = parse::number(spec.substr(colon + 1));
+    if (v && *v > 0.0) return {spec.substr(0, colon), *v};
   }
   return {spec, 1.0};
 }

@@ -44,6 +44,10 @@ Scenario::Scenario(const ScenarioSpec& spec, const RunOutputs& outputs)
     : spec_(spec),
       model_(models::model_by_name(spec.model)),
       churn_(sim::BackgroundWorkloadConfig{}, Rng(spec.seed)) {
+  AUTOPIPE_EXPECT_MSG(spec.bw_drop_iter == 0 || spec.bw_drop_gbps > 0.0,
+                      "a bandwidth drop must leave the NICs a positive "
+                      "rate, got "
+                          << spec.bw_drop_gbps << " Gbps");
   outputs.enable(simulator_);
   cluster_ = std::make_unique<sim::Cluster>(
       simulator_,

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/expect.hpp"
+#include "common/parse.hpp"
 #include "models/zoo.hpp"
 #include "pipeline/schedule.hpp"
 
@@ -16,45 +15,25 @@ namespace autopipe::sweep {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(s);
-  while (std::getline(is, item, sep)) out.push_back(item);
-  return out;
-}
+using parse::split;
+using parse::trim;
 
 double parse_double(const std::string& key, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const double d = std::stod(v, &pos);
-    AUTOPIPE_EXPECT_MSG(pos == v.size(), "sweep spec: bad number '"
-                                             << v << "' for key '" << key
-                                             << "'");
-    return d;
-  } catch (const contract_error&) {
-    throw;
-  } catch (const std::exception&) {
+  const auto d = parse::number(v);
+  if (!d) {
     throw contract_error("sweep spec: bad number '" + v + "' for key '" +
                          key + "'");
   }
+  return *d;
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& v) {
-  const double d = parse_double(key, v);
-  AUTOPIPE_EXPECT_MSG(d >= 0 && d == static_cast<double>(
-                                        static_cast<std::uint64_t>(d)),
-                      "sweep spec: key '" << key
-                                          << "' wants a non-negative "
-                                             "integer, got '" << v << "'");
-  return static_cast<std::uint64_t>(d);
+  const auto n = parse::integer<std::uint64_t>(v);
+  AUTOPIPE_EXPECT_MSG(n.has_value(), "sweep spec: key '"
+                                         << key
+                                         << "' wants a non-negative "
+                                            "integer, got '" << v << "'");
+  return *n;
 }
 
 /// Seeds accept `lo..hi` inclusive ranges alongside plain values.
@@ -176,28 +155,12 @@ std::vector<ScenarioSpec> SweepSpec::expand() const {
 
 SweepSpec parse_sweep_spec(const std::string& text) {
   SweepSpec spec;
-  // Newlines and ';' both end a statement, so inline one-liner specs work.
-  // '#' comments run to end of *line* and are stripped first, so a ';'
-  // inside prose never starts a phantom statement. Each statement keeps its
-  // source line number for diagnostics.
-  std::vector<std::pair<std::size_t, std::string>> statements;
-  {
-    std::size_t line_no = 0;
-    for (std::string chunk : split(text, '\n')) {
-      ++line_no;
-      const std::size_t hash = chunk.find('#');
-      if (hash != std::string::npos) chunk.resize(hash);
-      for (const std::string& stmt : split(chunk, ';'))
-        statements.emplace_back(line_no, stmt);
-    }
-  }
-
   // First line each key appeared on. A repeated key used to be silently
   // last-wins — a hard-to-spot way to lose half a sweep — so it is now a
   // parse error naming both occurrences.
   std::map<std::string, std::size_t> seen;
 
-  for (const auto& [line_no, raw] : statements) {
+  for (const auto& [line_no, raw] : parse::statements(text)) {
     const std::string line = trim(raw);
     if (line.empty()) continue;
     const std::size_t eq = line.find('=');
@@ -330,16 +293,7 @@ SweepSpec parse_sweep_spec(const std::string& text) {
 }
 
 SweepSpec load_sweep_spec(const std::string& arg) {
-  if (!arg.empty() && arg[0] == '@') {
-    const std::string path = arg.substr(1);
-    std::ifstream in(path);
-    if (!in.good())
-      throw std::runtime_error("cannot read sweep spec file: " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parse_sweep_spec(text.str());
-  }
-  return parse_sweep_spec(arg);
+  return parse_sweep_spec(parse::spec_text(arg, "sweep spec"));
 }
 
 }  // namespace autopipe::sweep

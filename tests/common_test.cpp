@@ -349,6 +349,25 @@ TEST(Flags, RejectsMalformedInput) {
         << e.what();
   }
   EXPECT_EQ(counts.get_count("missing", 5), 5u);
+  // An empty value is not 0, and a non-finite number is not a number; the
+  // message names the flag.
+  const char* empty_or_nonfinite[] = {"tool", "--warmup=", "--drop=nan",
+                                      "--rate=inf", "--iters=1.2e1"};
+  const Flags odd(5, empty_or_nonfinite);
+  for (const char* name : {"warmup", "drop", "rate", "iters"})
+    EXPECT_THROW(odd.get_int(name, 3), contract_error) << name;
+  for (const char* name : {"warmup", "drop", "rate"}) {
+    try {
+      odd.get_double(name, 3.0);
+      FAIL() << "--" << name << " accepted";
+    } catch (const contract_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(odd.get_double("iters", 0.0), 12.0);
+  EXPECT_THROW(odd.get_count("warmup", 3), contract_error);
 }
 
 TEST(Flags, TracksUnusedFlags) {

@@ -514,6 +514,15 @@ TEST(JobsSpec, RejectsMalformedInput) {
   EXPECT_THROW(cluster::parse_jobs_spec("claim-window = -1\n"
                                         "job = model=alexnet"),
                contract_error);
+  // Numbers are finite and integers are whole decimal tokens.
+  for (const char* bad :
+       {"claim-window = nan\njob = model=alexnet",
+        "claim-window = inf\njob = model=alexnet",
+        "job = model=alexnet\npreempt = worker=1 at=nan for=1",
+        "job = model=alexnet\npreempt = worker=1 at=1 for=inf",
+        "job = model=alexnet priority=nan",
+        "job = model=alexnet iterations=1.2e1"})
+    EXPECT_THROW(cluster::parse_jobs_spec(bad), contract_error) << bad;
 }
 
 TEST(JobsSpec, RejectsOversizedFleet) {

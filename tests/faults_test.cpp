@@ -168,6 +168,13 @@ TEST(FaultPlan, MalformedSpecErrorsNameLineAndField) {
   EXPECT_NE(spec_error("random:seed=1,bogus_key=1")
                 .find("random entry 2: unknown random key 'bogus_key'"),
             std::string::npos);
+  EXPECT_NE(spec_error("random:seed=1,start=nan")
+                .find("random entry 2: field 'start': bad number 'nan'"),
+            std::string::npos);
+  EXPECT_NE(spec_error("random:seed=1e1")
+                .find("random entry 1: field 'seed' wants a non-negative "
+                      "integer, got '1e1'"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -256,6 +256,25 @@ TEST(Neighborhood, ReachesRebalancedOptimum) {
   EXPECT_TRUE(improves);
 }
 
+TEST(Neighborhood, DescentStepsUntilNoMoveBeatsItOrRoundsRunOut) {
+  const auto model = tiny_model(8);
+  const auto env = uniform_env(2, 1e9, 1e12);
+  const Partition skewed({{0, 6, {0}}, {7, 7, {1}}}, 8);
+  const Seconds t0 = analytic_batch_time(model, skewed, env, 8);
+  const Descent none = descend(model, skewed, env, 8, 0);
+  EXPECT_EQ(none.partition, skewed);
+  EXPECT_EQ(none.batch_time, t0);
+  const Descent one = descend(model, skewed, env, 8, 1);
+  EXPECT_LT(one.batch_time, t0);
+  const Descent full = descend(model, skewed, env, 8, 100);
+  EXPECT_EQ(full.batch_time,
+            analytic_batch_time(model, full.partition, env, 8));
+  EXPECT_LE(full.batch_time, one.batch_time);
+  for (const auto& c : two_worker_candidates(full.partition))
+    EXPECT_GE(analytic_batch_time(model, c.partition, env, 8),
+              full.batch_time * 0.999);
+}
+
 TEST(Neighborhood, MoveOrderIsPinned) {
   // Every stage is replicated, so the middle one re-homes in both
   // directions, and the re-homed workers sort into their destinations.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -137,6 +138,15 @@ TEST(SweepSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse_sweep_spec("servers = two"), contract_error);
   EXPECT_THROW(parse_sweep_spec("iterations = 10; warmup = 10"),
                contract_error);
+  // Numbers are finite and integers are whole decimal tokens.
+  for (const char* bad :
+       {"bandwidth = inf", "bandwidth = nan", "bandwidth = 1e999",
+        "bandwidth = 25x", "iterations = 1.2e1", "iterations = 12.0",
+        "servers = -2", "seed = 18446744073709551616"})
+    EXPECT_THROW(parse_sweep_spec(bad), contract_error) << bad;
+  // A seed past 2^53 keeps every digit instead of rounding through double.
+  EXPECT_EQ(parse_sweep_spec("seed = 9007199254740993").seeds,
+            (std::vector<std::uint64_t>{9007199254740993ull}));
 }
 
 TEST(SweepSpec, DuplicateAxisKeyNamesBothLines) {
@@ -633,6 +643,18 @@ TEST(Scenario, ResourceChangesLandAtTheirIterations) {
   }
   EXPECT_EQ(anchors, (std::vector<std::string>{"5", "7"}));
 #endif
+}
+
+TEST(Scenario, RejectsABandwidthDropToZero) {
+  // A NIC at 0 Gbps never finishes a transfer; the run used to spin forever.
+  ScenarioSpec spec = small_job("pipedream");
+  spec.bw_drop_iter = 5;
+  for (double rate : {0.0, -1.0, std::nan("")}) {
+    spec.bw_drop_gbps = rate;
+    EXPECT_THROW(Scenario(spec, RunOutputs{}), contract_error) << rate;
+  }
+  spec.bw_drop_iter = 0;  // no drop: the rate is never installed
+  EXPECT_NO_THROW(Scenario(spec, RunOutputs{}));
 }
 
 TEST(Scenario, FrameworkSchemeAndBatchReachTheExecutor) {

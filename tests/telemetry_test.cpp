@@ -484,13 +484,15 @@ TEST(BenchMetrics, FileCarriesTheRollingSeries) {
   bench::RunOptions options;
   options.iterations = 8;
   options.warmup = 2;
-  const auto plan = bench::plan_pipedream(testbed, model, options.framework,
-                                          options.scheme);
+  options.scenario = "alexnet";
+  const auto plan = bench::plan_pipedream(testbed, model,
+                                          options.executor.framework,
+                                          options.executor.sync_scheme);
   bench::run_pipeline(testbed, model, plan.partition, options);
   const char* without_metrics[] = {"bench", "--metrics="};
   bench::parse_common_flags(2, without_metrics);
 
-  std::ifstream in(path);
+  std::ifstream in(::testing::TempDir() + "bench_metrics.alexnet.json");
   std::stringstream text;
   text << in.rdbuf();
   // The same flattened form autopipe_sim and the sweep write.
@@ -499,6 +501,95 @@ TEST(BenchMetrics, FileCarriesTheRollingSeries) {
         "\"executor.iteration_period.mean\""})
     EXPECT_NE(text.str().find(key), std::string::npos) << key << " in\n"
                                                         << text.str();
+}
+
+// ---------------------------------------------------------------------------
+// The figure benches' one run path and the drivers Figs 3-6 and 9-10 share
+// ---------------------------------------------------------------------------
+
+TEST(BenchRun, RejectsAnUnlabelledOrRepeatedLabel) {
+  const char* argv[] = {"bench"};
+  bench::parse_common_flags(1, argv);
+  bench::Testbed testbed = bench::make_testbed(25.0);
+  const models::ModelSpec model = models::alexnet();
+  const auto plan = bench::plan_pipedream(
+      testbed, model, comm::pytorch_profile(), comm::SyncScheme::kRing);
+  bench::RunOptions options;
+  options.iterations = 4;
+  options.warmup = 1;
+  // Two unlabelled runs would write, and overwrite, the same files.
+  EXPECT_THROW(bench::run_pipeline(testbed, model, plan.partition, options),
+               contract_error);
+  bench::Testbed baseline = bench::make_testbed(25.0);
+  EXPECT_THROW(bench::run_baseline(baseline, model, options), contract_error);
+  EXPECT_THROW(bench::write_outputs(testbed, ""), contract_error);
+  // So would two runs under one label.
+  bench::write_outputs(testbed, "once");
+  EXPECT_THROW(bench::write_outputs(testbed, "once"), contract_error);
+  bench::parse_common_flags(1, argv);
+  bench::write_outputs(testbed, "once");
+}
+
+TEST(BenchRun, FigureControllerDetectsABandwidthDrop) {
+  const char* argv[] = {"bench"};
+  bench::parse_common_flags(1, argv);
+  bench::Testbed testbed = bench::make_testbed(25.0);
+  const models::ModelSpec model = models::vgg16();
+  const auto plan = bench::plan_pipedream(
+      testbed, model, comm::pytorch_profile(), comm::SyncScheme::kRing);
+  sim::ResourceTrace drop;
+  drop.at_iteration(12, sim::ResourceTrace::set_all_nic_bandwidth(gbps(10)));
+  bench::RunOptions options;
+  options.controller = bench::autopipe_controller();
+  options.trace = &drop;
+  options.iterations = 30;
+  options.warmup = 5;
+  options.scenario = "drop";
+  bench::run_pipeline(testbed, model, plan.partition, options);
+  EXPECT_EQ(testbed.cluster->nic_bandwidth(0), gbps(10));
+  EXPECT_GE(testbed.simulator->metrics().value("controller.changes"), 1.0);
+}
+
+TEST(BenchRun, DegradationPanelsMeasureEachCellOnce) {
+  std::vector<std::string> measured;
+  const auto fake = [&](const models::ModelSpec&, double,
+                        const std::string& label) {
+    measured.push_back(label);
+    if (label == "alexnet_25gbps") throw std::runtime_error("cell failed");
+    return bench::Degradation{.actual = 40.0, .optimal = 30.0};
+  };
+  std::ostringstream out;
+  bench::degradation_panels(out, "panel a", "panel b", models::resnet50(),
+                            "gap", fake);
+  // Three models, then four bandwidths less the 25 Gbps cell panel a ran.
+  EXPECT_EQ(measured,
+            (std::vector<std::string>{"resnet50_25gbps", "vgg16_25gbps",
+                                      "alexnet_25gbps", "resnet50_10gbps",
+                                      "resnet50_40gbps", "resnet50_100gbps"}));
+  const std::string text = out.str();
+  const auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  // The optimal column is max(optimal, actual), never the worse plan, so
+  // every row shows a 0% gap. The failed cell has no row in either panel.
+  EXPECT_EQ(count("30.0"), 0u) << text;
+  EXPECT_EQ(count(" 0.0%"), 2u + 4u) << text;
+  EXPECT_EQ(count("alexnet"), 0u) << text;
+}
+
+TEST(BenchRun, WindowMeanIsSamplesOverElapsedSimulatedTime) {
+  pipeline::ExecutionReport report;
+  report.batch_size = 10;
+  report.iteration_end_times = {1.0, 2.0, 4.0, 5.0};
+  EXPECT_DOUBLE_EQ(bench::window_mean(report, 0, 2), 20.0 / 2.0);
+  EXPECT_DOUBLE_EQ(bench::window_mean(report, 2, 4), 20.0 / 3.0);
+  EXPECT_DOUBLE_EQ(bench::window_mean(report, 1, 2), 10.0 / 1.0);
+  EXPECT_THROW(bench::window_mean(report, 2, 2), contract_error);
+  EXPECT_THROW(bench::window_mean(report, 3, 5), contract_error);
 }
 
 TEST(SimulatorTimeseries, SamplingNeverPerturbsTheEventSequence) {

@@ -11,12 +11,12 @@
 //   autopipe_sweep --spec=@bench/sweeps/smoke.sweep --out=BENCH_sweep.json
 //   autopipe_trace gate BENCH_sweep.json sweep_smoke_baseline.json
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
 #include "analysis/profile_report.hpp"
 #include "common/flags.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "sweep/engine.hpp"
 #include "sweep/outputs.hpp"
@@ -98,15 +98,14 @@ int main(int argc, char** argv) {
   if (flags.has("timeseries")) {
     const std::string value = flags.get("timeseries", "");
     // Bare --timeseries parses as the boolean "true": take the default.
-    char* end = nullptr;
-    artifacts.timeseries_interval =
-        value == "true" ? 1.0 : std::strtod(value.c_str(), &end);
-    if (!(artifacts.timeseries_interval > 0.0) ||
-        (end != nullptr && *end != '\0')) {
+    const std::optional<double> interval =
+        value == "true" ? 1.0 : parse::number(value);
+    if (!interval || *interval <= 0.0) {
       std::cerr << "autopipe_sweep: --timeseries expects a positive "
                    "interval, got '" << value << "'\n";
       return 2;
     }
+    artifacts.timeseries_interval = *interval;
     if (artifacts.directory.empty()) {
       std::cerr << "autopipe_sweep: --timeseries needs --artifacts DIR\n";
       return 2;

@@ -16,11 +16,11 @@
 //   autopipe_trace gantt run.trace --width=120
 //   autopipe_trace diff before.trace after.trace --tolerance=1e-9
 //   autopipe_trace gate BENCH_sweep.json sweep_smoke_baseline.json
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -41,6 +41,7 @@
 #include "analysis/trace_view.hpp"
 #include "common/expect.hpp"
 #include "common/ledger.hpp"
+#include "common/parse.hpp"
 
 using namespace autopipe;
 
@@ -128,24 +129,27 @@ struct Options {
   std::uint64_t job = 0;            // blame: co-tenant job id, 0 = unset
 };
 
-/// Parse all of `value` into `out`, a count or a number; otherwise say
-/// which option wanted what and return false.
+/// Read all of `value` into `out`, a count (parse::integer) or a finite
+/// number (parse::number); otherwise say which option wanted what.
 template <typename T>
-bool parse_value(const std::string& option, const std::string& value,
+bool read_option(const std::string& option, const std::string& value,
                  T& out) {
-  const char* const last = value.data() + value.size();
-  const auto [end, ec] = std::from_chars(value.data(), last, out);
-  if (ec == std::errc() && end == last) return true;
-  std::cerr << "autopipe_trace: " << option << " expects "
-            << (std::is_integral_v<T> ? "a non-negative integer" : "a number")
-            << ", got '" << value << "'\n";
-  return false;
+  std::optional<T> parsed;
+  if constexpr (std::is_integral_v<T>) parsed = parse::integer<T>(value);
+  else parsed = parse::number(value);
+  if (parsed) out = *parsed;
+  else
+    std::cerr << "autopipe_trace: " << option << " expects "
+              << (std::is_integral_v<T> ? "a non-negative integer"
+                                        : "a finite number")
+              << ", got '" << value << "'\n";
+  return parsed.has_value();
 }
 
 /// The iteration window the analyses read from --window (default 5).
 bool window_count(const Options& opts, std::size_t& out) {
   out = 5;
-  return opts.window.empty() || parse_value("--window", opts.window, out);
+  return opts.window.empty() || read_option("--window", opts.window, out);
 }
 
 bool parse_options(int argc, char** argv, Options& opts) {
@@ -157,21 +161,21 @@ bool parse_options(int argc, char** argv, Options& opts) {
     if (arg == "--json") {
       opts.json = true;
     } else if (arg.rfind("--top=", 0) == 0) {
-      ok = parse_value("--top", value, opts.top);
+      ok = read_option("--top", value, opts.top);
     } else if (arg.rfind("--width=", 0) == 0) {
-      ok = parse_value("--width", value, opts.width);
+      ok = read_option("--width", value, opts.width);
     } else if (arg.rfind("--window=", 0) == 0) {
       opts.window = value;
     } else if (arg.rfind("--iteration=", 0) == 0) {
-      ok = parse_value("--iteration", value, opts.blame_iteration);
+      ok = read_option("--iteration", value, opts.blame_iteration);
     } else if (arg.rfind("--job=", 0) == 0) {
-      ok = parse_value("--job", value, opts.job);
+      ok = read_option("--job", value, opts.job);
     } else if (arg.rfind("--tolerance=", 0) == 0) {
-      ok = parse_value("--tolerance", value, opts.tolerance);
+      ok = read_option("--tolerance", value, opts.tolerance);
     } else if (arg.rfind("--ledger=", 0) == 0) {
       opts.ledger = value;
     } else if (arg.rfind("--drop=", 0) == 0) {
-      ok = parse_value("--drop", value, opts.drop);
+      ok = read_option("--drop", value, opts.drop);
     } else if (arg == "--flame") {
       opts.flame = true;
     } else if (arg == "--check") {
@@ -412,8 +416,8 @@ int main(int argc, char** argv) {
         }
         double t0 = 0.0;
         double t1 = 0.0;
-        if (!parse_value("--window", opts.window.substr(0, dots), t0) ||
-            !parse_value("--window", opts.window.substr(dots + 2), t1))
+        if (!read_option("--window", opts.window.substr(0, dots), t0) ||
+            !read_option("--window", opts.window.substr(dots + 2), t1))
           return 2;
         if (t1 < t0) {
           std::cerr << "--window T0..T1 must not end before it begins\n";

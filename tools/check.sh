@@ -232,12 +232,16 @@ echo "== analyzer smoke =="
 "$build/tools/autopipe_trace" diff \
     "$repo/tests/golden/bandwidth_drop.trace" \
     "$repo/tests/golden/bandwidth_drop.trace" --json > /dev/null
-# A malformed option value is a usage error (exit 2), not a silent zero.
-status=0
-"$build/tools/autopipe_trace" critical-path --top=abc \
-    "$repo/tests/golden/bandwidth_drop.trace" 2> /dev/null || status=$?
-[[ "$status" == 2 ]] ||
-  { echo "analyzer smoke: --top=abc exited $status" >&2; exit 1; }
+# A malformed or non-finite option value is a usage error (exit 2), not a
+# silent zero or a tolerance that every difference meets.
+for bad in --top=abc --tolerance=nan; do
+  status=0
+  "$build/tools/autopipe_trace" diff "$bad" \
+      "$repo/tests/golden/bandwidth_drop.trace" \
+      "$repo/tests/golden/replicated_ring.trace" 2> /dev/null || status=$?
+  [[ "$status" == 2 ]] ||
+    { echo "analyzer smoke: $bad exited $status" >&2; exit 1; }
+done
 
 ledger_smoke
 

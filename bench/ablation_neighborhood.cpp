@@ -45,9 +45,10 @@ Outcome run_neighborhood() {
     if (!(executor.current_partition() == previous)) {
       partition::EnvironmentView env = partition::EnvironmentView::from_cluster(
           *t.cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-      migrated += core::analytic_switch_cost(model, previous,
-                                             executor.current_partition(),
-                                             env, 0.1, 10, millis(2))
+      migrated += core::analytic_switch_cost(
+                      model, previous.stages(),
+                      executor.current_partition().stages(), env, 0.1, 10,
+                      millis(2))
                       .migration_bytes;
       previous = executor.current_partition();
     }
@@ -78,10 +79,9 @@ Outcome run_full_replan() {
                                               comm::SyncScheme::kRing);
       partition::EnvironmentView env = partition::EnvironmentView::from_cluster(
           *t.cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
-      migrated += core::analytic_switch_cost(model,
-                                             executor.current_partition(),
-                                             replan.partition, env, 0.1, 10,
-                                             millis(2))
+      migrated += core::analytic_switch_cost(
+                      model, executor.current_partition().stages(),
+                      replan.partition.stages(), env, 0.1, 10, millis(2))
                       .migration_bytes;
       executor.request_switch(
           replan.partition,

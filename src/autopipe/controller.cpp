@@ -60,12 +60,11 @@ constexpr double kRecoveryBackoffBase = 2.0;
 constexpr std::size_t kSwitchRetryMax = 3;
 constexpr double kSwitchRetryBackoff = 2.0;
 
-/// Partition::to_string() with the spaces removed, so the string fits the
-/// ledger's space-separated key=value lines.
-std::string compact_partition(const partition::Partition& p) {
-  std::string s = p.to_string();
-  s.erase(std::remove(s.begin(), s.end(), ' '), s.end());
-  return s;
+/// A stage list in the ledger's compact form, which fits its
+/// space-separated key=value lines.
+std::string compact_stages(
+    std::span<const partition::StageAssignment> stages) {
+  return partition::format_stages(stages, "|");
 }
 
 }  // namespace
@@ -498,9 +497,10 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   const bool fine_grained =
       config_.switch_mode ==
       pipeline::PipelineExecutor::SwitchMode::kFineGrained;
-  const auto switch_cost = [&](const partition::Partition& to) {
+  const auto switch_cost =
+      [&](std::span<const partition::StageAssignment> to) {
     return analytic_switch_cost(
-        executor_.model(), current, to, env,
+        executor_.model(), current.stages(), to, env,
         snapshot.iteration_time > 0.0 ? snapshot.iteration_time : 0.1,
         partition::optimal_in_flight(current),
         executor_.config().switch_overhead_per_layer);
@@ -520,7 +520,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
     rec.digest = snapshot_digest(snapshot);
     rec.num_workers = static_cast<int>(snapshot.num_workers);
     rec.iteration_time = snapshot.iteration_time;
-    rec.current = compact_partition(current);
+    rec.current = compact_stages(current.stages());
     rec.current_pred = current_speed;
   };
   if (ledger_on) init_record();
@@ -539,9 +539,9 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
         // Re-plan adoption is this round's single candidate; filled before
         // the switch request so `current` is still the pre-switch partition.
         rec.kind = "replan";
-        const SwitchCostEstimate cost = switch_cost(plan);
+        const SwitchCostEstimate cost = switch_cost(plan.stages());
         trace::CandidateScore cs;
-        cs.partition = compact_partition(plan);
+        cs.partition = compact_stages(plan.stages());
         cs.predicted_speed = plan_speed;
         cs.cost_fine = cost.fine_grained;
         cs.cost_stw = cost.stop_the_world;
@@ -579,6 +579,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   const std::size_t num_candidates = moves_.size();
   stats_.candidates_evaluated += num_candidates;
   scratch_ = current.stages();
+  if (ledger_on) rec.candidates.reserve(num_candidates);
   // A move keeps the partition's worker set, so one check covers them all.
   const bool reachable = partition_reachable(current);
 
@@ -592,23 +593,21 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
         !reachable || (config_.validate_switches && rejected(scratch_));
     const double speed =
         skipped ? 0.0 : predict_speed(snapshot, scratch_, env);
-    partition::undo_move(scratch_, current.stages(), move);
     if (ledger_on) {
       // The ledger names every candidate and, unless skipped, estimates
-      // its switch cost; the decision gates on the winner's estimate only.
-      const partition::Partition candidate =
-          partition::apply_move(current, move);
-      trace::CandidateScore cs;
-      cs.partition = compact_partition(candidate);
+      // its switch cost, both from the moved scratch stages; the decision
+      // gates on the winner's estimate only.
+      trace::CandidateScore& cs = rec.candidates.emplace_back();
+      cs.partition = compact_stages(scratch_);
       cs.skipped = skipped;
       if (!skipped) {
-        const SwitchCostEstimate cost = switch_cost(candidate);
+        const SwitchCostEstimate cost = switch_cost(scratch_);
         cs.predicted_speed = speed;
         cs.cost_fine = cost.fine_grained;
         cs.cost_stw = cost.stop_the_world;
       }
-      rec.candidates.push_back(std::move(cs));
     }
+    partition::undo_move(scratch_, current.stages(), move);
     if (skipped) continue;
     if (cluster_.simulator().tracer().enabled()) {
       cluster_.simulator().tracer().instant(
@@ -654,7 +653,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
 
   // Cost of adopting the best candidate.
   const Seconds cost_seconds =
-      cost_for_mode(switch_cost(*winner), fine_grained);
+      cost_for_mode(switch_cost(winner->stages()), fine_grained);
 
   // Arbiter: is the predicted gain worth the cost? Each case also names
   // itself in the round's record, which is filed only with the ledger on.
@@ -726,7 +725,7 @@ void AutoPipeController::evaluate_and_decide(const ProfileSnapshot& snapshot,
   if (ledger_on) {
     rec.action = action == 1 ? trace::DecisionAction::kSwitch
                              : trace::DecisionAction::kHold;
-    if (action == 1) rec.target = compact_partition(*winner);
+    if (action == 1) rec.target = compact_stages(winner->stages());
     rec.chosen_pred = action == 1 ? best_speed : current_speed;
     rec.best_pred = best_speed;
     rec.cost_seconds = cost_seconds;

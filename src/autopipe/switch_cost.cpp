@@ -1,38 +1,53 @@
 #include "autopipe/switch_cost.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/expect.hpp"
-#include "nn/loss.hpp"
 
 namespace autopipe::core {
 
 SwitchCostEstimate analytic_switch_cost(
-    const models::ModelSpec& model, const partition::Partition& from,
-    const partition::Partition& to, const partition::EnvironmentView& env,
-    Seconds current_batch_time, std::size_t in_flight,
-    Seconds restage_overhead_per_layer) {
+    const models::ModelSpec& model,
+    std::span<const partition::StageAssignment> from,
+    std::span<const partition::StageAssignment> to,
+    const partition::EnvironmentView& env, Seconds current_batch_time,
+    std::size_t in_flight, Seconds restage_overhead_per_layer) {
   SwitchCostEstimate est;
 
-  // Migration volume: one weight version of every layer that gains a new
-  // holder (the stash-ordered scheme transfers the latest version and
-  // reconstructs the rest locally).
+  // Migration volume: one weight version of every layer per holder it gains
+  // (the stash-ordered scheme transfers the latest version and reconstructs
+  // the rest locally). One cursor per stage list walks the layers in runs
+  // that lie in a single stage of each, so a run's old and new holders are
+  // fixed; bytes are still summed layer by layer, then holder by holder.
   BytesPerSec worst_bw = env.uniform_bandwidth();
-  for (std::size_t layer = 0; layer < model.num_layers(); ++layer) {
-    const auto& old_ws = from.stage(from.stage_of_layer(layer)).workers;
-    const auto& new_ws = to.stage(to.stage_of_layer(layer)).workers;
-    bool moved = false;
-    for (sim::WorkerId w : new_ws) {
-      if (std::find(old_ws.begin(), old_ws.end(), w) == old_ws.end()) {
-        est.migration_bytes += model.param_bytes(layer);
+  auto old_stage = from.begin();
+  auto new_stage = to.begin();
+  for (std::size_t first = 0; first < model.num_layers();) {
+    AUTOPIPE_EXPECT(old_stage != from.end() && new_stage != to.end());
+    const std::size_t last =
+        std::min(old_stage->last_layer, new_stage->last_layer);
+    const auto& old_ws = old_stage->workers;
+    const auto& new_ws = new_stage->workers;
+    std::size_t gained = 0;  // holders of the run new to its layers
+    if (old_ws != new_ws) {
+      for (sim::WorkerId w : new_ws) {
+        if (std::find(old_ws.begin(), old_ws.end(), w) != old_ws.end())
+          continue;
+        ++gained;
         worst_bw = std::min(worst_bw, env.worker_bandwidth.at(w));
-        moved = true;
       }
     }
-    if (moved) ++est.moved_layers;
+    if (gained > 0) {
+      est.moved_layers += last - first + 1;
+      for (std::size_t layer = first; layer <= last; ++layer) {
+        for (std::size_t i = 0; i < gained; ++i)
+          est.migration_bytes += model.param_bytes(layer);
+      }
+    }
+    if (old_stage->last_layer == last) ++old_stage;
+    if (new_stage->last_layer == last) ++new_stage;
+    first = last + 1;
   }
-  est.changed_workers = from.changed_workers(to).size();
   AUTOPIPE_EXPECT(worst_bw > 0.0);
   const Seconds transfer =
       est.migration_bytes / (worst_bw * env.comm_efficiency);
@@ -52,48 +67,6 @@ SwitchCostEstimate analytic_switch_cost(
       restage_overhead_per_layer * static_cast<double>(est.moved_layers) +
       kContentionShare * transfer;
   return est;
-}
-
-SwitchCostModel::SwitchCostModel(std::uint64_t seed)
-    : net_([&] {
-        Rng init(seed);
-        return nn::Mlp({4, 16, 8, 1}, nn::Activation::kRelu,
-                       nn::Activation::kIdentity, init);
-      }()),
-      optimizer_(net_.parameters(), 1e-3) {}
-
-std::vector<double> SwitchCostModel::featurize(const SwitchCostEstimate& e) {
-  return {
-      e.migration_bytes / (512.0 * 1024 * 1024),
-      static_cast<double>(e.changed_workers) / 16.0,
-      static_cast<double>(e.moved_layers) / 64.0,
-      e.stop_the_world,  // the analytic anchor
-  };
-}
-
-Seconds SwitchCostModel::predict(const SwitchCostEstimate& estimate) {
-  const auto f = featurize(estimate);
-  nn::Matrix x(1, f.size());
-  for (std::size_t i = 0; i < f.size(); ++i) x.at(0, i) = f[i];
-  // A learned correction can under-shoot; cost is never negative.
-  return std::max(0.0, net_.forward(x).at(0, 0));
-}
-
-double SwitchCostModel::train_batch(const std::vector<Sample>& batch) {
-  AUTOPIPE_EXPECT(!batch.empty());
-  net_.zero_grad();
-  nn::Matrix x(batch.size(), 4);
-  nn::Matrix y(batch.size(), 1);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto f = featurize(batch[i].estimate);
-    for (std::size_t j = 0; j < f.size(); ++j) x.at(i, j) = f[j];
-    y.at(i, 0) = batch[i].measured_stall;
-  }
-  const nn::Matrix pred = net_.forward(x);
-  const nn::LossResult loss = nn::mse_loss(pred, y);
-  net_.backward(loss.grad);
-  optimizer_.step();
-  return loss.value;
 }
 
 }  // namespace autopipe::core

@@ -1,17 +1,13 @@
-// Switching-cost estimation (§4.3 uses "a similar meta-network as the speed
-// prediction model" to normalize switching cost into the RL reward). We
-// provide both: a transparent analytic estimate derived from the migration
-// volume and pipeline state, and a small learned regressor that can be
-// fitted to measured stalls; the controller uses the analytic form unless a
-// trained regressor is supplied.
+// Switching-cost estimation (§4.3 normalizes switching cost into the RL
+// reward): a transparent analytic estimate derived from the migration
+// volume and pipeline state.
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "common/units.hpp"
 #include "models/model.hpp"
-#include "nn/mlp.hpp"
-#include "nn/optimizer.hpp"
 #include "partition/environment.hpp"
 #include "partition/partition.hpp"
 
@@ -20,7 +16,6 @@ namespace autopipe::core {
 struct SwitchCostEstimate {
   /// Weight bytes that must cross the network.
   Bytes migration_bytes = 0.0;
-  std::size_t changed_workers = 0;
   std::size_t moved_layers = 0;
   /// Expected lost time under fine-grained (layer-by-layer, stash-ordered)
   /// switching: restaging overhead plus the slowdown from migration traffic
@@ -30,11 +25,15 @@ struct SwitchCostEstimate {
   Seconds stop_the_world = 0.0;
 };
 
+/// The cost of switching from stages `from` to stages `to`, both covering
+/// the model's layers (a Partition's stages(), or a planner's scratch copy
+/// with a move applied). Allocates nothing.
 SwitchCostEstimate analytic_switch_cost(
-    const models::ModelSpec& model, const partition::Partition& from,
-    const partition::Partition& to, const partition::EnvironmentView& env,
-    Seconds current_batch_time, std::size_t in_flight,
-    Seconds restage_overhead_per_layer);
+    const models::ModelSpec& model,
+    std::span<const partition::StageAssignment> from,
+    std::span<const partition::StageAssignment> to,
+    const partition::EnvironmentView& env, Seconds current_batch_time,
+    std::size_t in_flight, Seconds restage_overhead_per_layer);
 
 /// The stall the estimate predicts for the given switch mode — the value
 /// the controller gates on and the decision ledger records per candidate.
@@ -42,26 +41,5 @@ inline Seconds cost_for_mode(const SwitchCostEstimate& estimate,
                              bool fine_grained) {
   return fine_grained ? estimate.fine_grained : estimate.stop_the_world;
 }
-
-/// Learned refinement: regress measured stall seconds from a tiny feature
-/// vector (migration volume, bandwidth, pipeline state). Used by the
-/// ablation bench; the controller defaults to the analytic estimate.
-class SwitchCostModel {
- public:
-  explicit SwitchCostModel(std::uint64_t seed);
-
-  struct Sample {
-    SwitchCostEstimate estimate;  // analytic inputs as features
-    Seconds measured_stall = 0.0;
-  };
-
-  Seconds predict(const SwitchCostEstimate& estimate);
-  double train_batch(const std::vector<Sample>& batch);
-
- private:
-  static std::vector<double> featurize(const SwitchCostEstimate& e);
-  nn::Mlp net_;
-  nn::Adam optimizer_;
-};
 
 }  // namespace autopipe::core

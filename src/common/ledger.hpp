@@ -26,7 +26,7 @@ namespace autopipe::trace {
 
 /// One candidate partition examined during a planning round.
 struct CandidateScore {
-  std::string partition;        ///< compact form (Partition::to_string, no spaces)
+  std::string partition;        ///< compact form (format_stages with "|")
   double predicted_speed = 0.0; ///< samples/s the predictor expects
   double cost_fine = 0.0;       ///< est. fine-grained switch stall (seconds)
   double cost_stw = 0.0;        ///< est. stop-the-world switch stall (seconds)

@@ -95,6 +95,27 @@ Field TraceRecorder::load(const StoredField& stored) const {
   return f;
 }
 
+TraceRecorder::Record& TraceRecorder::append_record() {
+  const std::size_t chunk = size_ / kRecordsPerChunk;
+  if (chunk == record_chunks_.size()) {
+    record_chunks_.push_back(
+        std::make_unique_for_overwrite<Record[]>(kRecordsPerChunk));
+  }
+  return record_chunks_[chunk][size_++ % kRecordsPerChunk];
+}
+
+std::uint32_t TraceRecorder::append_fields(std::size_t count) {
+  std::size_t first = fields_end_;
+  if (first % kFieldsPerChunk + count > kFieldsPerChunk)
+    first += kFieldsPerChunk - first % kFieldsPerChunk;
+  if (count > 0 && first / kFieldsPerChunk == field_chunks_.size()) {
+    field_chunks_.push_back(
+        std::make_unique_for_overwrite<StoredField[]>(kFieldsPerChunk));
+  }
+  fields_end_ = first + count;
+  return static_cast<std::uint32_t>(first);
+}
+
 std::uint64_t TraceRecorder::record(Category category, char phase,
                                     std::string_view name, double ts,
                                     double span, std::uint64_t id, int pid,
@@ -104,21 +125,22 @@ std::uint64_t TraceRecorder::record(Category category, char phase,
   cause = cause == kAmbient ? current_cause_ : cause;
   if (cause == eid) cause = 0;  // never self-caused
   current_cause_ = eid;
-  records_.push_back({.ts = ts, .span = span, .id = id, .eid = eid,
-                      .cause = cause, .name = intern(name),
-                      .first_field = static_cast<std::uint32_t>(fields_.size()),
-                      .pid = pid, .tid = tid, .category = category,
-                      .phase = phase,
-                      .field_count = static_cast<std::uint8_t>(fields.size())});
+  const std::uint32_t first_field = append_fields(fields.size());
+  append_record() = {.ts = ts, .span = span, .id = id, .eid = eid,
+                     .cause = cause, .name = intern(name),
+                     .first_field = first_field, .pid = pid, .tid = tid,
+                     .category = category, .phase = phase,
+                     .field_count = static_cast<std::uint8_t>(fields.size())};
+  StoredField* stored = fields.size() ? field_at(first_field) : nullptr;
   for (const Field& f : fields) {
-    StoredField& stored = fields_.emplace_back();
-    stored.key = intern(f.key);
-    stored.kind = f.kind;
+    stored->key = intern(f.key);
+    stored->kind = f.kind;
     if (f.kind == Field::Kind::kString) {
-      stored.string = intern(f.text);
+      stored->string = intern(f.text);
     } else {
-      std::memcpy(&stored.number, &f.u, sizeof stored.number);
+      std::memcpy(&stored->number, &f.u, sizeof stored->number);
     }
+    ++stored;
   }
   return eid;
 }
@@ -126,16 +148,15 @@ std::uint64_t TraceRecorder::record(Category category, char phase,
 void TraceRecorder::counter(Category category, std::string_view name,
                             double ts, double value, int pid) {
   if (!enabled_) return;
-  records_.push_back({.ts = ts, .span = value, .id = 0, .eid = 0, .cause = 0,
-                      .name = intern(name),
-                      .first_field = static_cast<std::uint32_t>(fields_.size()),
-                      .pid = pid, .tid = 0, .category = category,
-                      .phase = 'C', .field_count = 0});
+  append_record() = {.ts = ts, .span = value, .id = 0, .eid = 0, .cause = 0,
+                     .name = intern(name), .first_field = 0, .pid = pid,
+                     .tid = 0, .category = category, .phase = 'C',
+                     .field_count = 0};
 }
 
 void TraceRecorder::clear() {
-  records_.clear();
-  fields_.clear();
+  size_ = 0;
+  fields_end_ = 0;
   strings_.clear();
   chunks_.clear();
   slots_.clear();
@@ -145,8 +166,8 @@ void TraceRecorder::clear() {
 
 std::vector<Event> TraceRecorder::events() const {
   std::vector<Event> out;
-  out.reserve(records_.size());
-  for (const Record& r : records_) {
+  out.reserve(size_);
+  for_each_record([&](const Record& r) {
     Event& ev = out.emplace_back();
     ev.category = r.category;
     ev.phase = r.phase;
@@ -161,7 +182,7 @@ std::vector<Event> TraceRecorder::events() const {
     ev.cause = r.cause;
     ev.args.reserve(r.field_count);
     for (const StoredField& f : fields_of(r)) ev.args.push_back(load(f));
-  }
+  });
   return out;
 }
 
@@ -215,9 +236,9 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   // Name the synthetic process rows so the viewer is self-explanatory.
   std::set<int> worker_pids;
-  for (const Record& r : records_) {
+  for_each_record([&](const Record& r) {
     if (r.pid < kPidNetwork) worker_pids.insert(r.pid);
-  }
+  });
   const char* separator = "\n";
   auto metadata = [&](int pid) -> TextWriter& {
     out << separator << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
@@ -230,7 +251,7 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
   metadata(kPidResource) << "resources\"}}";
   for (int pid : worker_pids) metadata(pid) << "worker " << pid << "\"}}";
 
-  for (const Record& r : records_) {
+  for_each_record([&](const Record& r) {
     out << ",\n{\"name\":";
     put_json_string(out, text(r.name));
     out << ",\"cat\":\"" << category_name(r.category) << "\",\"ph\":\""
@@ -260,23 +281,23 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
       out << '}';
     }
     out << '}';
-  }
+  });
 
   // Causal edges as Chrome flow-event pairs: an 's' (start) anchored at the
   // causing event's end and an 'f' (finish, bp:"e") anchored at the caused
   // event's start, paired by the child's eid. eids are assigned densely over
   // non-counter events, so an index maps cause ids back to their events.
   std::vector<const Record*> by_eid;
-  for (const Record& r : records_) {
+  for_each_record([&](const Record& r) {
     if (r.eid != 0) {
       if (by_eid.size() < r.eid) by_eid.resize(r.eid, nullptr);
       by_eid[r.eid - 1] = &r;
     }
-  }
-  for (const Record& r : records_) {
-    if (r.cause == 0 || r.cause > by_eid.size()) continue;
+  });
+  for_each_record([&](const Record& r) {
+    if (r.cause == 0 || r.cause > by_eid.size()) return;
     const Record* parent = by_eid[r.cause - 1];
-    if (parent == nullptr) continue;
+    if (parent == nullptr) return;
     const double parent_end =
         parent->phase == 'X' ? parent->ts + parent->span : parent->ts;
     out << ",\n{\"name\":\"causal\",\"cat\":\"causal\",\"ph\":\"s\",\"id\":"
@@ -285,13 +306,13 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
         << "\n{\"name\":\"causal\",\"cat\":\"causal\",\"ph\":\"f\","
         << "\"bp\":\"e\",\"id\":" << r.eid << ",\"ts\":" << micros(r.ts)
         << ",\"pid\":" << r.pid << ",\"tid\":" << r.tid << "}";
-  }
+  });
   out << "\n]}\n";
 }
 
 void TraceRecorder::write_text(std::ostream& os) const {
   TextWriter out(os);
-  for (const Record& r : records_) {
+  for_each_record([&](const Record& r) {
     out << Fixed{r.ts, 9} << ' ' << category_name(r.category) << ' '
         << r.phase << ' ' << text(r.name) << " pid=" << r.pid
         << " tid=" << r.tid;
@@ -306,7 +327,7 @@ void TraceRecorder::write_text(std::ostream& os) const {
       put_value(out, f);
     }
     out << '\n';
-  }
+  });
 }
 
 #else  // !AUTOPIPE_TRACING

@@ -26,12 +26,15 @@
 // Chrome sink renders each edge as a flow-event pair (ph "s"/"f").
 //
 // Storage: recording formats nothing. Each event is one trivially copyable
-// record (category, phase, interned name id, pid/tid, ts, dur-or-value,
-// async id, eid, cause and a range of fields), and its arguments are typed
-// fields (int64, uint64, double or interned string) in one flat array.
-// Names, keys and string values are interned once per recorder. Only the
-// sinks format, straight into a TextWriter buffer; events() decodes the
-// records into the analysis-side Event form.
+// 64-byte record (category, phase, interned name id, pid/tid, ts,
+// dur-or-value, async id, eid, cause and a range of fields), and its
+// arguments are typed fields (int64, uint64, double or interned string).
+// Records and fields live in fixed-size chunks: growing allocates one chunk
+// and never moves what is stored, so no recording call copies the trace so
+// far. A record's fields are contiguous within one chunk. Names, keys and
+// string values are interned once per recorder. Only the sinks format,
+// straight into a TextWriter buffer; events() decodes the records into the
+// analysis-side Event form.
 //
 // Overhead discipline: recording methods no-op unless set_enabled(true) was
 // called, and callers guard argument construction behind `enabled()`. With
@@ -40,6 +43,7 @@
 // call site is dead code.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
@@ -182,6 +186,11 @@ struct Event {
 class TraceRecorder {
  public:
 #if AUTOPIPE_TRACING
+  /// Records and their fields are stored in chunks of this many (256 KiB
+  /// each).
+  static constexpr std::size_t kRecordsPerChunk = 4096;
+  static constexpr std::size_t kFieldsPerChunk = 16384;
+
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
@@ -235,7 +244,8 @@ class TraceRecorder {
 
   /// Every recorded event, decoded (a fresh copy on each call).
   std::vector<Event> events() const;
-  std::size_t size() const { return records_.size(); }
+  std::size_t size() const { return size_; }
+  /// Drops every event; the record and field chunks are kept for reuse.
   void clear();
 
   void write_chrome_json(std::ostream& os) const;
@@ -244,7 +254,7 @@ class TraceRecorder {
  private:
   /// One recorded event. `span` is the duration of an 'X' span and the
   /// value of a 'C' counter; fields [first_field, first_field +
-  /// field_count) of `fields_` are its arguments.
+  /// field_count) are its arguments.
   struct Record {
     double ts;
     double span;
@@ -269,7 +279,9 @@ class TraceRecorder {
     Field::Kind kind;
   };
   static_assert(std::is_trivially_copyable_v<Record>);
+  static_assert(sizeof(Record) == 64);
   static_assert(std::is_trivially_copyable_v<StoredField>);
+  static_assert(Fields::kCapacity <= kFieldsPerChunk);
 
   /// Shared body of the four non-counter recording methods (enabled only).
   std::uint64_t record(Category category, char phase, std::string_view name,
@@ -280,8 +292,26 @@ class TraceRecorder {
   /// Rebuild slots_ with `slots` (a power of two) entries.
   void rehash(std::size_t slots);
   std::string_view text(std::uint32_t id) const { return strings_[id]; }
+  /// The slot for the next record.
+  Record& append_record();
+  /// Room for `count` contiguous fields; returns the index of the first.
+  std::uint32_t append_fields(std::size_t count);
+  StoredField* field_at(std::size_t index) const {
+    return field_chunks_[index / kFieldsPerChunk].get() +
+           index % kFieldsPerChunk;
+  }
   std::span<const StoredField> fields_of(const Record& rec) const {
-    return std::span(fields_).subspan(rec.first_field, rec.field_count);
+    if (rec.field_count == 0) return {};
+    return {field_at(rec.first_field), rec.field_count};
+  }
+  /// Calls fn(record) for every record, in recording order.
+  template <typename Fn>
+  void for_each_record(Fn&& fn) const {
+    for (std::size_t first = 0; first < size_; first += kRecordsPerChunk) {
+      const Record* chunk = record_chunks_[first / kRecordsPerChunk].get();
+      const std::size_t n = std::min(kRecordsPerChunk, size_ - first);
+      for (std::size_t i = 0; i < n; ++i) fn(chunk[i]);
+    }
   }
   /// The stored field as a Field viewing the interned strings.
   Field load(const StoredField& field) const;
@@ -289,8 +319,14 @@ class TraceRecorder {
   bool enabled_ = false;
   std::uint64_t next_eid_ = 1;
   std::uint64_t current_cause_ = 0;
-  std::vector<Record> records_;
-  std::vector<StoredField> fields_;
+  /// Records [0, size_) and fields [0, fields_end_), by index i at
+  /// chunks[i / per-chunk][i % per-chunk]. A chunk of fields may end in
+  /// unused slots: a record whose fields would cross into the next chunk
+  /// starts it instead.
+  std::vector<std::unique_ptr<Record[]>> record_chunks_;
+  std::vector<std::unique_ptr<StoredField[]>> field_chunks_;
+  std::size_t size_ = 0;
+  std::size_t fields_end_ = 0;
   /// Interned texts by id. Their bytes live in chunks_, which never move,
   /// so the views stay valid as the recorder grows or is moved.
   std::vector<std::string_view> strings_;

@@ -121,22 +121,29 @@ std::vector<sim::WorkerId> Partition::changed_workers(
 }
 
 std::string Partition::to_string() const {
+  return format_stages(stages_, " | ");
+}
+
+std::string format_stages(std::span<const StageAssignment> stages,
+                          std::string_view separator) {
   std::string out;
-  out.reserve(16 * stages_.size() + 4 * num_workers());
+  std::size_t workers = 0;
+  for (const StageAssignment& s : stages) workers += s.workers.size();
+  out.reserve(16 * stages.size() + 4 * workers);
   const auto append = [&out](std::size_t v) {
     char buf[20];  // the digits of any 64-bit value
     out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   };
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    if (s) out += " | ";
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    if (s) out += separator;
     out += 'L';
-    append(stages_[s].first_layer);
+    append(stages[s].first_layer);
     out += '-';
-    append(stages_[s].last_layer);
+    append(stages[s].last_layer);
     out += "@{";
-    for (std::size_t i = 0; i < stages_[s].workers.size(); ++i) {
+    for (std::size_t i = 0; i < stages[s].workers.size(); ++i) {
       if (i) out += ',';
-      append(stages_[s].workers[i]);
+      append(stages[s].workers[i]);
     }
     out += '}';
   }

@@ -5,7 +5,9 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
@@ -60,6 +62,7 @@ class Partition {
   /// migration set for state switching.
   std::vector<sim::WorkerId> changed_workers(const Partition& other) const;
 
+  /// format_stages with " | " between stages.
   std::string to_string() const;
   bool operator==(const Partition& other) const = default;
 
@@ -67,6 +70,12 @@ class Partition {
   std::vector<StageAssignment> stages_;
   std::size_t num_layers_ = 0;
 };
+
+/// The stage list as text, one "L<first>-<last>@{<worker>,...}" per stage
+/// with `separator` between stages: " | " in Partition::to_string(), "|" in
+/// the decision ledger, whose lines are space-separated.
+std::string format_stages(std::span<const StageAssignment> stages,
+                          std::string_view separator);
 
 /// Rewrite every worker id through `worker_map`: stage worker i becomes
 /// worker_map[i]. Used by job-scoped planning on a shared cluster — the

@@ -3,8 +3,12 @@
 // resource monitor's change detection, and the controller loop end-to-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "autopipe/controller.hpp"
 #include "common/expect.hpp"
@@ -15,8 +19,10 @@
 #include "autopipe/switch_cost.hpp"
 #include "autopipe/training.hpp"
 #include "common/units.hpp"
+#include "comm/framework.hpp"
 #include "models/zoo.hpp"
 #include "partition/analytic_eval.hpp"
+#include "partition/neighborhood.hpp"
 #include "partition/pipedream_planner.hpp"
 #include "pipeline/executor.hpp"
 #include "sim/cluster.hpp"
@@ -234,13 +240,12 @@ TEST(SwitchCost, AnalyticArithmetic) {
   partition::EnvironmentView env;
   env.worker_speed.assign(3, 1e4);
   env.worker_bandwidth.assign(3, 1e5);
-  const auto cost = analytic_switch_cost(model, from, to, env, 0.1, 3,
-                                         millis(2));
+  const auto cost = analytic_switch_cost(model, from.stages(), to.stages(),
+                                         env, 0.1, 3, millis(2));
   // Layer 2 moves from worker 1 to worker 0; layer 3 moves from 1 to ...
   // from: {0,1}{2,3}{4,5}; to: {0,1,2}{3}{4,5} -> layer 2 gains worker 0.
   EXPECT_DOUBLE_EQ(cost.migration_bytes, 400.0);
   EXPECT_EQ(cost.moved_layers, 1u);
-  EXPECT_EQ(cost.changed_workers, 2u);
   EXPECT_GT(cost.stop_the_world, cost.fine_grained);
   // Stop-the-world includes the drain+refill bubble: 2 x 3 x 0.1 = 0.6 s.
   EXPECT_GT(cost.stop_the_world, 0.6);
@@ -252,30 +257,157 @@ TEST(SwitchCost, NoChangeCostsNothing) {
   partition::EnvironmentView env;
   env.worker_speed.assign(3, 1e4);
   env.worker_bandwidth.assign(3, 1e5);
-  const auto cost = analytic_switch_cost(model, p, p, env, 0.1, 3, millis(2));
+  const auto cost =
+      analytic_switch_cost(model, p.stages(), p.stages(), env, 0.1, 3,
+                           millis(2));
   EXPECT_DOUBLE_EQ(cost.migration_bytes, 0.0);
   EXPECT_DOUBLE_EQ(cost.fine_grained, 0.0);
 }
 
-TEST(SwitchCost, LearnedModelFitsAnalyticAnchor) {
-  SwitchCostModel model(3);
-  Rng rng(9);
-  std::vector<SwitchCostModel::Sample> data;
-  for (int i = 0; i < 64; ++i) {
-    SwitchCostEstimate e;
-    e.migration_bytes = rng.uniform(0, 5e8);
-    e.changed_workers = static_cast<std::size_t>(rng.uniform_int(1, 8));
-    e.moved_layers = static_cast<std::size_t>(rng.uniform_int(1, 30));
-    e.stop_the_world = rng.uniform(0, 2);
-    data.push_back({e, 0.5 * e.stop_the_world});
+/// The per-layer switch cost that the stage-run walk must reproduce bit for
+/// bit: both partitions' stages looked up layer by layer, every new holder
+/// of a layer charged in worker order.
+SwitchCostEstimate per_layer_switch_cost(
+    const models::ModelSpec& model, const partition::Partition& from,
+    const partition::Partition& to, const partition::EnvironmentView& env,
+    Seconds batch_time, std::size_t in_flight, Seconds restage) {
+  SwitchCostEstimate est;
+  BytesPerSec worst_bw = env.uniform_bandwidth();
+  for (std::size_t layer = 0; layer < model.num_layers(); ++layer) {
+    const auto& old_ws = from.stage(from.stage_of_layer(layer)).workers;
+    const auto& new_ws = to.stage(to.stage_of_layer(layer)).workers;
+    bool moved = false;
+    for (sim::WorkerId w : new_ws) {
+      if (std::find(old_ws.begin(), old_ws.end(), w) == old_ws.end()) {
+        est.migration_bytes += model.param_bytes(layer);
+        worst_bw = std::min(worst_bw, env.worker_bandwidth.at(w));
+        moved = true;
+      }
+    }
+    if (moved) ++est.moved_layers;
   }
-  double first = 0, last = 0;
-  for (int epoch = 0; epoch < 400; ++epoch) {
-    const double loss = model.train_batch(data);
-    if (epoch == 0) first = loss;
-    last = loss;
+  const Seconds transfer =
+      est.migration_bytes / (worst_bw * env.comm_efficiency);
+  est.stop_the_world =
+      2.0 * static_cast<double>(in_flight) * batch_time + transfer;
+  est.fine_grained = restage * static_cast<double>(est.moved_layers) +
+                     (1.0 / 3.0) * transfer;
+  return est;
+}
+
+void expect_same_cost(const SwitchCostEstimate& got,
+                      const SwitchCostEstimate& want) {
+  EXPECT_EQ(got.migration_bytes, want.migration_bytes);
+  EXPECT_EQ(got.moved_layers, want.moved_layers);
+  EXPECT_EQ(got.fine_grained, want.fine_grained);
+  EXPECT_EQ(got.stop_the_world, want.stop_the_world);
+}
+
+/// analytic_switch_cost on the two stage lists equals the per-layer
+/// reference on the partitions, bit for bit, in both directions.
+void expect_reference_cost(const models::ModelSpec& model,
+                           const partition::Partition& a,
+                           const partition::Partition& b,
+                           const partition::EnvironmentView& env) {
+  for (const auto& [from, to] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+    SCOPED_TRACE(from->to_string() + " -> " + to->to_string());
+    expect_same_cost(
+        analytic_switch_cost(model, from->stages(), to->stages(), env, 0.037,
+                             4, millis(2)),
+        per_layer_switch_cost(model, *from, *to, env, 0.037, 4, millis(2)));
   }
-  EXPECT_LT(last, first / 4.0);
+}
+
+struct PlannedCase {
+  models::ModelSpec model;
+  partition::EnvironmentView env;
+  partition::Partition plan;
+};
+
+/// The DP plan of `model` on servers x gpus at 25 Gbps, or an even split
+/// over every worker.
+PlannedCase planned_case(models::ModelSpec model, std::size_t servers,
+                         std::size_t gpus, bool even) {
+  sim::Simulator sim;
+  sim::ClusterConfig config;
+  config.num_servers = servers;
+  config.gpus_per_server = gpus;
+  config.nic_bandwidth = gbps(25);
+  sim::Cluster cluster(sim, config);
+  auto env = partition::EnvironmentView::from_cluster(
+      cluster, comm::pytorch_profile(), comm::SyncScheme::kRing);
+  std::vector<sim::WorkerId> workers(cluster.num_workers());
+  for (sim::WorkerId w = 0; w < workers.size(); ++w) workers[w] = w;
+  partition::Partition plan =
+      even ? partition::Partition::even_split(model.num_layers(), workers)
+           : partition::PipeDreamPlanner(model, env,
+                                         model.default_batch_size())
+                 .plan(cluster.num_workers())
+                 .partition;
+  return {std::move(model), std::move(env), std::move(plan)};
+}
+
+TEST(SwitchCost, ScratchStagesMatchMaterializedMoves) {
+  // Every two-worker move of three plans, scored the way a planning round
+  // scores it: applied to a scratch copy of the current stages. The
+  // ledger's compact name and the switch cost from the scratch stages
+  // must equal those of the materialized Partition under the per-layer
+  // reference.
+  std::size_t rehomes = 0;
+  std::size_t moves_seen = 0;
+  for (PlannedCase c : {planned_case(models::vgg16(), 5, 2, false),
+                        planned_case(models::alexnet(), 4, 2, false),
+                        planned_case(models::vgg16(), 5, 2, true)}) {
+    const partition::Partition& current = c.plan;
+    std::vector<partition::Move> moves;
+    partition::enumerate_moves(current.stages(), moves);
+    std::vector<partition::StageAssignment> scratch = current.stages();
+    for (const partition::Move& move : moves) {
+      partition::apply_move(scratch, move);
+      const partition::Partition materialized =
+          partition::apply_move(current, move);
+      std::string compact = materialized.to_string();
+      std::erase(compact, ' ');
+      EXPECT_EQ(partition::format_stages(scratch, "|"), compact);
+      SCOPED_TRACE(compact);
+      expect_same_cost(
+          analytic_switch_cost(c.model, current.stages(), scratch, c.env,
+                               0.037, 4, millis(2)),
+          per_layer_switch_cost(c.model, current, materialized, c.env, 0.037,
+                                4, millis(2)));
+      expect_reference_cost(c.model, current, materialized, c.env);
+      partition::undo_move(scratch, current.stages(), move);
+      if (move.kind == partition::Move::Kind::kRehome) ++rehomes;
+      ++moves_seen;
+    }
+  }
+  // The DP plans replicate stages, so re-homes are among the moves.
+  EXPECT_GT(rehomes, 0u);
+  EXPECT_GT(moves_seen, 50u);
+}
+
+TEST(SwitchCost, NonMovePairsMatchThePerLayerReference) {
+  const PlannedCase c = planned_case(models::vgg16(), 5, 2, false);
+  // A re-plan onto remapped workers: every stage changes hands.
+  std::vector<sim::WorkerId> reversed(10);
+  for (sim::WorkerId w = 0; w < reversed.size(); ++w) reversed[w] = 9 - w;
+  expect_reference_cost(c.model, c.plan,
+                        partition::remap_workers(c.plan, reversed), c.env);
+  // A plan that drops a worker: the last one of the widest stage leaves.
+  std::vector<partition::StageAssignment> stages = c.plan.stages();
+  auto widest = std::max_element(
+      stages.begin(), stages.end(), [](const auto& a, const auto& b) {
+        return a.replication() < b.replication();
+      });
+  ASSERT_GT(widest->replication(), 1u);
+  widest->workers.pop_back();
+  expect_reference_cost(
+      c.model, c.plan, partition::Partition(stages, c.model.num_layers()),
+      c.env);
+  // An even split over one worker fewer: boundaries move, a worker drops.
+  const partition::Partition even = partition::Partition::even_split(
+      c.model.num_layers(), {0, 1, 2, 3, 4, 5, 6, 7, 8});
+  expect_reference_cost(c.model, c.plan, even, c.env);
 }
 
 TEST(ResourceMonitor, DetectsPersistentBandwidthStep) {

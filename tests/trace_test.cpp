@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/trace_reader.hpp"
 #include "common/metrics.hpp"
 #include "common/text_writer.hpp"
 #include "common/trace.hpp"
@@ -253,6 +254,133 @@ TEST(TraceRecorder, TextFormatIsStable) {
             "0.250000000 compute X fp pid=2 tid=1 dur=0.250000000 eid=1 "
             "batch=3\n"
             "0.000000000 comm C cap:link pid=1000 tid=0 value=12.5\n");
+}
+
+/// Records `counts.size()` events, the i-th with counts[i] fields of every
+/// kind; a field-less event is a counter every third time.
+void record_chunk_mix(TraceRecorder& rec,
+                      const std::vector<std::size_t>& counts) {
+  static const char* const kKeys[] = {"k0", "k1", "k2", "k3",
+                                      "k4", "k5", "k6", "k7"};
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double ts = 0.125 * static_cast<double>(i);
+    const std::string text = "s" + std::to_string(i % 37);
+    trace::Fields fields;
+    for (std::size_t f = 0; f < counts[i]; ++f) {
+      switch ((i + f) % 4) {
+        case 0: fields.push_back(trace::arg(kKeys[f], -int(i))); break;
+        case 1: fields.push_back(trace::arg(kKeys[f], i * 3)); break;
+        case 2: fields.push_back(trace::arg(kKeys[f], 0.5 * i)); break;
+        case 3: fields.push_back(trace::arg(kKeys[f], text)); break;
+      }
+    }
+    if (counts[i] == 0 && i % 3 == 0) {
+      rec.counter(Category::kComm, "load:" + text, ts, 0.25 * i);
+    } else if (i % 2 == 0) {
+      rec.instant(Category::kControl, "ev" + text, ts, trace::kPidControl,
+                  1, fields);
+    } else {
+      rec.complete(Category::kCompute, "fp", ts, ts + 0.0625,
+                   static_cast<int>(i % 10), 0, fields, i / 2);
+    }
+  }
+}
+
+void expect_same_events(const std::vector<Event>& got,
+                        const std::vector<Event>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_EQ(got[i].phase, want[i].phase);
+    EXPECT_EQ(got[i].ts, want[i].ts);
+    EXPECT_EQ(got[i].dur, want[i].dur);
+    EXPECT_EQ(got[i].value, want[i].value);
+    EXPECT_EQ(got[i].pid, want[i].pid);
+    EXPECT_EQ(got[i].tid, want[i].tid);
+    EXPECT_EQ(got[i].eid, want[i].eid);
+    EXPECT_EQ(got[i].cause, want[i].cause);
+    ASSERT_EQ(got[i].args.size(), want[i].args.size());
+    for (std::size_t a = 0; a < got[i].args.size(); ++a) {
+      EXPECT_EQ(got[i].args[a].key, want[i].args[a].key);
+      EXPECT_EQ(got[i].args[a].value, want[i].args[a].value);
+    }
+  }
+}
+
+TEST(TraceRecorder, RecordsAcrossChunkBoundaries) {
+  // More than two chunks of records and of fields, 0-8 fields per event.
+  constexpr std::size_t kRecords = TraceRecorder::kRecordsPerChunk;
+  constexpr std::size_t kFields = TraceRecorder::kFieldsPerChunk;
+  std::mt19937 gen(7);
+  std::vector<std::size_t> counts;
+  std::size_t total_fields = 0;
+  while (counts.size() <= 2 * kRecords || total_fields <= 2 * kFields) {
+    counts.push_back(gen() % 9);
+    total_fields += counts.back();
+  }
+  // Some records' fields would straddle a field chunk's end.
+  std::size_t end = 0;
+  std::size_t straddles = 0;
+  for (std::size_t n : counts) {
+    if (end % kFields + n > kFields) {
+      ++straddles;
+      end += kFields - end % kFields;
+    }
+    end += n;
+  }
+  ASSERT_GT(straddles, 0u);
+
+  TraceRecorder rec;
+  rec.set_enabled(true);
+  record_chunk_mix(rec, counts);
+  ASSERT_EQ(rec.size(), counts.size());
+
+  // events() returns every name, eid, cause and field in order.
+  const std::vector<Event> events = rec.events();
+  std::uint64_t eid = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Event& ev = events[i];
+    const std::string text = "s" + std::to_string(i % 37);
+    if (counts[i] == 0 && i % 3 == 0) {
+      EXPECT_EQ(ev.name, "load:" + text);
+      EXPECT_EQ(ev.eid, 0u);
+      EXPECT_EQ(ev.value, 0.25 * static_cast<double>(i));
+      continue;
+    }
+    EXPECT_EQ(ev.name, i % 2 == 0 ? "ev" + text : std::string("fp"));
+    EXPECT_EQ(ev.eid, ++eid);
+    EXPECT_EQ(ev.cause, i % 2 == 0 ? eid - 1 : (i / 2 == eid ? 0 : i / 2));
+    ASSERT_EQ(ev.args.size(), counts[i]);
+    for (std::size_t f = 0; f < counts[i]; ++f) {
+      EXPECT_EQ(ev.args[f].key, "k" + std::to_string(f));
+      const std::string want[] = {std::to_string(-int(i)),
+                                  std::to_string(i * 3),
+                                  trace::format_double(0.5 * i), text};
+      EXPECT_EQ(ev.args[f].value, want[(i + f) % 4]);
+    }
+  }
+
+  // The text sink parses back to the same events.
+  std::ostringstream text;
+  rec.write_text(text);
+  std::istringstream in(text.str());
+  expect_same_events(analysis::parse_text(in), events);
+
+  // Cleared and re-recorded, it writes what a fresh recorder writes.
+  rec.clear();
+  EXPECT_EQ(rec.size(), 0u);
+  record_chunk_mix(rec, counts);
+  TraceRecorder fresh;
+  fresh.set_enabled(true);
+  record_chunk_mix(fresh, counts);
+  std::ostringstream again;
+  std::ostringstream fresh_text;
+  rec.write_text(again);
+  fresh.write_text(fresh_text);
+  EXPECT_EQ(again.str(), fresh_text.str());
+  EXPECT_EQ(again.str(), text.str());
 }
 
 // ---------------------------------------------------------------------------

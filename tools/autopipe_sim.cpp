@@ -91,7 +91,9 @@ void usage() {
       "                        trace_event format, anything else the\n"
       "                        autopipe-prof-v1 text format for\n"
       "                        autopipe_trace profile\n"
-      "  --verbose             debug logging\n";
+      "  --verbose             debug logging\n\n"
+      "Exit status: 0 on success, 1 when the run fails, 2 on a usage"
+      " error.\n";
 }
 
 /// The scenario the flags describe. Only the flags the run uses are read,
@@ -246,8 +248,16 @@ int main(int argc, char** argv) {
   for (const std::string& flag : flags.unused())
     std::cerr << "warning: unknown flag --" << flag << " (see --help)\n";
 
-  const sweep::ScenarioResult result = scenario->run();
-  emit_outputs(scenario->simulator(), outputs, profile_path);
+  // A run that fails (e.g. a pipeline deadlock) exits 1; 2 stays for the
+  // usage errors above.
+  sweep::ScenarioResult result;
+  try {
+    result = scenario->run();
+    emit_outputs(scenario->simulator(), outputs, profile_path);
+  } catch (const std::exception& e) {
+    std::cerr << "autopipe_sim: " << e.what() << "\n";
+    return 1;
+  }
   if (!spec.fleet.jobs.empty()) {
     print_fleet_report(result.fleet);
   } else if (spec.system == "baseline") {

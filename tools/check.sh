@@ -21,11 +21,15 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 cmake_args=(-DAUTOPIPE_WERROR=ON)
 only=""  # the one smoke a mode flag runs instead of the whole check
+# Set by --sanitize: host-time gates would time the sanitizer, not the
+# program, so they are skipped (the optimized builds run them).
+sanitized=""
 case "${1:-}" in
   "") ;;
   --sanitize)
     build="${BUILD_DIR:-$repo/build-asan}"
     cmake_args=(-DAUTOPIPE_SANITIZE=ON)
+    sanitized=1
     export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
     export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
     ;;
@@ -135,6 +139,10 @@ telemetry_smoke() {
   "$build/tools/autopipe_trace" profile "$tmp/run.prof" --flame > /dev/null
   "$build/tools/autopipe_trace" profile "$tmp/run.prof" --json \
       > "$tmp/profile.json"
+  if [[ -n "$sanitized" ]]; then
+    echo "skipped in sanitized build: planner per-round gate"
+    return
+  fi
   "$build/tools/autopipe_trace" gate "$tmp/profile.json" \
       "$repo/bench/baselines/telemetry_planner_baseline.json"
 }
@@ -182,6 +190,10 @@ causal_smoke() {
       > /dev/null
   "$build/tools/autopipe_trace" blame "$tmp/run.trace" --json > /dev/null
 
+  if [[ -n "$sanitized" ]]; then
+    echo "skipped in sanitized build: causal overhead gate"
+    return
+  fi
   echo "== causal overhead gate =="
   local notrace="${NOTRACE_BUILD_DIR:-$repo/build-notrace}"
   cmake -B "$notrace" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -242,6 +254,15 @@ for bad in --top=abc --tolerance=nan; do
   [[ "$status" == 2 ]] ||
     { echo "analyzer smoke: $bad exited $status" >&2; exit 1; }
 done
+# A run that fails (here a pipeline deadlock behind a link that never comes
+# back) exits 1 with one autopipe_sim: line, not through terminate.
+status=0
+err="$("$build/tools/autopipe_sim" --model alexnet --servers 2 \
+    --gpus-per-server 1 --iterations 20 --warmup 5 --system pipedream \
+    --faults "1.0 link_down 0" 2>&1 > /dev/null)" || status=$?
+[[ "$status" == 1 && "$err" == "autopipe_sim: "* &&
+   "$(wc -l <<< "$err")" == 1 ]] ||
+  { echo "analyzer smoke: failed run exited $status: $err" >&2; exit 1; }
 
 ledger_smoke
 

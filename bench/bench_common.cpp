@@ -5,6 +5,7 @@
 #include <iostream>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "analysis/report.hpp"
 #include "analysis/trace_view.hpp"
@@ -53,7 +54,8 @@ void write_outputs(Testbed& testbed, const std::string& label) {
 
   // The analyzer runs straight off the in-memory recorder, so every
   // traced bench run reports where its GPU seconds went.
-  const analysis::TraceView view(simulator.tracer().events());
+  const std::vector<trace::Event> events = simulator.tracer().events();
+  const analysis::TraceView view(events);
   const analysis::RunAnalysis breakdown = analysis::analyze(view);
   std::cout << render_bubbles_text(breakdown) << '\n'
             << render_critical_path_text(breakdown, 5);

@@ -104,7 +104,8 @@ ChaosOutcome run_chaos(const faults::FaultPlan& fault_plan,
 
   // Bubble attribution must still partition every worker's wall clock
   // exactly with the fault-downtime class in the mix.
-  const analysis::TraceView view(simulator.tracer().events());
+  const std::vector<trace::Event> events = simulator.tracer().events();
+  const analysis::TraceView view(events);
   const analysis::BubbleReport bubbles = analysis::attribute_bubbles(view);
   out.wall = bubbles.wall_clock;
   out.fault_downtime = bubbles.totals[static_cast<std::size_t>(

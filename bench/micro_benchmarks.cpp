@@ -5,10 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <ostream>
+#include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
 
+#include "analysis/trace_reader.hpp"
 #include "autopipe/controller.hpp"
 #include "autopipe/features.hpp"
 #include "common/profile.hpp"
@@ -302,12 +304,10 @@ class NullBuffer : public std::streambuf {
   int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
 };
 
-void BM_TraceWriteText(benchmark::State& state) {
-  // The text sink over a traced run's event mix: per flow a 'b' with bytes
-  // and path, two load: counters and an 'e', plus an fp span.
+/// A traced run's event mix: per flow a 'b' with bytes and path, two load:
+/// counters and an 'e', plus an fp span.
+void record_flow_mix(trace::TraceRecorder& rec) {
   const std::vector<std::string> names = nic_load_names();
-  trace::TraceRecorder rec;
-  rec.set_enabled(true);
   for (int i = 0; i < 2048; ++i) {
     const double t = i * 1e-3;
     rec.async_begin(trace::Category::kComm, "flow", i, t,
@@ -321,6 +321,12 @@ void BM_TraceWriteText(benchmark::State& state) {
     rec.complete(trace::Category::kCompute, "fp", t, t + 2e-4, i % 10, 0,
                  {trace::arg("batch", i), trace::arg("micro", 32)});
   }
+}
+
+void BM_TraceWriteText(benchmark::State& state) {
+  trace::TraceRecorder rec;
+  rec.set_enabled(true);
+  record_flow_mix(rec);
   NullBuffer sink;
   std::ostream os(&sink);
   for (auto _ : state) rec.write_text(os);
@@ -328,6 +334,24 @@ void BM_TraceWriteText(benchmark::State& state) {
       ns_per_event(static_cast<double>(rec.size()));
 }
 BENCHMARK(BM_TraceWriteText);
+
+void BM_TraceParseText(benchmark::State& state) {
+  // The text BM_TraceWriteText writes, decoded back into events.
+  trace::TraceRecorder rec;
+  rec.set_enabled(true);
+  record_flow_mix(rec);
+  std::ostringstream text;
+  rec.write_text(text);
+  std::istringstream is(text.str());
+  for (auto _ : state) {
+    is.clear();
+    is.seekg(0);
+    benchmark::DoNotOptimize(analysis::parse_text(is));
+  }
+  state.counters["ns_per_event"] =
+      ns_per_event(static_cast<double>(rec.size()));
+}
+BENCHMARK(BM_TraceParseText);
 
 void BM_ExecutorIteration(benchmark::State& state) {
   const auto model = models::alexnet();

@@ -1,6 +1,7 @@
 #include "analysis/causal.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -40,10 +41,30 @@ std::string describe_event(const trace::Event& ev) {
   return out;
 }
 
+constexpr std::size_t kCategories =
+    static_cast<std::size_t>(trace::Category::kFault) + 1;
+
+/// "<parent-category>-><child-category>", from a table built once.
+std::string_view category_pair(trace::Category parent,
+                               trace::Category child) {
+  static const std::array<std::string, kCategories * kCategories> kPairs =
+      [] {
+        std::array<std::string, kCategories * kCategories> pairs;
+        for (std::size_t p = 0; p < kCategories; ++p)
+          for (std::size_t c = 0; c < kCategories; ++c)
+            pairs[p * kCategories + c] =
+                std::string(category_name(static_cast<trace::Category>(p))) +
+                "->" + category_name(static_cast<trace::Category>(c));
+        return pairs;
+      }();
+  return kPairs[static_cast<std::size_t>(parent) * kCategories +
+                static_cast<std::size_t>(child)];
+}
+
 }  // namespace
 
-std::string classify_edge(const trace::Event& parent,
-                          const trace::Event& child) {
+std::string_view classify_edge(const trace::Event& parent,
+                               const trace::Event& child) {
   using trace::Category;
   // Cross-job interference outranks every single-tenant class: a causal
   // hop between events tagged with different jobs (an arbiter grant to the
@@ -77,15 +98,19 @@ std::string classify_edge(const trace::Event& parent,
   if (parent.category == Category::kControl ||
       child.category == Category::kControl)
     return "control";
-  return std::string(category_name(parent.category)) + "->" +
-         category_name(child.category);
+  return category_pair(parent.category, child.category);
 }
 
 CausalGraph::CausalGraph(std::vector<trace::Event> events)
     : events_(std::move(events)) {
   std::uint64_t max_eid = 0;
-  for (const trace::Event& ev : events_) max_eid = std::max(max_eid, ev.eid);
+  std::size_t caused = 0;  // an upper bound on the edges
+  for (const trace::Event& ev : events_) {
+    max_eid = std::max(max_eid, ev.eid);
+    if (ev.cause != 0) ++caused;
+  }
   eid_to_index_.assign(static_cast<std::size_t>(max_eid), npos);
+  edges_.reserve(caused);
   for (std::size_t i = 0; i < events_.size(); ++i) {
     if (events_[i].eid == 0) continue;
     ++causal_events_;
@@ -109,7 +134,7 @@ CausalGraph::CausalGraph(std::vector<trace::Event> events)
     edge.contribution = std::max(0.0, event_end(child) - event_end(parent));
     edge.cls = classify_edge(parent, child);
     parent_edge_[i] = edges_.size();
-    edges_.push_back(std::move(edge));
+    edges_.push_back(edge);
   }
 }
 
@@ -236,7 +261,7 @@ BlameReport blame_window(const CausalGraph& g, double t0, double t1,
     report.root_cause = find_root_cause(g, report.chain);
   }
 
-  std::map<std::string, LedgerEntry> classes;
+  std::map<std::string_view, LedgerEntry> classes;
   for (const CausalEdge& e : g.edges()) {
     const double end = event_end(g.events()[e.child]);
     if (end < t0 || end > t1) continue;
@@ -391,7 +416,7 @@ void write_blame_json(const BlameReport& report, const CausalGraph& g,
     w.kv("end", event_end(ev));
     w.kv("contribution_seconds", l.contribution);
     if (l.edge != CausalGraph::npos)
-      w.kv("class", g.edges()[l.edge].cls);
+      w.kv("class", std::string(g.edges()[l.edge].cls));
     w.end();
   }
   w.end();  // links

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/trace_view.hpp"
@@ -37,7 +38,7 @@ struct CausalEdge {
   std::size_t parent = 0;  ///< index into CausalGraph::events()
   std::size_t child = 0;
   double contribution = 0.0;
-  std::string cls;  ///< stall-ledger class, see classify_edge
+  std::string_view cls;  ///< stall-ledger class, see classify_edge
 };
 
 /// Stall-ledger class of the edge parent→child, derived from the endpoint
@@ -51,8 +52,9 @@ struct CausalEdge {
 /// all of these: "tenant_contention", an edge whose endpoints carry
 /// *different* job= args — cross-job interference on a co-tenant cluster
 /// (e.g. an arbiter grant to one job causing another job's abort).
-std::string classify_edge(const trace::Event& parent,
-                          const trace::Event& child);
+/// The class names live in static storage, so an edge stores a view.
+std::string_view classify_edge(const trace::Event& parent,
+                               const trace::Event& child);
 
 /// The event DAG reconstructed from recorded eid/cause links.
 class CausalGraph {

@@ -2,7 +2,10 @@
 // text sink (TraceRecorder::write_text) is the on-disk interchange format —
 // one event per line — and parses losslessly; the in-memory recorder is
 // consumed directly, so analyses run identically on a live run and on a
-// file written weeks ago.
+// file written weeks ago. Each line is read in one pass: it is cut into
+// views of its tokens in place and only the name and the args are copied
+// out. Decode a trace once and let every analysis borrow the result
+// (TraceView, CausalGraph).
 //
 // Forward compatibility: everything after the name token is parsed by key,
 // not by position. Keys the reader knows (pid/tid plus the per-phase
@@ -43,8 +46,9 @@ struct ReadStats {
 std::vector<trace::Event> parse_text(std::istream& is,
                                      ReadStats* stats = nullptr);
 
-/// Convenience: open and parse a file. Throws contract_error when the file
-/// cannot be read.
+/// Open and parse a file. The event vector is sized once, from the file's
+/// line count, which is taken in 1 MiB blocks before the parse. Throws
+/// contract_error when the file cannot be read.
 std::vector<trace::Event> parse_text_file(const std::string& path,
                                           ReadStats* stats = nullptr);
 

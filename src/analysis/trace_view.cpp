@@ -26,8 +26,8 @@ int server_of_resource(const std::string& resource) {
 
 }  // namespace
 
-TraceView::TraceView(std::vector<trace::Event> events)
-    : events_(std::move(events)) {
+TraceView::TraceView(const std::vector<trace::Event>& events)
+    : events_(&events) {
   index_events();
   build_saturation();
   infer_servers();
@@ -36,7 +36,7 @@ TraceView::TraceView(std::vector<trace::Event> events)
 
 void TraceView::index_events() {
   std::map<std::uint64_t, FlowRecord> open_flows;
-  for (const trace::Event& ev : events_) {
+  for (const trace::Event& ev : *events_) {
     const double end = ev.phase == 'X' ? ev.ts + ev.dur : ev.ts;
     wall_clock_ = std::max(wall_clock_, end);
 
@@ -122,7 +122,7 @@ void TraceView::build_saturation() {
     double value;
   };
   std::map<std::string, std::vector<Change>> changes;
-  for (const trace::Event& ev : events_) {
+  for (const trace::Event& ev : *events_) {
     if (ev.phase != 'C') continue;
     if (ev.name.rfind("cap:", 0) == 0) {
       changes[ev.name.substr(4)].push_back(Change{ev.ts, true, ev.value});
@@ -158,7 +158,7 @@ void TraceView::infer_servers() {
   // fault-injection layer, are authoritative: a single-stage all-replicated
   // partition has no inter-stage flows to vote with, yet link outages are
   // keyed by server and still need worker attribution.
-  for (const trace::Event& ev : events_) {
+  for (const trace::Event& ev : *events_) {
     if (ev.phase == 'i' && ev.category == trace::Category::kFault &&
         ev.name == "topology") {
       per_worker_[ev.pid].server = ev.tid;
@@ -174,7 +174,7 @@ void TraceView::infer_servers() {
   for (const FlowRecord& f : flows_) flows_by_begin.emplace(f.begin, &f);
 
   std::map<int, std::map<int, int>> votes;
-  for (const trace::Event& ev : events_) {
+  for (const trace::Event& ev : *events_) {
     if (ev.phase != 'X' || ev.category != trace::Category::kComm ||
         ev.pid != trace::kPidNetwork) {
       continue;
@@ -266,7 +266,7 @@ void TraceView::build_fault_windows() {
   std::map<int, IntervalSet> link_out;  // per server
   IntervalSet wedged;
   double wedged_open = -1.0;
-  for (const trace::Event& ev : events_) {
+  for (const trace::Event& ev : *events_) {
     if (ev.phase != 'i' || ev.category != trace::Category::kFault) continue;
     if (ev.name == "gpu_down") {
       gpu_open.emplace(ev.pid, ev.ts);

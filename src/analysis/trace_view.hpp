@@ -4,6 +4,10 @@
 // turned into the structures every analysis needs — per-worker occupancy
 // interval sets, switch spans, iteration completion times, per-resource
 // saturation windows and an inferred worker→server mapping.
+//
+// The view borrows the caller's decoded events rather than copying them, so
+// a trace is held in memory once however many analyses read it. The vector
+// must outlive the view and stay unchanged while the view is in use.
 #pragma once
 
 #include <map>
@@ -27,9 +31,12 @@ struct FlowRecord {
 
 class TraceView {
  public:
-  explicit TraceView(std::vector<trace::Event> events);
+  /// Indexes `events` in place; the view keeps pointers into the vector.
+  explicit TraceView(const std::vector<trace::Event>& events);
+  /// A temporary vector would die under the view: name it first.
+  explicit TraceView(std::vector<trace::Event>&&) = delete;
 
-  const std::vector<trace::Event>& events() const { return events_; }
+  const std::vector<trace::Event>& events() const { return *events_; }
 
   /// End of the run: the latest instant any event touches.
   double wall_clock() const { return wall_clock_; }
@@ -104,7 +111,7 @@ class TraceView {
   void infer_servers();
   void build_fault_windows();
 
-  std::vector<trace::Event> events_;
+  const std::vector<trace::Event>* events_;
   double wall_clock_ = 0.0;
   std::vector<int> workers_;
 

@@ -15,6 +15,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/bubbles.hpp"
@@ -331,8 +332,15 @@ std::vector<trace::Event> known_run() {
   };
 }
 
+// The view borrows its events: a named vector binds, a temporary, which
+// would die under the view, does not compile.
+static_assert(
+    std::is_constructible_v<TraceView, const std::vector<trace::Event>&>);
+static_assert(!std::is_constructible_v<TraceView, std::vector<trace::Event>>);
+
 TEST(TraceView, IndexesTheKnownRun) {
-  const TraceView view(known_run());
+  const std::vector<trace::Event> events = known_run();
+  const TraceView view(events);
 
   EXPECT_DOUBLE_EQ(view.wall_clock(), 10.0);
   ASSERT_EQ(view.workers().size(), 2u);
@@ -364,7 +372,8 @@ TEST(TraceView, IndexesTheKnownRun) {
 }
 
 TEST(Bubbles, ClassifiesTheKnownRunExactly) {
-  const TraceView view(known_run());
+  const std::vector<trace::Event> events = known_run();
+  const TraceView view(events);
   const BubbleReport report = attribute_bubbles(view);
   ASSERT_EQ(report.workers.size(), 2u);
 
@@ -399,12 +408,13 @@ TEST(Bubbles, ClassifiesTheKnownRunExactly) {
 }
 
 TEST(Bubbles, WorkerWithNoComputeIsAllStartupFill) {
-  const TraceView view({
+  const std::vector<trace::Event> events{
       span(Category::kCompute, "fp", 0.0, 1.0, 0, 0, {arg("batch", 0)}),
       // w1 only ever communicates.
       span(Category::kComm, "act", 1.0, 2.0, kPidNetwork, 1,
            {arg("src", 0), arg("dst", 1), arg("bytes", 8.0)}),
-  });
+  };
+  const TraceView view(events);
   const BubbleReport report = attribute_bubbles(view);
   ASSERT_EQ(report.workers.size(), 2u);
   const WorkerBubbles& w1 = report.workers[1];
@@ -418,14 +428,15 @@ TEST(Bubbles, WorkerWithNoComputeIsAllStartupFill) {
 TEST(CriticalPath, RecoversTheDependencyChain) {
   // fp on w0 -> activation transfer -> fp on w1, perfectly abutting,
   // plus a decoy on w0 that also ends at 2.0 but feeds nothing.
-  const TraceView view({
+  const std::vector<trace::Event> events{
       span(Category::kCompute, "fp", 0.0, 1.0, 0, 0, {arg("batch", 0)}),
       span(Category::kComm, "act", 1.0, 2.0, kPidNetwork, 1,
            {arg("src", 0), arg("dst", 1), arg("bytes", 64.0),
             arg("batch", 0)}),
       span(Category::kCompute, "fp", 2.0, 3.0, 1, 1, {arg("batch", 0)}),
       span(Category::kCompute, "fp", 1.5, 2.0, 0, 0, {arg("batch", 1)}),
-  });
+  };
+  const TraceView view(events);
   const CriticalPath path = extract_critical_path(view);
 
   ASSERT_EQ(path.segments.size(), 3u);
@@ -442,10 +453,11 @@ TEST(CriticalPath, RecoversTheDependencyChain) {
 
 TEST(CriticalPath, InsertsWaitSegmentsAcrossGaps) {
   // Nothing abuts: [1, 2.5) is dead time even on the critical path.
-  const TraceView view({
+  const std::vector<trace::Event> events{
       span(Category::kCompute, "fp", 0.0, 1.0, 0, 0, {arg("batch", 0)}),
       span(Category::kCompute, "fp", 2.5, 3.0, 1, 1, {arg("batch", 0)}),
-  });
+  };
+  const TraceView view(events);
   const CriticalPath path = extract_critical_path(view);
 
   ASSERT_EQ(path.segments.size(), 3u);
@@ -473,7 +485,7 @@ TEST(Switches, PostMortemArithmetic) {
                              kPidControl, 0, {arg("n", 4 + n)}));
   }
 
-  const TraceView view(std::move(events));
+  const TraceView view(events);
   const auto post = switch_post_mortems(view);
   ASSERT_EQ(post.size(), 1u);
   const SwitchPostMortem& pm = post[0];
@@ -517,7 +529,7 @@ TEST(Switches, AbortedAttemptsGetPostMortemsToo) {
                              kPidControl, 0, {arg("n", 3 + n)}));
   }
 
-  const TraceView view(std::move(events));
+  const TraceView view(events);
   const auto post = switch_post_mortems(view);
   ASSERT_EQ(post.size(), 2u);
 
@@ -548,8 +560,14 @@ std::string golden_path(const char* name) {
   return std::string(AUTOPIPE_GOLDEN_DIR) + "/" + name;
 }
 
+/// The golden bandwidth-drop trace, decoded for a view to borrow.
+std::vector<trace::Event> golden_events() {
+  return parse_text_file(golden_path("bandwidth_drop.trace"));
+}
+
 TEST(GoldenAnalysis, IdleClassesPartitionWallClock) {
-  const TraceView view(parse_text_file(golden_path("bandwidth_drop.trace")));
+  const std::vector<trace::Event> events = golden_events();
+  const TraceView view(events);
   const RunAnalysis a = analyze(view);
   ASSERT_FALSE(a.bubbles.workers.empty());
   for (const WorkerBubbles& w : a.bubbles.workers) {
@@ -566,7 +584,8 @@ TEST(GoldenAnalysis, IdleClassesPartitionWallClock) {
 TEST(GoldenAnalysis, AttributesContentionAndReconfigDrain) {
   // The golden scenario drops the NIC to 1 Gbps at iteration 5 and switches
   // the partition stop-the-world at iteration 7: both signatures must show.
-  const TraceView view(parse_text_file(golden_path("bandwidth_drop.trace")));
+  const std::vector<trace::Event> events = golden_events();
+  const TraceView view(events);
   const BubbleReport report = attribute_bubbles(view);
   EXPECT_GT(report.totals[static_cast<std::size_t>(
                 BubbleClass::kNetContention)],
@@ -583,7 +602,8 @@ TEST(GoldenAnalysis, AttributesContentionAndReconfigDrain) {
 
 TEST(GoldenAnalysis, SummaryJsonMatchesGolden) {
   const std::string path = golden_path("bandwidth_drop.summary.json");
-  const TraceView view(parse_text_file(golden_path("bandwidth_drop.trace")));
+  const std::vector<trace::Event> events = golden_events();
+  const TraceView view(events);
   const RunAnalysis a = analyze(view);
   std::ostringstream os;
   write_summary_json(a, os);
@@ -607,7 +627,8 @@ TEST(GoldenAnalysis, SummaryJsonMatchesGolden) {
 }
 
 TEST(GoldenAnalysis, SelfDiffIsEmpty) {
-  const TraceView view(parse_text_file(golden_path("bandwidth_drop.trace")));
+  const std::vector<trace::Event> events = golden_events();
+  const TraceView view(events);
   const RunAnalysis a = analyze(view);
   const RunAnalysis b = analyze(view);
   EXPECT_TRUE(diff_analyses(a, b).empty());
@@ -623,9 +644,10 @@ TEST(GoldenAnalysis, SelfDiffIsEmpty) {
 }
 
 TEST(GoldenAnalysis, DiffDetectsAChangedRun) {
-  const TraceView golden(
-      parse_text_file(golden_path("bandwidth_drop.trace")));
-  const TraceView other(known_run());
+  const std::vector<trace::Event> golden_run = golden_events();
+  const std::vector<trace::Event> other_run = known_run();
+  const TraceView golden(golden_run);
+  const TraceView other(other_run);
   const auto deltas = diff_analyses(analyze(golden), analyze(other));
   EXPECT_FALSE(deltas.empty());
   bool saw_wall_clock = false;
@@ -636,8 +658,9 @@ TEST(GoldenAnalysis, DiffDetectsAChangedRun) {
 }
 
 TEST(Diff, EmptyVsEmptyTraceHasNoDifferences) {
-  const TraceView a{std::vector<trace::Event>{}};
-  const TraceView b{std::vector<trace::Event>{}};
+  const std::vector<trace::Event> none;
+  const TraceView a(none);
+  const TraceView b(none);
   const auto deltas = diff_analyses(analyze(a), analyze(b));
   EXPECT_TRUE(deltas.empty());
 }
@@ -645,13 +668,15 @@ TEST(Diff, EmptyVsEmptyTraceHasNoDifferences) {
 TEST(Diff, MismatchedWorkerCountsCompareAgainstZero) {
   // Two workers vs one: the per-worker keys the single-worker run lacks
   // must still appear in the diff, compared against 0 on the missing side.
-  const TraceView two(known_run());
-  const TraceView one(std::vector<trace::Event>{
+  const std::vector<trace::Event> two_workers = known_run();
+  const std::vector<trace::Event> one_worker{
       span(Category::kCompute, "fp", 0.0, 1.0, 0, 0, {arg("batch", 0)}),
       span(Category::kCompute, "bp", 1.0, 2.0, 0, 0, {arg("batch", 0)}),
       instant(Category::kMark, "iteration", 2.0, kPidControl, 0,
               {arg("n", 0)}),
-  });
+  };
+  const TraceView two(two_workers);
+  const TraceView one(one_worker);
   const auto deltas = diff_analyses(analyze(two), analyze(one));
   ASSERT_FALSE(deltas.empty());
   bool saw_missing_worker = false;
@@ -674,7 +699,8 @@ TEST(Diff, MismatchedWorkerCountsCompareAgainstZero) {
 }
 
 TEST(GoldenAnalysis, UtilizationTimelineIsSane) {
-  const TraceView view(parse_text_file(golden_path("bandwidth_drop.trace")));
+  const std::vector<trace::Event> events = golden_events();
+  const TraceView view(events);
   const auto timeline = utilization_timeline(view, 16);
   ASSERT_EQ(timeline.size(), 16u);
   EXPECT_DOUBLE_EQ(timeline.front().begin, 0.0);
@@ -694,7 +720,8 @@ TEST(GoldenAnalysis, UtilizationTimelineIsSane) {
 }
 
 TEST(GoldenAnalysis, GanttRendersEveryWorkerRow) {
-  const TraceView view(parse_text_file(golden_path("bandwidth_drop.trace")));
+  const std::vector<trace::Event> events = golden_events();
+  const TraceView view(events);
   const std::string gantt = render_gantt(view, 60);
   for (int worker : view.workers()) {
     EXPECT_NE(gantt.find("w" + std::to_string(worker) + " "),

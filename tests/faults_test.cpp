@@ -445,7 +445,8 @@ TEST(FaultTrace, FaultWindowsAndDowntimeBubblePartitionWallClock) {
 
   rig.executor->run(60, 5);
 
-  const analysis::TraceView view(rig.simulator->tracer().events());
+  const std::vector<trace::Event> events = rig.simulator->tracer().events();
+  const analysis::TraceView view(events);
   // Workers 2 and 3 sit on server 1. Worker 2 accrues both its own
   // gpu_down/gpu_up outage and the server's link outage (disjoint windows);
   // worker 3 only the link outage; worker 0 neither.

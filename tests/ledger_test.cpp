@@ -447,7 +447,8 @@ TEST(Calibration, SwitchCostJoinAgainstLiveTrace) {
   Rig rig;
   run_skewed_scenario(rig, /*trace=*/true);
 
-  const analysis::TraceView view(rig.sim.tracer().events());
+  const std::vector<trace::Event> events = rig.sim.tracer().events();
+  const analysis::TraceView view(events);
   const analysis::CalibrationReport report =
       analysis::calibrate(rig.sim.ledger(), view);
 
@@ -472,7 +473,8 @@ TEST(Calibration, SwitchCostJoinAgainstLiveTrace) {
 TEST(Gantt, DecisionRowMarksLedgerRecords) {
   Rig rig;
   run_skewed_scenario(rig, /*trace=*/true);
-  const analysis::TraceView view(rig.sim.tracer().events());
+  const std::vector<trace::Event> events = rig.sim.tracer().events();
+  const analysis::TraceView view(events);
   const std::string plain = analysis::render_gantt(view, 80);
   const std::string marked =
       analysis::render_gantt(view, rig.sim.ledger(), 80);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <iostream>
 #include <optional>
+#include <vector>
 
 #include "analysis/report.hpp"
 #include "analysis/trace_view.hpp"
@@ -142,7 +143,8 @@ void emit_outputs(sim::Simulator& simulator, const sweep::RunOutputs& outputs,
   if (!outputs.trace.empty()) {
     // Breakdown straight off the in-memory recorder — the same report
     // `autopipe_trace bubbles` would print from the file.
-    const analysis::TraceView view(simulator.tracer().events());
+    const std::vector<trace::Event> events = simulator.tracer().events();
+    const analysis::TraceView view(events);
     std::cout << analysis::render_bubbles_text(analysis::analyze(view));
   }
   sweep::write_profile(profile_path, std::cout);

@@ -191,7 +191,9 @@ bool parse_options(int argc, char** argv, Options& opts) {
   return true;
 }
 
-analysis::TraceView load(const std::string& path) {
+/// The decoded events of the text trace at `path`. Every analysis of it
+/// borrows this one copy through a TraceView or owns it as a CausalGraph.
+std::vector<trace::Event> load(const std::string& path) {
   {
     std::ifstream probe(path);
     if (!probe.good())
@@ -229,7 +231,62 @@ analysis::TraceView load(const std::string& path) {
       std::cerr << stats.dropped_tokens << " dangling token(s) dropped";
     std::cerr << " (trace from a newer tool version?)\n";
   }
-  return analysis::TraceView(std::move(events));
+  return events;
+}
+
+/// `blame TRACE`: the graph owns the trace's one decoded copy and the view
+/// the window needs borrows it from there.
+int blame(const Options& opts, std::vector<trace::Event> events) {
+  if (!opts.window.empty() && opts.blame_iteration != 0) {
+    std::cerr << "blame takes --window or --iteration, not both\n";
+    return 2;
+  }
+  const analysis::CausalGraph graph(std::move(events));
+  if (graph.causal_events() == 0) {
+    std::cerr << "autopipe_trace: trace carries no causal ids (recorded "
+                 "by a pre-causality build, or with tracing compiled "
+                 "out)\n";
+    return 1;
+  }
+  if (graph.dangling_causes() > 0) {
+    std::cerr << "autopipe_trace: WARNING: " << graph.dangling_causes()
+              << " cause reference(s) resolve to no event (truncated "
+                 "trace?)\n";
+  }
+  const analysis::TraceView view(graph.events());
+  analysis::BlameReport report;
+  if (opts.blame_iteration != 0) {
+    report = opts.job != 0
+                 ? analysis::blame_iteration(graph, opts.blame_iteration,
+                                             opts.job)
+                 : analysis::blame_iteration(graph, view,
+                                             opts.blame_iteration);
+  } else if (!opts.window.empty()) {
+    const std::string::size_type dots = opts.window.find("..");
+    if (dots == std::string::npos) {
+      std::cerr << "--window for blame needs T0..T1 (seconds)\n";
+      return 2;
+    }
+    double t0 = 0.0;
+    double t1 = 0.0;
+    if (!read_option("--window", opts.window.substr(0, dots), t0) ||
+        !read_option("--window", opts.window.substr(dots + 2), t1))
+      return 2;
+    if (t1 < t0) {
+      std::cerr << "--window T0..T1 must not end before it begins\n";
+      return 2;
+    }
+    report = analysis::blame_window(graph, t0, t1, opts.job);
+  } else {
+    report =
+        analysis::blame_window(graph, 0.0, view.wall_clock(), opts.job);
+  }
+  if (opts.json) {
+    analysis::write_blame_json(report, graph, std::cout);
+  } else {
+    analysis::render_blame(report, graph, opts.top, std::cout);
+  }
+  return 0;
 }
 
 }  // namespace
@@ -305,10 +362,13 @@ int main(int argc, char** argv) {
       }
       std::size_t window = 0;
       if (!window_count(opts, window)) return 2;
-      const analysis::RunAnalysis a =
-          analysis::analyze(load(opts.positional[0]), window);
-      const analysis::RunAnalysis b =
-          analysis::analyze(load(opts.positional[1]), window);
+      // One trace in memory at a time.
+      const auto analyze_file = [window](const std::string& path) {
+        const std::vector<trace::Event> events = load(path);
+        return analysis::analyze(analysis::TraceView(events), window);
+      };
+      const analysis::RunAnalysis a = analyze_file(opts.positional[0]);
+      const analysis::RunAnalysis b = analyze_file(opts.positional[1]);
       const auto deltas = analysis::diff_analyses(a, b, opts.tolerance);
       if (opts.json) {
         analysis::write_diff_json(deltas, std::cout);
@@ -356,10 +416,13 @@ int main(int argc, char** argv) {
       }
       const trace::DecisionLedger ledger =
           analysis::read_ledger_file(opts.positional[0]);
-      const analysis::CalibrationReport report =
-          opts.positional.size() == 2
-              ? analysis::calibrate(ledger, load(opts.positional[1]))
-              : analysis::calibrate(ledger);
+      analysis::CalibrationReport report;
+      if (opts.positional.size() == 2) {
+        const std::vector<trace::Event> events = load(opts.positional[1]);
+        report = analysis::calibrate(ledger, analysis::TraceView(events));
+      } else {
+        report = analysis::calibrate(ledger);
+      }
       if (opts.json) {
         analysis::write_calibration_json(report, std::cout);
       } else {
@@ -372,7 +435,9 @@ int main(int argc, char** argv) {
       std::cerr << command << " needs exactly one trace file\n";
       return 2;
     }
-    const analysis::TraceView view = load(opts.positional[0]);
+    std::vector<trace::Event> events = load(opts.positional[0]);
+    if (command == "blame") return blame(opts, std::move(events));
+    const analysis::TraceView view(events);
 
     if (command == "gantt") {
       if (opts.ledger.empty()) {
@@ -380,58 +445,6 @@ int main(int argc, char** argv) {
       } else {
         std::cout << analysis::render_gantt(
             view, analysis::read_ledger_file(opts.ledger), opts.width);
-      }
-      return 0;
-    }
-
-    if (command == "blame") {
-      if (!opts.window.empty() && opts.blame_iteration != 0) {
-        std::cerr << "blame takes --window or --iteration, not both\n";
-        return 2;
-      }
-      analysis::CausalGraph graph(view.events());
-      if (graph.causal_events() == 0) {
-        std::cerr << "autopipe_trace: trace carries no causal ids (recorded "
-                     "by a pre-causality build, or with tracing compiled "
-                     "out)\n";
-        return 1;
-      }
-      if (graph.dangling_causes() > 0) {
-        std::cerr << "autopipe_trace: WARNING: " << graph.dangling_causes()
-                  << " cause reference(s) resolve to no event (truncated "
-                     "trace?)\n";
-      }
-      analysis::BlameReport report;
-      if (opts.blame_iteration != 0) {
-        report = opts.job != 0
-                     ? analysis::blame_iteration(graph, opts.blame_iteration,
-                                                 opts.job)
-                     : analysis::blame_iteration(graph, view,
-                                                 opts.blame_iteration);
-      } else if (!opts.window.empty()) {
-        const std::string::size_type dots = opts.window.find("..");
-        if (dots == std::string::npos) {
-          std::cerr << "--window for blame needs T0..T1 (seconds)\n";
-          return 2;
-        }
-        double t0 = 0.0;
-        double t1 = 0.0;
-        if (!read_option("--window", opts.window.substr(0, dots), t0) ||
-            !read_option("--window", opts.window.substr(dots + 2), t1))
-          return 2;
-        if (t1 < t0) {
-          std::cerr << "--window T0..T1 must not end before it begins\n";
-          return 2;
-        }
-        report = analysis::blame_window(graph, t0, t1, opts.job);
-      } else {
-        report = analysis::blame_window(graph, 0.0, view.wall_clock(),
-                                        opts.job);
-      }
-      if (opts.json) {
-        analysis::write_blame_json(report, graph, std::cout);
-      } else {
-        analysis::render_blame(report, graph, opts.top, std::cout);
       }
       return 0;
     }

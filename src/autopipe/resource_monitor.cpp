@@ -54,8 +54,9 @@ ResourceChange ResourceMonitor::update(const ProfileSnapshot& snapshot) {
       if (rel > change.magnitude) change.magnitude = rel;
       if (rel > threshold_) {
         over_now = true;
-        what << kind << " change on worker " << w << " ("
-             << baseline[w] << " -> " << now[w] << "); ";
+        if (what.tellp() > 0) what << "; ";
+        what << kind << " change on worker " << w << " (" << baseline[w]
+             << " -> " << now[w] << ")";
       } else if (smooth && rel < 0.5 * threshold_) {
         // Track slow drift only while comfortably inside the band. Between
         // half and full threshold the baseline holds: a gradual step (e.g.

@@ -429,6 +429,23 @@ TEST(ResourceMonitor, DetectsPersistentBandwidthStep) {
   EXPECT_FALSE(monitor.update(snap).changed);
 }
 
+TEST(ResourceMonitor, DescriptionJoinsItemsWithNothingAfterTheLast) {
+  // The description becomes change_detected's what= arg; a trailing "; "
+  // would end it in a space, which the text trace cannot carry.
+  ResourceMonitor monitor(0.15, 0.3, /*persistence=*/1);
+  ProfileSnapshot snap;
+  snap.worker_bandwidth = {100.0, 100.0};
+  snap.worker_speed = {10.0, 10.0};
+  EXPECT_FALSE(monitor.update(snap).changed);  // priming
+  snap.worker_bandwidth = {50.0, 50.0};
+  snap.worker_speed = {5.0, 10.0};
+  const auto change = monitor.update(snap);
+  EXPECT_TRUE(change.changed);
+  EXPECT_EQ(change.description,
+            "bandwidth change on worker 0 (100 -> 50); bandwidth change on "
+            "worker 1 (100 -> 50); speed change on worker 0 (10 -> 5)");
+}
+
 TEST(ResourceMonitor, TransientJitterIsSuppressed) {
   ResourceMonitor monitor(0.15, 0.3, /*persistence=*/3);
   ProfileSnapshot steady;

@@ -239,8 +239,23 @@ echo "== chaos-switch smoke =="
     --artifacts="$build/chaos-switch-artifacts" > /dev/null
 
 echo "== analyzer smoke =="
-"$build/tools/autopipe_trace" summary \
-    "$repo/tests/golden/bandwidth_drop.trace" > /dev/null
+# Every trace subcommand on the golden trace, plain and --json where it
+# takes it.
+for sub in summary bubbles critical-path switches gantt blame; do
+  "$build/tools/autopipe_trace" "$sub" \
+      "$repo/tests/golden/bandwidth_drop.trace" > /dev/null
+  [[ "$sub" == gantt ]] ||
+    "$build/tools/autopipe_trace" "$sub" \
+        "$repo/tests/golden/bandwidth_drop.trace" --json > /dev/null
+done
+# A trace without causal ids cannot be blamed: exit 1 and one line why.
+status=0
+err="$("$build/tools/autopipe_trace" blame \
+    "$repo/tests/golden/bandwidth_drop_precausal.trace" 2>&1 > /dev/null)" ||
+  status=$?
+[[ "$status" == 1 && "$err" == *"carries no causal ids"* &&
+   "$(wc -l <<< "$err")" == 1 ]] ||
+  { echo "analyzer smoke: pre-causal blame exited $status: $err" >&2; exit 1; }
 "$build/tools/autopipe_trace" diff \
     "$repo/tests/golden/bandwidth_drop.trace" \
     "$repo/tests/golden/bandwidth_drop.trace" --json > /dev/null

@@ -32,12 +32,14 @@
 #include "cluster/job_manager.hpp"
 #include "cluster/jobs_spec.hpp"
 #include "common/expect.hpp"
+#include "common/ledger.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
 #include "partition/partition.hpp"
 #include "pipeline/executor.hpp"
 #include "sim/cluster.hpp"
 #include "sim/simulator.hpp"
+#include "golden_file.hpp"
 
 namespace autopipe {
 namespace {
@@ -288,10 +290,14 @@ struct ContestedOutcome {
 
 constexpr double kContestedPriorities[] = {1.0, 4.0, 2.0, 1.5};
 
-ContestedOutcome run_contested_fleet(const std::string& policy) {
+/// Runs the contested fleet under `policy`. With `ledger` set, the decision
+/// ledger is on and its finalized text form lands there.
+ContestedOutcome run_contested_fleet(const std::string& policy,
+                                     std::string* ledger = nullptr) {
   constexpr sim::WorkerId kPreempted = 1;
   sim::Simulator simulator;
   simulator.tracer().set_enabled(true);
+  if (ledger) simulator.ledger().set_enabled(true);
 
   sim::ClusterConfig cluster_config;
   cluster_config.num_servers = 4;
@@ -324,6 +330,12 @@ ContestedOutcome run_contested_fleet(const std::string& policy) {
 
   ContestedOutcome out;
   out.report = manager.run();
+  if (ledger) {
+    simulator.ledger().finalize("run_end");
+    std::ostringstream os;
+    simulator.ledger().write_text(os);
+    *ledger = os.str();
+  }
   std::map<std::uint64_t, std::size_t> round_of;  // grant eid -> index
   for (const trace::Event& ev : simulator.tracer().events()) {
     if (ev.name == "arbiter_grant") {
@@ -420,6 +432,18 @@ TEST(ContestedGpu, PriorityArbiterNeverPicksALowerPriorityClaimant) {
           << loser;
   }
   EXPECT_GE(conflicted, 1u);
+}
+
+TEST(ContestedGpu, AuctionLedgerMatchesCheckedInGolden) {
+  // Pins the job-scoped controller byte for byte: every job's planning
+  // rounds, their candidates and outcomes, under the auction arbiter.
+  std::string ledger;
+  run_contested_fleet("auction", &ledger);
+  // The scenario must keep covering what the golden is there to pin: rounds
+  // tagged with their job, and a re-plan onto a changed worker population.
+  EXPECT_NE(ledger.find(" job="), std::string::npos);
+  EXPECT_NE(ledger.find("kind=replan"), std::string::npos);
+  test_golden::expect_matches_golden("controller_fleet.ledger", ledger);
 }
 
 // ---------------------------------------------------------------------------

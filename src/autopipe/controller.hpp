@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "autopipe/features.hpp"
@@ -116,7 +117,6 @@ class AutoPipeController {
     std::size_t wedges_detected = 0;
     std::size_t emergency_replans = 0;
     std::size_t readmissions = 0;
-    std::size_t recovery_giveups = 0;
     // Interruptible-switch retry policy.
     std::size_t switch_retries = 0;
     std::size_t switch_abandonments = 0;
@@ -129,15 +129,10 @@ class AutoPipeController {
   /// tests can pin the ceiling.
   static std::size_t revert_backoff_iterations(std::size_t reverts);
 
-  const FeatureEncoder& encoder() const { return encoder_; }
-
   /// Workers excluded by the last emergency re-plan and not yet readmitted.
   const std::vector<sim::WorkerId>& excluded_workers() const {
     return excluded_workers_;
   }
-
-  /// The watchdog's wedge verdict (public so tests can observe it).
-  bool wedged() const { return wedged_; }
 
   /// Replace the job's owned-worker set (sorted, deduplicated internally).
   /// The resource monitor is deliberately NOT reset: its next update sees a
@@ -145,26 +140,150 @@ class AutoPipeController {
   /// re-primes — exactly the resource-change signal that triggers a re-plan
   /// onto the new set.
   void set_owned_workers(std::vector<sim::WorkerId> workers);
-  const std::vector<sim::WorkerId>& owned_workers() const { return owned_; }
 
  private:
+  /// A measurement window over completed iterations: the first one past
+  /// `after` opens it at that instant, and each later one adds a sample.
+  struct Window {
+    std::size_t after = 0;
+    double start = -1.0;  ///< simulated instant it opened; negative until then
+    std::size_t samples = 0;
+    /// Count one completed iteration; true when this call opened the window.
+    bool step(std::size_t iterations, double now);
+    bool full() const;
+  };
+
+  /// A committed switch under measured-feedback validation.
+  struct Validation {
+    partition::Partition previous;  ///< revert destination if validated out
+    /// Mean seconds/iteration before the switch (lower is better).
+    double period_before = 0.0;
+    Window window{};  ///< opens after the Commit iteration
+    /// Ledger record whose outcome this window decides (ledger enabled only).
+    std::optional<std::uint64_t> ledger_id{};
+  };
+
+  /// A decided switch being shepherded through the executor's staged
+  /// protocol. Armed before request_switch so a synchronous Commit sees it;
+  /// cleared on Commit (validation/probe arming moves there — an aborted
+  /// attempt must not be validated) or on abandonment/supersession.
+  struct TrackedSwitch {
+    partition::Partition target;
+    /// Becomes validation_ on Commit; empty for an unvalidated switch.
+    std::optional<Validation> validation{};
+    std::optional<std::uint64_t> ledger_id{};
+    std::size_t attempts = 1;  ///< request_switch calls issued so far
+    bool retry_scheduled = false;
+    pipeline::SwitchPhase last_abort_phase = pipeline::SwitchPhase::kIdle;
+  };
+
+  /// An open realized-speed measurement for a ledger record: every hold
+  /// decision, and switches that could not arm a validation window. Resolved
+  /// once its window is full, or superseded when the regime changes under
+  /// it. Only kept while the ledger is enabled; a hold does NOT supersede
+  /// earlier holds (the regime is unchanged), so a few probes overlap when
+  /// decision_interval is shorter than the window.
+  struct LedgerProbe {
+    std::uint64_t id = 0;
+    bool switched = false;
+    Window window;  ///< opens after the decision iteration
+  };
+
+  /// One planning round: the inputs its steps share and its ledger record
+  /// (filled only while the ledger is on).
+  struct Round {
+    const ProfileSnapshot& snapshot;
+    const partition::Partition& current;
+    /// One environment view serves every prediction and cost of the round.
+    partition::EnvironmentView env;
+    double current_speed = 0.0;
+    double best_speed = 0.0;
+    bool ledger_on = false;
+    trace::DecisionRecord rec{};
+  };
+
+  // --- Monitor: the steps of on_iteration before any decision ---
+  void note_progress(std::size_t completed_iterations);
+  ProfileSnapshot& observe();
+  void adapt_meta_network(const ProfileSnapshot& snapshot);
+  bool detect_change(const ProfileSnapshot& snapshot);
+  bool workers_usable(const ProfileSnapshot& snapshot) const;
+  bool decision_due(std::size_t completed_iterations, bool changed) const;
+
+  // --- Validator ---
+  /// Advance the validation window; true when it was full, which ends the
+  /// iteration.
+  bool validate(std::size_t completed_iterations);
+  /// Revert a switch that measured worse. False when the switch engine was
+  /// busy: the window stays full and the revert retries next iteration.
+  bool revert(double after_period, std::size_t completed_iterations);
+  /// Median of the recent iteration periods.
+  double baseline_period() const;
+
+  // --- Candidates and scorer ---
   void evaluate_and_decide(const ProfileSnapshot& snapshot,
                            bool after_change);
+  void begin_record(Round& r);
+  /// On a detected change, adopt a full re-plan that predicts a clear gain.
+  /// Returns whether its switch was issued.
+  bool adopt_replan(Round& r);
   /// Full re-plan against the profiled environment `env` (DP + short
   /// descent). Returns the plan and its analytic speed prediction.
   std::pair<partition::Partition, double> replan(
       const ProfileSnapshot& snapshot, const partition::EnvironmentView& env);
+  /// Score every two-worker move in place on the scratch stages; returns
+  /// the best one as a Partition and leaves its speed in `r.best_speed`.
+  std::optional<partition::Partition> score_moves(Round& r);
   /// Predicted samples/s of a partition given by its stages; `env` is the
   /// round's view of `snapshot` (used by the analytic predictor).
   double predict_speed(const ProfileSnapshot& snapshot,
                        std::span<const partition::StageAssignment> stages,
                        const partition::EnvironmentView& env);
+  SwitchCostEstimate switch_cost(
+      const Round& r, std::span<const partition::StageAssignment> to) const;
+  /// Name `stages` as the round's next ledger candidate and, unless
+  /// skipped, cost it.
+  const trace::CandidateScore& add_candidate(
+      Round& r, std::span<const partition::StageAssignment> stages,
+      double speed, bool skipped);
   /// Membership in rejected_, and insertion into it.
   bool rejected(std::span<const partition::StageAssignment> stages) const;
   void reject(const partition::Partition& p);
+
+  // --- Arbiter and actuator ---
+  /// The gain floor, the arbiter's verdict and its actuation.
+  void decide(Round& r, const std::optional<partition::Partition>& winner);
+  /// The arbiter mode's verdict (1 = switch), named in `r.rec` and counted
+  /// in the metrics and the trace.
+  int arbitrate(Round& r, const std::vector<double>& state,
+                double cost_seconds);
   void settle_pending_reward(const ProfileSnapshot& snapshot);
-  /// Median of the recent iteration periods.
-  double baseline_period() const;
+  /// The one path every controller switch takes: supersede the tracked
+  /// switch as `supersede_reason`, arm a new one (validated on Commit when
+  /// `validate`), file `record` in the ledger (closing the open validation
+  /// record and probes; its id replaces `round`), then request the switch.
+  /// All of it is armed first because an empty-pipeline attempt can Commit
+  /// synchronously. A busy engine drops the switch as `engine_busy`.
+  /// Returns whether the executor accepted the request.
+  bool issue_switch(const partition::Partition& target,
+                    const std::string& supersede_reason, bool validate,
+                    trace::DecisionRecord* record, std::uint64_t round = 0);
+  /// Executor phase-observer hook: arms validation on Commit, schedules a
+  /// backed-off retry (or abandons) on a fault Abort.
+  void on_switch_event(const pipeline::PipelineExecutor::SwitchAttempt& a);
+  /// Schedule the next retry of the tracked switch, or abandon it once the
+  /// attempt budget is spent.
+  void schedule_switch_retry();
+  /// Terminal failure: resolve the ledger record to aborted_<phase>,
+  /// blacklist the target for this regime, emit `switch.abandoned`.
+  void abandon_tracked_switch();
+  /// Forget the tracked switch, resolving its ledger record (if any) to
+  /// `status`: superseded by a newer decision or recovery, or aborted.
+  void drop_tracked_switch(
+      const std::string& reason,
+      trace::OutcomeStatus status = trace::OutcomeStatus::kSuperseded);
+
+  // --- Recovery: stall watchdog, emergency re-plan, readmission ---
   /// True when every worker of `p` is up and its server's link is up.
   bool partition_reachable(const partition::Partition& p) const;
   void arm_watchdog();
@@ -181,16 +300,6 @@ class AutoPipeController {
   /// environment is still too unsettled to plan on.
   std::optional<partition::Partition> reachable_plan(
       const ProfileSnapshot& snapshot) const;
-  /// The one path every controller switch takes: supersede the tracked
-  /// switch as `supersede_reason`, arm a new one (validated on Commit when
-  /// `validate`), file `record` in the ledger (closing the open validation
-  /// record and probes; its id replaces `round`), then request the switch.
-  /// All of it is armed first because an empty-pipeline attempt can Commit
-  /// synchronously. A busy engine drops the switch as `engine_busy`.
-  /// Returns whether the executor accepted the request.
-  bool issue_switch(const partition::Partition& target,
-                    const std::string& supersede_reason, bool validate,
-                    trace::DecisionRecord* record, std::uint64_t round = 0);
 
   // --- Decision-ledger plumbing (no-ops while the ledger is disabled) ---
   trace::DecisionLedger& ledger();
@@ -199,29 +308,24 @@ class AutoPipeController {
   /// Resolve record `id` and feed the live calibration series in metrics().
   void ledger_resolve(std::uint64_t id, trace::OutcomeStatus status,
                       double realized, int window, std::string reason);
+  /// File a hold decision and open its probe.
+  void file_hold(trace::DecisionRecord& rec);
   /// Advance every open realized-speed probe by one completed iteration.
   void advance_probes();
+  /// Resolve a probe from its window so far: the action sets the status.
+  void resolve_probe(const LedgerProbe& p, double now, std::string reason);
   /// Terminal-state every open probe: the regime changed under it.
   void supersede_probes(const std::string& reason);
+  /// Supersede the active validation's record and every open probe.
+  void supersede_records(const std::string& reason);
   /// Resolve the record attached to the active validation window, if any.
   void resolve_validation_record(trace::OutcomeStatus status, double realized,
                                  int window, const std::string& reason);
-
-  // --- Interruptible-switch tracking (retry / backoff / abandonment) ---
-  /// Executor phase-observer hook: arms validation on Commit, schedules a
-  /// backed-off retry (or abandons) on a fault Abort.
-  void on_switch_event(const pipeline::PipelineExecutor::SwitchAttempt& a);
-  /// Schedule the next retry of the tracked switch, or abandon it once the
-  /// attempt budget is spent.
-  void schedule_switch_retry();
-  /// Terminal failure: resolve the ledger record to aborted_<phase>,
-  /// blacklist the target for this regime, emit `switch.abandoned`.
-  void abandon_tracked_switch();
-  /// Forget the tracked switch, resolving its ledger record (if any) to
-  /// `status`: superseded by a newer decision or recovery, or aborted.
-  void drop_tracked_switch(
-      const std::string& reason,
-      trace::OutcomeStatus status = trace::OutcomeStatus::kSuperseded);
+  /// Record an instant on the control row at the current simulated time,
+  /// when tracing is on.
+  template <typename... F>
+  void record_instant(trace::Category category, std::string_view name,
+                      const F&... fields);
 
   /// Owned-worker subselection helpers for co-tenancy: owned_ is always the
   /// authoritative sorted set (the whole cluster when config_.owned_workers
@@ -252,40 +356,7 @@ class AutoPipeController {
   std::optional<PendingDecision> pending_;
   std::size_t last_switch_iteration_ = 0;
 
-  struct Validation {
-    partition::Partition previous;
-    /// Mean seconds/iteration before the switch (lower is better).
-    double period_before = 0.0;
-    std::size_t switch_iteration = 0;
-    /// Simulated instant the post-switch window opened.
-    double window_start = -1.0;
-    std::size_t samples = 0;
-    /// Ledger record whose outcome this window decides (ledger enabled only).
-    std::optional<std::uint64_t> ledger_id;
-  };
   std::optional<Validation> validation_;
-
-  /// A decided switch being shepherded through the executor's staged
-  /// protocol. Armed before request_switch so a synchronous Commit sees it;
-  /// cleared on Commit (validation/probe arming moves there — an aborted
-  /// attempt must not be validated) or on abandonment/supersession.
-  struct TrackedSwitch {
-    TrackedSwitch(partition::Partition t, partition::Partition prev,
-                  double period = 0.0, bool arm = false)
-        : target(std::move(t)),
-          previous(std::move(prev)),
-          period_before(period),
-          arm_validation(arm) {}
-    partition::Partition target;
-    partition::Partition previous;   ///< revert destination if validated out
-    double period_before = 0.0;
-    bool arm_validation = false;
-    std::size_t attempts = 1;        ///< request_switch calls issued so far
-    bool retry_scheduled = false;
-    std::optional<std::uint64_t> ledger_id;
-    pipeline::SwitchPhase last_abort_phase =
-        pipeline::SwitchPhase::kIdle;
-  };
   std::optional<TrackedSwitch> tracked_switch_;
   std::uint64_t switch_observer_token_ = 0;
   /// Bumped whenever tracked_switch_ is consumed; orphans scheduled retries.
@@ -312,21 +383,6 @@ class AutoPipeController {
 
   std::vector<SpeedSample> adaptation_buffer_;
   Stats stats_;
-
-  /// Open realized-speed measurement windows for ledger records: every hold
-  /// decision, and switches that could not arm a validation window. Resolved
-  /// after a validation window of completed iterations, or superseded when
-  /// the regime changes underneath them. Only populated while the ledger is
-  /// enabled; a hold decision does NOT supersede earlier holds (the regime
-  /// is unchanged), so a few probes overlap when decision_interval is
-  /// shorter than the window.
-  struct LedgerProbe {
-    std::uint64_t id = 0;
-    bool switched = false;
-    std::size_t decision_iteration = 0;
-    double window_start = -1.0;
-    std::size_t samples = 0;
-  };
   std::vector<LedgerProbe> probes_;
 
   // --- Watchdog / fault-recovery state ---
@@ -344,11 +400,14 @@ class AutoPipeController {
   std::size_t recovery_attempts_ = 0;
   Seconds next_recovery_at_ = 0.0;
   std::vector<sim::WorkerId> excluded_workers_;
-  /// Last good per-worker samples, substituted while the profiler feed for
-  /// a worker is muted (fault-injected dropout).
-  std::vector<BytesPerSec> held_bw_;
-  std::vector<FlopsPerSec> held_speed_;
-  std::vector<BytesPerSec> held_nic_bw_;
+  /// A worker's last good profiler samples, substituted while its feed is
+  /// muted (fault-injected dropout).
+  struct HeldSample {
+    BytesPerSec bandwidth = 0.0;
+    FlopsPerSec speed = 0.0;
+    BytesPerSec nic_bandwidth = 0.0;
+  };
+  std::vector<HeldSample> held_;
   /// Sorted owned-worker set (see set_owned_workers); every worker of the
   /// cluster when the config left owned_workers empty.
   std::vector<sim::WorkerId> owned_;

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "baselines/data_parallel.hpp"
-#include "baselines/model_parallel.hpp"
 #include "common/units.hpp"
 #include "models/model.hpp"
 #include "models/zoo.hpp"
@@ -110,21 +109,6 @@ TEST(DataParallel, IterationSeriesIsMonotone) {
   for (std::size_t i = 1; i < 8; ++i)
     EXPECT_GT(report.iteration_end_times[i],
               report.iteration_end_times[i - 1]);
-}
-
-TEST(ModelParallel, RunsAndUnderutilizes) {
-  Rig rig(4);
-  const auto model = toy_model();
-  comm::FrameworkProfile lean;
-  lean.name = "lean";
-  lean.per_layer_overhead = 0.0;
-  lean.comm_efficiency = 1.0;
-  lean.compute_efficiency = 1.0;
-  const auto report =
-      run_model_parallel(*rig.cluster, model, {0, 1, 2, 3}, 20, 5, lean);
-  // One batch in flight over 4 workers: utilization far below 1.
-  EXPECT_LT(report.worker_utilization, 0.5);
-  EXPECT_GT(report.throughput, 0.0);
 }
 
 TEST(Comparison, PipelineBeatsDataParallelOnSlowNetwork) {

@@ -269,6 +269,13 @@ for bad in --top=abc --tolerance=nan; do
   [[ "$status" == 2 ]] ||
     { echo "analyzer smoke: $bad exited $status" >&2; exit 1; }
 done
+# An unknown subcommand is a usage error before any file is opened.
+status=0
+err="$("$build/tools/autopipe_trace" bogus /nonexistent.trace 2>&1)" ||
+  status=$?
+[[ "$status" == 2 && "$err" == "unknown subcommand 'bogus'"* ]] ||
+  { echo "analyzer smoke: unknown subcommand exited $status: $err" >&2
+    exit 1; }
 # A run that fails (here a pipeline deadlock behind a link that never comes
 # back) exits 1 with one autopipe_sim: line, not through terminate.
 status=0

@@ -18,25 +18,25 @@
 namespace autopipe::bench {
 
 namespace {
+const char* const kNoFlags[] = {"bench"};
+Flags g_flags(1, kNoFlags);  // what exit_status() checks for unread flags
 sweep::RunOutputs g_outputs;
 std::set<std::string> g_labels;  // every label write_outputs has taken
 std::string g_profile_path;
-std::size_t g_jobs = 1;
 }  // namespace
 
-Flags parse_common_flags(int argc, const char* const* argv) {
-  Flags flags(argc, argv);
-  g_outputs = sweep::RunOutputs(flags);
+const Flags& parse_common_flags(int argc, const char* const* argv) {
+  g_flags = Flags(argc, argv);
+  g_outputs = sweep::RunOutputs(g_flags);
   g_labels.clear();
-  g_jobs = flags.get_count("jobs", 1);
-  g_profile_path = flags.get("profile", "");
+  g_profile_path = g_flags.get("profile", "");
   sweep::start_profile(g_profile_path);
-  return flags;
+  return g_flags;
 }
 
 void for_each_scenario(std::size_t count,
                        const std::function<void(std::size_t)>& body) {
-  sweep::run_indexed(count, g_jobs, body);
+  sweep::run_indexed(count, g_flags.get_count("jobs", 1), body);
 }
 
 void write_outputs(Testbed& testbed, const std::string& label) {
@@ -224,6 +224,8 @@ bool run_scenario(const std::string& label,
 }
 
 int exit_status() {
+  for (const std::string& flag : g_flags.unused())
+    std::cerr << "warning: unknown flag --" << flag << "\n";
   // Scenario workers joined inside for_each_scenario, so the capture is
   // complete by the time main() asks for its exit code.
   sweep::write_profile(g_profile_path, std::cout);

@@ -47,15 +47,16 @@ Testbed make_testbed(double bandwidth_gbps);
 /// the output flags ask for.
 Testbed make_testbed(const sim::ClusterConfig& config);
 
-/// Parse argv and return it, for each bench to read its own flags from.
-/// Takes the shared ones: the five output flags (docs/TRACING.md,
+/// Parse argv and keep it, for each bench to read its own flags from the
+/// returned reference. Takes the five output flags (docs/TRACING.md,
 /// "Producing a trace"; the profiler records from here until
-/// exit_status()) and `--jobs=N`. Call at the top of main(); throws
-/// contract_error on a malformed flag or number.
-Flags parse_common_flags(int argc, const char* const* argv);
+/// exit_status()). Call at the top of main(); throws contract_error on a
+/// malformed flag or number.
+const Flags& parse_common_flags(int argc, const char* const* argv);
 
-/// Fan `body(0) .. body(count-1)` across the `--jobs` thread pool (default
-/// 1, 0 = one per core). Each body must confine itself to per-index state
+/// Fan `body(0) .. body(count-1)` across a thread pool of `--jobs` threads
+/// (default 1, 0 = one per core); only a bench that calls this reads the
+/// flag. Each body must confine itself to per-index state
 /// — build its own testbed, write slot i of a preallocated vector — and
 /// emit nothing; the caller renders tables/stdout in index order
 /// afterwards, so benchmark output is identical at any --jobs value.
@@ -149,7 +150,8 @@ double speedup_pct(double a, double b);
 bool run_scenario(const std::string& label,
                   const std::function<void()>& body);
 
-/// Write the `--profile` capture, if one was asked for; then 0 when every
+/// Warn on stderr about every flag the bench never read, write the
+/// `--profile` capture, if one was asked for; then 0 when every
 /// run_scenario body succeeded so far, 1 otherwise.
 int exit_status();
 

@@ -134,7 +134,7 @@ double mean_period(const std::vector<double>& end_times, std::size_t lo,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = bench::parse_common_flags(argc, argv);
+  const Flags& flags = bench::parse_common_flags(argc, argv);
   const std::size_t seeds = flags.get_count("seeds", 50);
   AUTOPIPE_EXPECT_MSG(seeds >= 1, "--seeds must be at least 1");
   const std::size_t seed0 = flags.get_count("seed0", 1);

@@ -196,7 +196,7 @@ bool aborts_switches(faults::FaultEvent::Kind kind) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = bench::parse_common_flags(argc, argv);
+  const Flags& flags = bench::parse_common_flags(argc, argv);
   const std::size_t seeds = flags.get_count("seeds", 50);
   AUTOPIPE_EXPECT_MSG(seeds >= 1, "--seeds must be at least 1");
   const std::size_t seed0 = flags.get_count("seed0", 1);

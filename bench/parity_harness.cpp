@@ -33,7 +33,7 @@ struct SeedRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = bench::parse_common_flags(argc, argv);
+  const Flags& flags = bench::parse_common_flags(argc, argv);
   const std::size_t seeds = flags.get_count("seeds", 12);
   AUTOPIPE_EXPECT_MSG(seeds >= 1, "--seeds must be at least 1");
   const auto seed0 = static_cast<std::uint64_t>(flags.get_int("seed0", 1));

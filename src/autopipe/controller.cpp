@@ -611,7 +611,7 @@ SwitchCostEstimate AutoPipeController::switch_cost(
       executor_.model(), r.current.stages(), to, r.env,
       r.snapshot.iteration_time > 0.0 ? r.snapshot.iteration_time : 0.1,
       partition::optimal_in_flight(r.current),
-      executor_.config().switch_overhead_per_layer);
+      pipeline::kSwitchOverheadPerLayer);
 }
 
 const trace::CandidateScore& AutoPipeController::add_candidate(

@@ -6,16 +6,24 @@
 
 namespace autopipe::core {
 
-FeatureEncoder::FeatureEncoder(FeatureConfig config) : config_(config) {
-  AUTOPIPE_EXPECT(config_.max_workers >= 1);
-}
+namespace {
+/// Worker slots every per-worker feature is padded to.
+constexpr std::size_t kMaxWorkers = 16;
+// Normalization scales (chosen near the testbed's operating point).
+constexpr double kBandwidthScale = 12.5e9;  // 100 Gbps in bytes/sec
+constexpr double kSpeedScale = 5e12;        // ~1 contended P100
+constexpr double kBytesScale = 512.0 * 1024 * 1024;
+constexpr double kTimeScale = 1.0;          // iteration seconds
+}  // namespace
+
+FeatureEncoder::FeatureEncoder(FeatureConfig config) : config_(config) {}
 
 std::vector<double> FeatureEncoder::static_features(
     const ProfileSnapshot& snap) const {
   std::vector<double> f;
   f.push_back(static_cast<double>(snap.num_layers) / 64.0);
   f.push_back(static_cast<double>(snap.num_workers) /
-              static_cast<double>(config_.max_workers));
+              static_cast<double>(kMaxWorkers));
 
   auto aggregate = [&](const std::vector<double>& xs, double scale) {
     double total = 0.0, mx = 0.0;
@@ -28,27 +36,27 @@ std::vector<double> FeatureEncoder::static_features(
     f.push_back(mx / scale);                          // max
     f.push_back(total / scale / 16.0);                // total (damped)
   };
-  aggregate(snap.activation_bytes, config_.bytes_scale);
-  aggregate(snap.gradient_bytes, config_.bytes_scale);
-  aggregate(snap.param_bytes, config_.bytes_scale);
+  aggregate(snap.activation_bytes, kBytesScale);
+  aggregate(snap.gradient_bytes, kBytesScale);
+  aggregate(snap.param_bytes, kBytesScale);
   return f;
 }
 
 std::vector<double> FeatureEncoder::dynamic_features(
     const ProfileSnapshot& snap) const {
   std::vector<double> f;
-  f.reserve(2 * config_.max_workers + 1);
-  for (std::size_t w = 0; w < config_.max_workers; ++w) {
+  f.reserve(2 * kMaxWorkers + 1);
+  for (std::size_t w = 0; w < kMaxWorkers; ++w) {
     f.push_back(w < snap.worker_bandwidth.size()
-                    ? snap.worker_bandwidth[w] / config_.bandwidth_scale
+                    ? snap.worker_bandwidth[w] / kBandwidthScale
                     : 0.0);
   }
-  for (std::size_t w = 0; w < config_.max_workers; ++w) {
+  for (std::size_t w = 0; w < kMaxWorkers; ++w) {
     f.push_back(w < snap.worker_speed.size()
-                    ? snap.worker_speed[w] / config_.speed_scale
+                    ? snap.worker_speed[w] / kSpeedScale
                     : 0.0);
   }
-  f.push_back(snap.iteration_time / config_.time_scale);
+  f.push_back(snap.iteration_time / kTimeScale);
   return f;
 }
 
@@ -56,20 +64,20 @@ std::vector<double> FeatureEncoder::partition_features(
     std::span<const partition::StageAssignment> stages,
     std::size_t num_layers) const {
   AUTOPIPE_EXPECT(num_layers > 0);
-  std::vector<double> f(3 * config_.max_workers + 1, 0.0);
+  std::vector<double> f(3 * kMaxWorkers + 1, 0.0);
   for (const partition::StageAssignment& stage : stages) {
     for (sim::WorkerId w : stage.workers) {
-      if (w >= config_.max_workers) continue;
+      if (w >= kMaxWorkers) continue;
       f[3 * w + 0] = static_cast<double>(stage.first_layer) /
                      static_cast<double>(num_layers);
       f[3 * w + 1] = static_cast<double>(stage.last_layer + 1) /
                      static_cast<double>(num_layers);
       f[3 * w + 2] = static_cast<double>(stage.replication()) /
-                     static_cast<double>(config_.max_workers);
+                     static_cast<double>(kMaxWorkers);
     }
   }
   f.back() = static_cast<double>(stages.size()) /
-             static_cast<double>(config_.max_workers);
+             static_cast<double>(kMaxWorkers);
   return f;
 }
 
@@ -82,7 +90,7 @@ std::vector<double> FeatureEncoder::arbiter_state(
   f.push_back(normalize_throughput(candidate_speed_pred));
   f.push_back(normalize_throughput(candidate_speed_pred) -
               normalize_throughput(current_speed_pred));
-  f.push_back(switch_cost_pred / config_.time_scale);
+  f.push_back(switch_cost_pred / kTimeScale);
   f.push_back(std::min(iterations_since_switch, 50.0) / 50.0);
   return f;
 }
@@ -90,11 +98,11 @@ std::vector<double> FeatureEncoder::arbiter_state(
 std::size_t FeatureEncoder::static_dim() const { return 2 + 3 * 3; }
 
 std::size_t FeatureEncoder::dynamic_dim() const {
-  return 2 * config_.max_workers + 1;
+  return 2 * kMaxWorkers + 1;
 }
 
 std::size_t FeatureEncoder::partition_dim() const {
-  return 3 * config_.max_workers + 1;
+  return 3 * kMaxWorkers + 1;
 }
 
 std::size_t FeatureEncoder::arbiter_dim() const {

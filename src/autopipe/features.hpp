@@ -14,13 +14,6 @@
 namespace autopipe::core {
 
 struct FeatureConfig {
-  std::size_t max_workers = 16;
-  // Normalization scales (chosen near the testbed's operating point).
-  double bandwidth_scale = 12.5e9;   // 100 Gbps in bytes/sec
-  double speed_scale = 5e12;         // ~1 contended P100
-  double flops_scale = 5e12;         // per-layer work scale
-  double bytes_scale = 512.0 * 1024 * 1024;
-  double time_scale = 1.0;           // iteration seconds
   double throughput_scale = 500.0;   // img/sec normalization for targets
 };
 

@@ -15,6 +15,12 @@ namespace autopipe::core {
 
 namespace {
 
+/// Max extra tenants per GPU in a random scenario.
+constexpr std::int64_t kMaxExtraTenants = 2;
+/// Max random neighbourhood moves applied to the PipeDream plan to diversify
+/// the partitions seen during training.
+constexpr std::int64_t kMaxPartitionPerturbations = 4;
+
 /// A randomized shared-cluster instance plus the initial PipeDream plan.
 struct Scenario {
   std::unique_ptr<sim::Simulator> simulator;
@@ -39,7 +45,7 @@ Scenario make_scenario(const models::ModelSpec& model,
   // Random contention: some GPUs host extra tenants, some NICs are cut.
   for (sim::WorkerId w = 0; w < s.cluster->num_workers(); ++w) {
     const int extra =
-        static_cast<int>(rng.uniform_int(0, config.max_extra_tenants));
+        static_cast<int>(rng.uniform_int(0, kMaxExtraTenants));
     for (int i = 0; i < extra; ++i) s.cluster->add_background_job(w);
   }
   for (std::size_t server = 0; server < s.cluster->num_servers(); ++server) {
@@ -58,10 +64,9 @@ Scenario make_scenario(const models::ModelSpec& model,
   return s;
 }
 
-partition::Partition perturb(const partition::Partition& base,
-                             std::size_t max_moves, Rng& rng) {
+partition::Partition perturb(const partition::Partition& base, Rng& rng) {
   partition::Partition current = base;
-  const auto moves = rng.uniform_int(0, static_cast<std::int64_t>(max_moves));
+  const auto moves = rng.uniform_int(0, kMaxPartitionPerturbations);
   for (std::int64_t i = 0; i < moves; ++i) {
     auto candidates = partition::two_worker_candidates(current);
     if (candidates.empty()) break;
@@ -83,8 +88,7 @@ std::vector<SpeedSample> generate_speed_dataset(
 
   for (std::size_t n = 0; n < count; ++n) {
     Scenario s = make_scenario(model, scenario, rng);
-    partition::Partition p =
-        perturb(s.plan->partition, scenario.max_partition_perturbations, rng);
+    partition::Partition p = perturb(s.plan->partition, rng);
 
     pipeline::ExecutorConfig ec;
     ec.framework = scenario.framework;

@@ -23,11 +23,6 @@ struct ScenarioConfig {
   /// Bandwidth grid the scenario sampler draws from (the paper's testbed
   /// speeds).
   std::vector<double> bandwidth_gbps = {10, 25, 40, 100};
-  /// Max extra tenants per GPU.
-  int max_extra_tenants = 2;
-  /// Random neighbourhood moves applied to the PipeDream plan to diversify
-  /// the partitions seen during training.
-  std::size_t max_partition_perturbations = 4;
   comm::SyncScheme sync_scheme = comm::SyncScheme::kRing;
   comm::FrameworkProfile framework = comm::pytorch_profile();
   /// Iterations per measurement (after warmup).

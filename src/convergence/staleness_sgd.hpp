@@ -38,17 +38,6 @@ struct TrainerConfig {
   /// Pipeline depth: the staleness bound under weight stashing and the
   /// delay scale under total asynchrony.
   std::size_t pipeline_depth = 4;
-  /// Max extra delay (in updates) for total asynchrony.
-  std::size_t tap_max_extra_delay = 12;
-  /// Strength of the systematic gradient bias that inconsistent
-  /// forward/backward weights introduce under total asynchrony. A gradient
-  /// computed with forward activations from one weight version and a
-  /// backward pass through another is not the gradient of any single loss;
-  /// its error has a persistent component that shifts the converged point.
-  /// We model that component as a fixed random direction with magnitude
-  /// tap_bias x (initial gradient scale), which reproduces the paper's
-  /// observation that TAP plateaus at a lower top-1 accuracy (Fig 11).
-  double tap_bias = 1.5;
 };
 
 class StalenessSgdTrainer {

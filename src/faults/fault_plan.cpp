@@ -192,6 +192,13 @@ FaultEvent FaultPlan::profiler_restore(sim::WorkerId worker) {
   return FaultEvent{FaultEvent::Kind::kProfilerRestore, worker, 0.0};
 }
 
+namespace {
+/// A random straggler runs its GPU at a uniform draw from this range of its
+/// normal throughput.
+constexpr double kStragglerScaleLo = 0.2;
+constexpr double kStragglerScaleHi = 0.6;
+}  // namespace
+
 FaultPlan random_plan(const ChaosSpec& spec, std::size_t num_servers,
                       std::size_t gpus_per_server) {
   AUTOPIPE_EXPECT(num_servers >= 1);
@@ -250,8 +257,7 @@ FaultPlan random_plan(const ChaosSpec& spec, std::size_t num_servers,
   for (std::size_t i = 0; i < spec.stragglers; ++i) {
     const Seconds duration = draw_outage();
     plan.straggle(draw_worker(false), draw_time(duration), duration,
-                  rng.uniform(spec.straggler_scale_lo,
-                              spec.straggler_scale_hi));
+                  rng.uniform(kStragglerScaleLo, kStragglerScaleHi));
   }
   for (std::size_t i = 0; i < spec.profiler_drops; ++i) {
     const Seconds duration = draw_outage();

@@ -67,8 +67,6 @@ struct ChaosSpec {
   Seconds min_outage = 0.5;
   Seconds max_outage = 4.0;
   Seconds flap_outage = 0.3;  ///< per-flap downtime
-  double straggler_scale_lo = 0.2;
-  double straggler_scale_hi = 0.6;
 };
 
 class FaultPlan {

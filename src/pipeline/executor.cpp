@@ -9,6 +9,11 @@
 
 namespace autopipe::pipeline {
 
+namespace {
+/// Smoothing for the per-worker observed-bandwidth estimate.
+constexpr double kBandwidthEmaAlpha = 0.25;
+}  // namespace
+
 const char* switch_phase_name(SwitchPhase phase) {
   switch (phase) {
     case SwitchPhase::kIdle:
@@ -46,7 +51,7 @@ PipelineExecutor::PipelineExecutor(sim::Cluster& cluster,
   sync_outstanding_.assign(current_partition_->num_stages(), false);
   stage_timing_.assign(current_partition_->num_stages(), StageTiming{});
   bandwidth_ema_.assign(cluster_.num_workers(),
-                        Ema(config_.bandwidth_ema_alpha));
+                        Ema(kBandwidthEmaAlpha));
   set_holders_from(*current_partition_);
   worker_cb_token_ =
       cluster_.add_worker_state_callback([this](sim::WorkerId w, bool up) {
@@ -911,8 +916,7 @@ void PipelineExecutor::commit_switch() {
     if (!worker_alive(w)) continue;  // a down GPU cannot restage
     const std::size_t moved_layers = to.stage(s).num_layers();
     cluster_.gpu(w).submit(
-        0.0, config_.switch_overhead_per_layer *
-                 static_cast<double>(moved_layers),
+        0.0, kSwitchOverheadPerLayer * static_cast<double>(moved_layers),
         nullptr);
   }
 

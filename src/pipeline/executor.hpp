@@ -65,6 +65,11 @@ enum class SwitchPhase {
 /// metrics names (switch.aborted.<phase>) and ledger outcomes.
 const char* switch_phase_name(SwitchPhase phase);
 
+/// Fixed restaging cost per migrated layer on an affected worker during a
+/// fine-grained switch (PipeSwitch's per-layer transmission calls); the
+/// controller's switch-cost estimate charges the same.
+inline constexpr Seconds kSwitchOverheadPerLayer = millis(2);
+
 struct ExecutorConfig {
   /// Samples per mini-batch; 0 uses the model's default.
   std::size_t batch_size = 0;
@@ -76,11 +81,6 @@ struct ExecutorConfig {
   /// In-flight mini-batches (PipeDream's NOW); 0 derives it from the
   /// partition.
   std::size_t in_flight = 0;
-  /// Fixed restaging cost per migrated layer on an affected worker during a
-  /// fine-grained switch (PipeSwitch's per-layer transmission calls).
-  Seconds switch_overhead_per_layer = millis(2);
-  /// Smoothing for the per-worker observed-bandwidth estimate.
-  double bandwidth_ema_alpha = 0.25;
   /// GPipe's activation recomputation: discard stage-internal activations
   /// after the forward pass and recompute them at backward time. Trades
   /// one extra forward pass of compute for an O(stage) smaller activation

@@ -11,6 +11,9 @@ namespace autopipe::rl {
 
 namespace {
 
+/// Transitions the replay buffer keeps before overwriting the oldest.
+constexpr std::size_t kReplayCapacity = 4096;
+
 std::vector<std::size_t> widths(const DqnConfig& c) {
   std::vector<std::size_t> w;
   w.push_back(c.state_dim);
@@ -37,7 +40,7 @@ DqnAgent::DqnAgent(DqnConfig config, std::uint64_t seed)
       }()),
       target_(online_),
       optimizer_(online_.parameters(), config_.learning_rate),
-      buffer_(config_.replay_capacity),
+      buffer_(kReplayCapacity),
       epsilon_(config_.epsilon_start) {
   AUTOPIPE_EXPECT(config_.state_dim > 0);
   AUTOPIPE_EXPECT(config_.num_actions >= 2);
@@ -79,7 +82,7 @@ void DqnAgent::observe(Transition t) {
                   t.action < static_cast<int>(config_.num_actions));
   buffer_.add(std::move(t));
   ++steps_;
-  epsilon_ = std::max(config_.epsilon_end, epsilon_ * config_.epsilon_decay);
+  epsilon_ = std::max(kEpsilonEnd, epsilon_ * config_.epsilon_decay);
   if (buffer_.size() >= config_.warmup_steps) learn();
   if (steps_ % config_.target_update_interval == 0) target_ = online_;
 }
@@ -129,8 +132,8 @@ void DqnAgent::learn() {
 void DqnAgent::begin_online_adaptation(double lr_scale) {
   AUTOPIPE_EXPECT(lr_scale > 0.0 && lr_scale <= 1.0);
   optimizer_.set_learning_rate(config_.learning_rate * lr_scale);
-  epsilon_ = config_.epsilon_end;
-  config_.epsilon_start = config_.epsilon_end;
+  epsilon_ = kEpsilonEnd;
+  config_.epsilon_start = kEpsilonEnd;
 }
 
 void DqnAgent::save(std::ostream& os) const { online_.save(os); }

@@ -17,6 +17,10 @@
 
 namespace autopipe::rl {
 
+/// The exploration rate epsilon decays to, and the rate online adaptation
+/// freezes it at.
+inline constexpr double kEpsilonEnd = 0.05;
+
 struct DqnConfig {
   std::size_t state_dim = 0;
   std::size_t num_actions = 2;
@@ -24,10 +28,9 @@ struct DqnConfig {
   double learning_rate = 1e-3;
   double gamma = 0.6;  // switch decisions pay off within a few iterations
   double epsilon_start = 1.0;
-  double epsilon_end = 0.05;
-  /// Multiplicative epsilon decay applied per environment step.
+  /// Multiplicative epsilon decay applied per environment step, down to
+  /// kEpsilonEnd.
   double epsilon_decay = 0.995;
-  std::size_t replay_capacity = 4096;
   std::size_t batch_size = 32;
   std::size_t target_update_interval = 100;
   /// Steps collected before learning starts.

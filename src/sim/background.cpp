@@ -8,13 +8,19 @@
 
 namespace autopipe::sim {
 
+namespace {
+/// How many GPUs one GPU-intensive job occupies.
+constexpr std::size_t kGpuJobSpan = 1;
+/// Multiplicative NIC capacity cut while a network job holds a server (the
+/// paper's "available bandwidth is halved").
+constexpr double kNetBandwidthFactor = 0.5;
+}  // namespace
+
 BackgroundWorkload::BackgroundWorkload(BackgroundWorkloadConfig config,
                                        Rng rng)
     : config_(config), rng_(rng) {
   AUTOPIPE_EXPECT(config_.gpu_job_rate >= 0.0);
   AUTOPIPE_EXPECT(config_.net_job_rate >= 0.0);
-  AUTOPIPE_EXPECT(config_.net_bandwidth_factor > 0.0 &&
-                  config_.net_bandwidth_factor <= 1.0);
   AUTOPIPE_EXPECT(config_.horizon > 0.0);
 }
 
@@ -31,8 +37,7 @@ void BackgroundWorkload::install(Simulator& simulator, Cluster& cluster) {
       std::vector<WorkerId> all(cluster.num_workers());
       for (WorkerId w = 0; w < all.size(); ++w) all[w] = w;
       rng_.shuffle(all);
-      const std::size_t span =
-          std::min(config_.gpu_job_span, all.size());
+      const std::size_t span = std::min(kGpuJobSpan, all.size());
       auto occupied = std::make_shared<std::vector<WorkerId>>(
           all.begin(), all.begin() + static_cast<std::ptrdiff_t>(span));
       simulator.at(t, [&cluster, occupied] {
@@ -54,7 +59,7 @@ void BackgroundWorkload::install(Simulator& simulator, Cluster& cluster) {
           rng_.exponential(config_.mean_net_job_duration);
       const auto server = static_cast<std::size_t>(rng_.uniform_int(
           0, static_cast<std::int64_t>(cluster.num_servers()) - 1));
-      const double factor = config_.net_bandwidth_factor;
+      const double factor = kNetBandwidthFactor;
       // Scale the configured bandwidth, not the link-masked effective one:
       // a tenant arriving during a link outage would otherwise read 0 and
       // pin the server's NIC at zero long after the link recovers.

@@ -28,11 +28,6 @@ struct BackgroundWorkloadConfig {
   /// Mean holding time of one background job.
   Seconds mean_gpu_job_duration = 30.0;
   Seconds mean_net_job_duration = 30.0;
-  /// How many GPUs one GPU-intensive job occupies.
-  std::size_t gpu_job_span = 1;
-  /// Multiplicative NIC capacity cut while a network job holds a server
-  /// (0.5 = the paper's "available bandwidth is halved").
-  double net_bandwidth_factor = 0.5;
   /// Stop generating arrivals beyond this horizon.
   Seconds horizon = 600.0;
 };

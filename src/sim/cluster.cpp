@@ -7,13 +7,17 @@
 
 namespace autopipe::sim {
 
+namespace {
+/// PCIe 3.0 x16 effective ≈ 12 GB/s, shared by the GPUs of one server.
+constexpr BytesPerSec kPcieBandwidth = 12e9;
+}  // namespace
+
 Cluster::Cluster(Simulator& simulator, ClusterConfig config)
     : sim_(simulator), config_(std::move(config)), network_(simulator) {
   AUTOPIPE_EXPECT(config_.num_servers >= 1);
   AUTOPIPE_EXPECT(config_.gpus_per_server >= 1);
   AUTOPIPE_EXPECT(!config_.gpu_specs.empty());
   AUTOPIPE_EXPECT(config_.nic_bandwidth > 0.0);
-  AUTOPIPE_EXPECT(config_.pcie_bandwidth > 0.0);
 
   const std::size_t workers = num_workers();
   AUTOPIPE_EXPECT_MSG(
@@ -27,7 +31,7 @@ Cluster::Cluster(Simulator& simulator, ClusterConfig config)
     nic_rx_.push_back(
         network_.add_resource(base + ".nic.rx", config_.nic_bandwidth));
     pcie_.push_back(
-        network_.add_resource(base + ".pcie", config_.pcie_bandwidth));
+        network_.add_resource(base + ".pcie", kPcieBandwidth));
     nic_bw_.push_back(config_.nic_bandwidth);
   }
   if (config_.servers_per_rack > 0) {

@@ -29,8 +29,6 @@ struct ClusterConfig {
   /// every slot (the paper's homogeneous-P100 testbed).
   std::vector<GpuSpec> gpu_specs = {p100_spec()};
   BytesPerSec nic_bandwidth = gbps(100);
-  /// PCIe 3.0 x16 effective ≈ 12 GB/s, shared by the GPUs of one server.
-  BytesPerSec pcie_bandwidth = 12e9;
   /// Optional two-tier topology: servers grouped into racks of this size,
   /// with an oversubscribed uplink per rack toward the core. 0 keeps the
   /// paper's single-switch testbed. PipeDream's planner *assumes* such a

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <utility>
-
-#include "common/expect.hpp"
 
 namespace autopipe::sim {
 
@@ -117,27 +114,6 @@ void TimingWheelEventQueue::settle() {
 // ---------------------------------------------------------------------------
 // Selection
 // ---------------------------------------------------------------------------
-
-EventQueueKind parse_event_queue_kind(std::string_view name) {
-  if (name == "heap") return EventQueueKind::kHeap;
-  if (name == "wheel") return EventQueueKind::kWheel;
-  AUTOPIPE_EXPECT_MSG(false, "unknown event queue kind \""
-                                 << name << "\" (expected heap or wheel)");
-  return EventQueueKind::kWheel;  // unreachable
-}
-
-const char* event_queue_kind_name(EventQueueKind kind) {
-  return kind == EventQueueKind::kHeap ? "heap" : "wheel";
-}
-
-EventQueueKind default_event_queue_kind() {
-  static const EventQueueKind kind = [] {
-    const char* env = std::getenv("AUTOPIPE_EVENT_QUEUE");
-    return env == nullptr ? EventQueueKind::kWheel
-                          : parse_event_queue_kind(env);
-  }();
-  return kind;
-}
 
 std::unique_ptr<EventQueue> make_event_queue(EventQueueKind kind) {
   if (kind == EventQueueKind::kHeap) return std::make_unique<HeapEventQueue>();

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/small_function.hpp"
@@ -307,16 +306,9 @@ class TimingWheelEventQueue final : public EventQueue {
   std::size_t size_ = 0;
 };
 
+/// The heap is the reference the parity harness and the tests compare the
+/// wheel against; every other simulator runs on the wheel.
 enum class EventQueueKind { kHeap, kWheel };
-
-/// Parse "heap" / "wheel"; throws contract_error on anything else.
-EventQueueKind parse_event_queue_kind(std::string_view name);
-const char* event_queue_kind_name(EventQueueKind kind);
-
-/// Process-wide default: the AUTOPIPE_EVENT_QUEUE environment variable
-/// ("heap" or "wheel", read once) or the wheel when unset — the escape
-/// hatch back to the reference queue if a wheel bug is ever suspected.
-EventQueueKind default_event_queue_kind();
 
 std::unique_ptr<EventQueue> make_event_queue(EventQueueKind kind);
 

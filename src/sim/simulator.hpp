@@ -38,7 +38,7 @@ class DeferredPush {
 ///
 /// Hot-path discipline: a run executes millions of events, so the queue is
 /// a pluggable EventQueue (a timing wheel by default, the reference binary
-/// heap behind AUTOPIPE_EVENT_QUEUE=heap — both dequeue in identical order)
+/// heap when a parity check asks for it — both dequeue in identical order)
 /// and the callback type is a move-only small-buffer closure — captures up
 /// to the inline budget never touch the allocator. The simulator holds a
 /// typed pointer to the concrete (final) queue next to the owning interface
@@ -49,10 +49,9 @@ class Simulator {
  public:
   using Callback = SimEvent::Callback;
 
-  /// The queue implementation is fixed at construction;
-  /// default_event_queue_kind() honours the AUTOPIPE_EVENT_QUEUE
-  /// environment variable and otherwise picks the timing wheel.
-  explicit Simulator(EventQueueKind queue_kind = default_event_queue_kind());
+  /// The queue implementation is fixed at construction: the timing wheel
+  /// unless a parity check or a test asks for the reference heap.
+  explicit Simulator(EventQueueKind queue_kind = EventQueueKind::kWheel);
 
   /// Current simulated time in seconds.
   Seconds now() const { return now_; }

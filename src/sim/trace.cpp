@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "common/expect.hpp"
-
 namespace autopipe::sim {
 
 std::string TraceEvent::describe() const {
@@ -19,52 +17,24 @@ std::string TraceEvent::describe() const {
     case Kind::kAddGpuJob:
       os << "add background job on worker " << index;
       break;
-    case Kind::kRemoveGpuJob:
-      os << "remove background job on worker " << index;
-      break;
     case Kind::kAddJobAllGpus:
       os << "add background job on every GPU";
-      break;
-    case Kind::kRemoveJobAllGpus:
-      os << "remove background job from every GPU";
       break;
   }
   return os.str();
 }
 
-ResourceTrace& ResourceTrace::at_time(Seconds t, TraceEvent ev) {
-  AUTOPIPE_EXPECT(t >= 0.0);
-  points_.push_back(TracePoint{t, false, ev});
-  return *this;
-}
-
 ResourceTrace& ResourceTrace::at_iteration(std::size_t iter, TraceEvent ev) {
-  points_.push_back(TracePoint{static_cast<double>(iter), true, ev});
+  points_.push_back(TracePoint{iter, ev});
   return *this;
 }
 
-void ResourceTrace::install(
-    Simulator& simulator, Cluster& cluster,
-    std::function<void(const TraceEvent&)> on_change) const {
-  for (const TracePoint& p : points_) {
-    if (p.by_iteration) continue;
-    TraceEvent ev = p.event;
-    simulator.at(p.at, [&cluster, ev, on_change] {
-      apply(ev, cluster);
-      if (on_change) on_change(ev);
-    });
-  }
-}
-
-std::size_t ResourceTrace::apply_iteration(
-    std::size_t iter, Cluster& cluster,
-    std::function<void(const TraceEvent&)> on_change) const {
+std::size_t ResourceTrace::apply_iteration(std::size_t iter,
+                                           Cluster& cluster) const {
   std::size_t fired = 0;
   for (const TracePoint& p : points_) {
-    if (!p.by_iteration) continue;
-    if (static_cast<std::size_t>(p.at) != iter) continue;
+    if (p.iteration != iter) continue;
     apply(p.event, cluster);
-    if (on_change) on_change(p.event);
     ++fired;
   }
   return fired;
@@ -87,16 +57,9 @@ void ResourceTrace::apply(const TraceEvent& ev, Cluster& cluster) {
     case TraceEvent::Kind::kAddGpuJob:
       cluster.add_background_job(ev.index);
       break;
-    case TraceEvent::Kind::kRemoveGpuJob:
-      cluster.remove_background_job(ev.index);
-      break;
     case TraceEvent::Kind::kAddJobAllGpus:
       for (WorkerId w = 0; w < cluster.num_workers(); ++w)
         cluster.add_background_job(w);
-      break;
-    case TraceEvent::Kind::kRemoveJobAllGpus:
-      for (WorkerId w = 0; w < cluster.num_workers(); ++w)
-        cluster.remove_background_job(w);
       break;
   }
 }
@@ -111,14 +74,8 @@ TraceEvent ResourceTrace::set_nic_bandwidth(std::size_t server,
 TraceEvent ResourceTrace::add_gpu_job(WorkerId worker) {
   return TraceEvent{TraceEvent::Kind::kAddGpuJob, worker, 0.0};
 }
-TraceEvent ResourceTrace::remove_gpu_job(WorkerId worker) {
-  return TraceEvent{TraceEvent::Kind::kRemoveGpuJob, worker, 0.0};
-}
 TraceEvent ResourceTrace::add_job_all_gpus() {
   return TraceEvent{TraceEvent::Kind::kAddJobAllGpus, 0, 0.0};
-}
-TraceEvent ResourceTrace::remove_job_all_gpus() {
-  return TraceEvent{TraceEvent::Kind::kRemoveJobAllGpus, 0, 0.0};
 }
 
 }  // namespace autopipe::sim

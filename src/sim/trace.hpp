@@ -2,11 +2,10 @@
 // resources at fixed points ("change the bandwidth to 25Gbps at the 20th
 // iteration", "add one more training job at the 40th iteration"); a
 // ResourceTrace encodes such a script so benchmarks replay it exactly.
-// Trace points may be anchored either in simulated time or in completed
-// training iterations (the executor reports iteration counts).
+// Trace points are anchored in completed training iterations (the executor
+// reports iteration counts).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,9 +19,7 @@ struct TraceEvent {
     kSetAllNicBandwidth,  ///< value = bytes/sec
     kSetNicBandwidth,     ///< index = server, value = bytes/sec
     kAddGpuJob,           ///< index = worker
-    kRemoveGpuJob,        ///< index = worker
     kAddJobAllGpus,       ///< background job spanning every GPU
-    kRemoveJobAllGpus,
   };
 
   Kind kind;
@@ -35,28 +32,18 @@ struct TraceEvent {
 
 /// One scheduled point in the script.
 struct TracePoint {
-  /// Anchor: simulated seconds (when by_iteration is false) or completed
-  /// iteration count (when true).
-  double at = 0.0;
-  bool by_iteration = false;
+  /// Completed iteration count the event fires at.
+  std::size_t iteration = 0;
   TraceEvent event;
 };
 
 class ResourceTrace {
  public:
-  ResourceTrace& at_time(Seconds t, TraceEvent ev);
   ResourceTrace& at_iteration(std::size_t iter, TraceEvent ev);
 
-  /// Install all time-anchored points on the simulator. `on_change`, if set,
-  /// fires after each applied event (used by tests and by experiment
-  /// harnesses that log reconfiguration points).
-  void install(Simulator& simulator, Cluster& cluster,
-               std::function<void(const TraceEvent&)> on_change = {}) const;
-
-  /// Apply every iteration-anchored point with anchor == iter. Called by the
-  /// training loop after each completed iteration. Returns how many fired.
-  std::size_t apply_iteration(std::size_t iter, Cluster& cluster,
-                              std::function<void(const TraceEvent&)> on_change = {}) const;
+  /// Apply every point anchored at `iter`. Called by the training loop after
+  /// each completed iteration. Returns how many fired.
+  std::size_t apply_iteration(std::size_t iter, Cluster& cluster) const;
 
   static void apply(const TraceEvent& ev, Cluster& cluster);
 
@@ -67,9 +54,7 @@ class ResourceTrace {
   static TraceEvent set_all_nic_bandwidth(BytesPerSec bw);
   static TraceEvent set_nic_bandwidth(std::size_t server, BytesPerSec bw);
   static TraceEvent add_gpu_job(WorkerId worker);
-  static TraceEvent remove_gpu_job(WorkerId worker);
   static TraceEvent add_job_all_gpus();
-  static TraceEvent remove_job_all_gpus();
 
  private:
   std::vector<TracePoint> points_;

@@ -50,7 +50,7 @@ struct GoldenCapture {
 /// recorded before the timing wheel existed, so byte-identity under
 /// kWheel *is* the semantic-preservation proof for the core rewrite.
 inline GoldenCapture run_golden_scenario(
-    sim::EventQueueKind kind = sim::default_event_queue_kind()) {
+    sim::EventQueueKind kind = sim::EventQueueKind::kWheel) {
   sim::Simulator sim(kind);
   sim.tracer().set_enabled(true);
   sim::ClusterConfig config;
@@ -99,7 +99,7 @@ inline GoldenCapture run_golden_scenario(
 /// 5 ms later. Returns the text trace.
 inline std::string run_replicated_sync_scenario(
     comm::SyncScheme scheme,
-    sim::EventQueueKind kind = sim::default_event_queue_kind()) {
+    sim::EventQueueKind kind = sim::EventQueueKind::kWheel) {
   sim::Simulator sim(kind);
   sim.tracer().set_enabled(true);
   sim::ClusterConfig config;

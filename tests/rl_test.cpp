@@ -84,7 +84,7 @@ TEST(DqnAgent, EpsilonDecays) {
   for (int i = 0; i < 200; ++i)
     agent.observe(make_transition(0.0, 0, 0.0));
   EXPECT_LT(agent.epsilon(), initial);
-  EXPECT_GE(agent.epsilon(), agent.config().epsilon_end - 1e-12);
+  EXPECT_GE(agent.epsilon(), kEpsilonEnd - 1e-12);
 }
 
 TEST(DqnAgent, QValuesHaveActionArity) {
@@ -96,7 +96,7 @@ TEST(DqnAgent, QValuesHaveActionArity) {
 TEST(DqnAgent, OnlineAdaptationFreezesExploration) {
   DqnAgent agent(bandit_config(), 3);
   agent.begin_online_adaptation(0.1);
-  EXPECT_NEAR(agent.epsilon(), agent.config().epsilon_end, 1e-12);
+  EXPECT_NEAR(agent.epsilon(), kEpsilonEnd, 1e-12);
 }
 
 TEST(DqnAgent, SaveLoadPreservesPolicy) {

@@ -471,29 +471,22 @@ TEST(Cluster, IntraRackUnaffectedByUplink) {
 // Traces and background workload
 // ---------------------------------------------------------------------------
 
-TEST(ResourceTrace, TimeAnchoredEventsApply) {
-  Simulator sim;
-  Cluster cluster(sim, ClusterConfig{});
-  ResourceTrace trace;
-  trace.at_time(1.0, ResourceTrace::set_all_nic_bandwidth(gbps(10)));
-  trace.at_time(2.0, ResourceTrace::add_gpu_job(0));
-  int fired = 0;
-  trace.install(sim, cluster, [&](const TraceEvent&) { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_DOUBLE_EQ(cluster.nic_bandwidth(0), gbps(10));
-  EXPECT_EQ(cluster.gpu(0).tenant_count(), 2);
-}
-
 TEST(ResourceTrace, IterationAnchoredEventsApplyOnce) {
   Simulator sim;
   Cluster cluster(sim, ClusterConfig{});
   ResourceTrace trace;
+  trace.at_iteration(10, ResourceTrace::set_all_nic_bandwidth(gbps(10)));
+  trace.at_iteration(10, ResourceTrace::add_gpu_job(0));
   trace.at_iteration(20, ResourceTrace::add_job_all_gpus());
+  EXPECT_EQ(trace.apply_iteration(9, cluster), 0u);
+  EXPECT_EQ(trace.apply_iteration(10, cluster), 2u);
+  EXPECT_DOUBLE_EQ(cluster.nic_bandwidth(0), gbps(10));
+  EXPECT_EQ(cluster.gpu(0).tenant_count(), 2);
+  EXPECT_EQ(cluster.gpu(1).tenant_count(), 1);
   EXPECT_EQ(trace.apply_iteration(19, cluster), 0u);
   EXPECT_EQ(trace.apply_iteration(20, cluster), 1u);
   for (WorkerId w = 0; w < cluster.num_workers(); ++w)
-    EXPECT_EQ(cluster.gpu(w).tenant_count(), 2);
+    EXPECT_EQ(cluster.gpu(w).tenant_count(), w == 0 ? 3 : 2);
 }
 
 TEST(ResourceTrace, DescribeIsHumanReadable) {
@@ -625,9 +618,7 @@ TEST(SimulatorWheel, QueueKindIsReportedAndEnvDefaultHolds) {
   EXPECT_STREQ(heap.queue_name(), "heap");
   EXPECT_EQ(wheel.queue_kind(), EventQueueKind::kWheel);
   EXPECT_EQ(heap.queue_kind(), EventQueueKind::kHeap);
-  EXPECT_THROW(parse_event_queue_kind("calendar"), contract_error);
-  EXPECT_EQ(parse_event_queue_kind("heap"), EventQueueKind::kHeap);
-  EXPECT_EQ(parse_event_queue_kind("wheel"), EventQueueKind::kWheel);
+  EXPECT_EQ(Simulator().queue_kind(), EventQueueKind::kWheel);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@
 #
 #   tools/bench_history.sh BENCH_sweep.json [BENCH_decisions.json ...]
 #
-# Re-appending the same report at the same commit is a no-op (check.sh
-# re-runs must not grow the files), and a missing python3 degrades to a
-# skip with a warning instead of failing the calling check — the history
-# is an accumulation step, never a gate. See docs/BENCHMARKS.md.
+# Re-appending the same report at the same commit, host timing aside, is a
+# no-op (check.sh re-runs must not grow the files), and a missing python3
+# degrades to a skip with a warning instead of failing the calling check —
+# the history is an accumulation step, never a gate. See docs/BENCHMARKS.md.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -63,13 +63,20 @@ entry = {
     "data": data,
 }
 
+def simulated(d):
+    """The report without its host timing (the sweep's `--timing` section),
+    which differs on every run of the same commit."""
+    return {k: v for k, v in d.items() if k != "timing"} \
+        if isinstance(d, dict) else d
+
 # Same report at the same commit: replace nothing, append nothing.
 try:
     with open(out) as f:
         lines = f.readlines()
     if lines:
         last = json.loads(lines[-1])
-        if last.get("commit") == commit and last.get("data") == data:
+        if last.get("commit") == commit and \
+                simulated(last.get("data")) == simulated(data):
             print(f"bench_history: {stem} already recorded at {commit}")
             sys.exit(0)
 except FileNotFoundError:

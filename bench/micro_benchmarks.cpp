@@ -275,7 +275,7 @@ benchmark::Counter ns_per_event(double events) {
 }
 
 void BM_TraceRecordCounter(benchmark::State& state) {
-  // The trace's most common event (58% of a traced vgg16 run): a load:
+  // The trace's most common event (48% of a traced vgg16 run): a load:
   // counter from the flow network's re-rate.
   constexpr int kEvents = 4096;
   const std::vector<std::string> names = nic_load_names();

@@ -46,6 +46,14 @@ inline char* write_general(char* out, double value) {
       .ptr;
 }
 
+/// Write `value` as "%.<precision>f" at `out` (room for kMaxFixedChars);
+/// returns the end of the text.
+inline char* write_fixed(char* out, double value, int precision) {
+  return std::to_chars(out, out + kMaxFixedChars, value,
+                       std::chars_format::fixed, precision)
+      .ptr;
+}
+
 class TextWriter {
  public:
   static constexpr std::size_t kBufferBytes = 64 * 1024;
@@ -76,10 +84,7 @@ class TextWriter {
     return *this;
   }
   TextWriter& operator<<(Fixed f) {
-    char* out = room(kMaxFixedChars);
-    used_ = std::to_chars(out, out + kMaxFixedChars, f.value,
-                          std::chars_format::fixed, f.precision)
-                .ptr -
+    used_ = write_fixed(room(kMaxFixedChars), f.value, f.precision) -
             buffer_.get();
     return *this;
   }

@@ -1,6 +1,7 @@
 #include "common/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <functional>
 #include <ostream>
@@ -312,10 +313,23 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
 
 void TraceRecorder::write_text(std::ostream& os) const {
   TextWriter out(os);
+  // Most records repeat the previous record's timestamp (a callback's
+  // records all carry its instant), so each run of equal timestamps is
+  // formatted once. The key is the bits, not ==: -0.0 after 0.0 prints its
+  // own text.
+  char ts_text[kMaxFixedChars];
+  std::size_t ts_size = 0;  // 0 until the first record
+  std::uint64_t ts_bits = 0;
   for_each_record([&](const Record& r) {
-    out << Fixed{r.ts, 9} << ' ' << category_name(r.category) << ' '
-        << r.phase << ' ' << text(r.name) << " pid=" << r.pid
-        << " tid=" << r.tid;
+    const auto bits = std::bit_cast<std::uint64_t>(r.ts);
+    if (ts_size == 0 || bits != ts_bits) {
+      ts_bits = bits;
+      ts_size = static_cast<std::size_t>(write_fixed(ts_text, r.ts, 9) -
+                                         ts_text);
+    }
+    out << std::string_view(ts_text, ts_size) << ' '
+        << category_name(r.category) << ' ' << r.phase << ' ' << text(r.name)
+        << " pid=" << r.pid << " tid=" << r.tid;
     if (r.phase == 'X') out << " dur=" << Fixed{r.span, 9};
     if (r.phase == 'b' || r.phase == 'e') out << " id=" << r.id;
     if (r.phase == 'C') out << " value=" << General{r.span};

@@ -35,9 +35,10 @@ void FlowNetwork::set_capacity(ResourceId resource, BytesPerSec capacity) {
   }
   advance_to_now();
   res_capacity_[resource] = capacity;
-  changed();
+  // Before changed(): outside a callback it writes the loads at once, and
+  // the cap: counter comes before the loads it caps.
   emit_capacity(resource);
-  emit_loads();
+  changed();
 }
 
 void FlowNetwork::set_resource_down(ResourceId resource) {
@@ -121,7 +122,6 @@ FlowId FlowNetwork::start_flow(FlowSpec spec) {
   flow_path_.push_back(std::move(spec.path));
   flow_on_complete_.push_back(std::move(spec.on_complete));
   changed();
-  emit_loads();
   return id;
 }
 
@@ -135,7 +135,6 @@ void FlowNetwork::cancel_flow(FlowId id) {
     sim_.tracer().async_end(trace::Category::kComm, "flow", id, sim_.now(),
                             {trace::arg("cancelled", 1)});
   }
-  emit_loads();
 }
 
 BytesPerSec FlowNetwork::flow_rate(FlowId id) {
@@ -195,11 +194,11 @@ void FlowNetwork::recompute_rates() {
   // unfrozen flow through it to that share, and deduct.
   //
   // Runs at event rate (once per instant with a flow start/finish or a
-  // capacity change; once per change when tracing), so the per-resource
-  // accumulators are flat vectors indexed by the dense ResourceId, reused
-  // across calls, and the unfrozen set is a vector of flow slots walked in
-  // ascending order — iteration (and so floating-point deduction order) is
-  // part of the determinism contract.
+  // capacity change, traced or not), so the per-resource accumulators are
+  // flat vectors indexed by the dense ResourceId, reused across calls, and
+  // the unfrozen set is a vector of flow slots walked in ascending order —
+  // iteration (and so floating-point deduction order) is part of the
+  // determinism contract.
   const std::size_t n = res_capacity_.size();
   if (scratch_cap_.size() < n) {
     scratch_cap_.resize(n);
@@ -257,6 +256,7 @@ void FlowNetwork::recompute_rates() {
 
 void FlowNetwork::flush() {
   refresh_rates();
+  emit_loads();
   Seconds next = kNever;
   for (std::size_t s = 0; s < flow_id_.size(); ++s) {
     if (flow_rate_[s] <= 0.0) continue;
@@ -318,7 +318,6 @@ void FlowNetwork::complete_due_flows() {
   flow_path_.resize(kept);
   flow_on_complete_.resize(kept);
   changed();
-  emit_loads();
   for (auto it = callbacks.rbegin(); it != callbacks.rend(); ++it) (*it)();
   callbacks.clear();
   scratch_done_ = std::move(callbacks);
@@ -335,7 +334,6 @@ void FlowNetwork::emit_capacity(ResourceId resource) {
 
 void FlowNetwork::emit_loads() {
   if (!sim_.tracer().enabled()) return;
-  refresh_rates();
   const std::size_t n = res_capacity_.size();
   traced_load_.resize(n, 0.0);
   while (res_load_counter_.size() < n) {

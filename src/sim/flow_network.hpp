@@ -17,8 +17,9 @@
 // Re-rating is coalesced per simulated instant: a change marks the rates
 // stale and defers the next-completion push to the Simulator (see
 // Simulator::defer), so the flows a callback starts together — the ring
-// steps of a replicated stage's all-reduce — cost one rating pass and one
-// queue push. Readers of rates re-rate first when the rates are stale.
+// steps of a replicated stage's all-reduce — cost one rating pass, one
+// queue push and, when tracing, one round of `load:` counters. Readers of
+// rates re-rate first when the rates are stale.
 //
 // Storage is structure-of-arrays: resources and flows each live in parallel
 // flat vectors indexed by a dense slot, and every hot loop (rate integration,
@@ -131,8 +132,8 @@ class FlowNetwork final : private DeferredPush {
   /// Progressive filling over all flows (max-min fair rates).
   void recompute_rates();
 
-  /// The deferred push: re-rate if stale, then (re)schedule the single
-  /// next-completion event.
+  /// The deferred push: re-rate if stale, write the `load:` counters, then
+  /// (re)schedule the single next-completion event.
   void flush() override;
 
   void complete_due_flows();
@@ -140,9 +141,10 @@ class FlowNetwork final : private DeferredPush {
   /// Trace-only: emit the resource's `cap:<name>` counter. No-op when
   /// tracing is disabled.
   void emit_capacity(ResourceId resource);
-  /// Trace-only: emit a `load:<name>` counter for every resource whose
-  /// allocated load changed since the last emission. No-op when tracing is
-  /// disabled.
+  /// Trace-only, from flush(): emit a `load:<name>` counter for every
+  /// resource whose allocated load changed since the last emission, so a
+  /// callback's changes write one value per resource, after the callback's
+  /// own records. Expects fresh rates. No-op when tracing is disabled.
   void emit_loads();
 
   Simulator& sim_;

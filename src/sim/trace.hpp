@@ -47,9 +47,6 @@ class ResourceTrace {
 
   static void apply(const TraceEvent& ev, Cluster& cluster);
 
-  const std::vector<TracePoint>& points() const { return points_; }
-  bool empty() const { return points_.empty(); }
-
   // Event constructors.
   static TraceEvent set_all_nic_bandwidth(BytesPerSec bw);
   static TraceEvent set_nic_bandwidth(std::size_t server, BytesPerSec bw);

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -624,6 +625,40 @@ TEST(GoldenAnalysis, SummaryJsonMatchesGolden) {
   EXPECT_EQ(os.str(), golden.str())
       << "summary drifted from the golden file; if the change is intended, "
          "regenerate with AUTOPIPE_REGEN_GOLDEN=1";
+}
+
+TEST(GoldenAnalysis, SupersededSameInstantLoadsChangeNoAnswer) {
+  // Older traces wrote a load: counter after every flow change, so one
+  // instant could hold several values per resource. Rebuild that shape from
+  // the golden with the most load: counters: before each one, another for
+  // the same resource and instant, alternately its capacity and 0.
+  const std::vector<trace::Event> events =
+      parse_text_file(golden_path("replicated_ring.trace"));
+  std::map<std::string, double> capacity;
+  std::vector<trace::Event> padded;
+  bool at_capacity = true;
+  for (const trace::Event& ev : events) {
+    if (ev.phase == 'C' && ev.name.starts_with("cap:"))
+      capacity[ev.name.substr(4)] = ev.value;
+    if (ev.phase == 'C' && ev.name.starts_with("load:")) {
+      trace::Event& superseded = padded.emplace_back(ev);
+      superseded.value = at_capacity ? capacity.at(ev.name.substr(5)) : 0.0;
+      at_capacity = !at_capacity;
+    }
+    padded.push_back(ev);
+  }
+  ASSERT_GT(padded.size(), events.size());
+
+  const TraceView view(events);
+  const TraceView padded_view(padded);
+  const RunAnalysis want = analyze(view);
+  RunAnalysis got = analyze(padded_view);
+  EXPECT_EQ(render_bubbles_text(got), render_bubbles_text(want));
+  EXPECT_EQ(render_critical_path_text(got), render_critical_path_text(want));
+  EXPECT_EQ(render_switches_text(got), render_switches_text(want));
+  EXPECT_EQ(got.num_events, padded.size());
+  got.num_events = want.num_events;
+  EXPECT_EQ(render_summary_text(got), render_summary_text(want));
 }
 
 TEST(GoldenAnalysis, SelfDiffIsEmpty) {

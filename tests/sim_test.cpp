@@ -3,6 +3,7 @@
 // contention changes, the cluster topology and resource traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -234,6 +235,7 @@ class FlowNetworkProperty : public ::testing::TestWithParam<int> {};
 TEST_P(FlowNetworkProperty, MaxMinAllocationIsFeasibleAndSaturating) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   Simulator sim;
+  sim.tracer().set_enabled(true);
   FlowNetwork net(sim);
   const std::size_t R = 2 + static_cast<std::size_t>(rng.uniform_int(0, 4));
   std::vector<ResourceId> resources;
@@ -242,7 +244,6 @@ TEST_P(FlowNetworkProperty, MaxMinAllocationIsFeasibleAndSaturating) {
         net.add_resource("r" + std::to_string(i), rng.uniform(10.0, 200.0)));
 
   const std::size_t F = 1 + static_cast<std::size_t>(rng.uniform_int(0, 7));
-  std::vector<FlowId> flows;
   std::vector<std::vector<ResourceId>> paths;
   for (std::size_t f = 0; f < F; ++f) {
     std::vector<ResourceId> path;
@@ -250,8 +251,14 @@ TEST_P(FlowNetworkProperty, MaxMinAllocationIsFeasibleAndSaturating) {
       if (rng.chance(0.5)) path.push_back(r);
     if (path.empty()) path.push_back(resources[0]);
     paths.push_back(path);
-    flows.push_back(net.start_flow({path, 1e9, nullptr}));
   }
+  // All flows start in one callback: one coalesced re-rate.
+  std::vector<FlowId> flows;
+  sim.at(0.0, [&] {
+    for (const auto& path : paths)
+      flows.push_back(net.start_flow({path, 1e9, nullptr}));
+  });
+  ASSERT_TRUE(sim.step());
 
   // (a) No resource oversubscribed.
   for (ResourceId r : resources)
@@ -265,6 +272,17 @@ TEST_P(FlowNetworkProperty, MaxMinAllocationIsFeasibleAndSaturating) {
     EXPECT_TRUE(bottlenecked) << "flow " << f << " rate "
                               << net.flow_rate(flows[f]);
   }
+#if AUTOPIPE_TRACING
+  // (c) The written load: counters end at the network's real loads.
+  const std::vector<trace::Event> events = sim.tracer().events();
+  for (ResourceId r : resources) {
+    const std::string name = "load:" + net.resource_name(r);
+    double last = 0.0;
+    for (const trace::Event& ev : events)
+      if (ev.phase == 'C' && ev.name == name) last = ev.value;
+    EXPECT_EQ(last, net.resource_load(r)) << name;
+  }
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, FlowNetworkProperty,
@@ -710,6 +728,38 @@ TEST(CoalescedRerate, CompletionIsCausedByTheLastChange) {
   ASSERT_EQ(ends.size(), 2u);
   EXPECT_DOUBLE_EQ(ends[0].ts, 3.0);
   EXPECT_EQ(ends[0].cause, begins[1].eid);
+}
+
+TEST(CoalescedRerate, OneCallbackWritesOneLoadPerResource) {
+  // The second flow halves the first's rate: b's load is 100 after the
+  // first start and 50 after the second, but only the 50 is written, after
+  // the callback's own records.
+  Simulator sim;
+  sim.tracer().set_enabled(true);
+  FlowNetwork net(sim);
+  const auto a = net.add_resource("a", 100.0);
+  const auto b = net.add_resource("b", 100.0);
+  sim.at(1.0, [&] {
+    net.start_flow({{a, b}, 1000.0, nullptr});
+    net.start_flow({{a}, 1000.0, nullptr});
+  });
+  ASSERT_TRUE(sim.step());
+  std::vector<double> load_a;
+  std::vector<double> load_b;
+  const std::vector<trace::Event> events = sim.tracer().events();
+  std::size_t last_begin = 0;
+  std::size_t first_load = events.size();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const trace::Event& ev = events[i];
+    if (ev.ts != 1.0) continue;
+    if (ev.phase == 'b') last_begin = i;
+    if (ev.name == "load:a") load_a.push_back(ev.value);
+    if (ev.name == "load:b") load_b.push_back(ev.value);
+    if (ev.name.starts_with("load:")) first_load = std::min(first_load, i);
+  }
+  EXPECT_EQ(load_a, std::vector<double>{100.0});
+  EXPECT_EQ(load_b, std::vector<double>{50.0});
+  EXPECT_GT(first_load, last_begin);
 }
 #endif
 

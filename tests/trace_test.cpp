@@ -8,6 +8,7 @@
 // environment and the checked-in trace is rewritten instead of compared.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -446,6 +447,35 @@ TEST(TraceRecorder, TextFormatIsStable) {
             "0.250000000 compute X fp pid=2 tid=1 dur=0.250000000 eid=1 "
             "batch=3\n"
             "0.000000000 comm C cap:link pid=1000 tid=0 value=12.5\n");
+}
+
+TEST(TraceRecorder, RepeatedTimestampsPrintTheirOwnText) {
+  // write_text formats a run of equal timestamps once. Runs that compare
+  // equal but differ in bits (0.0 and -0.0) and NaNs, which equal nothing,
+  // must still print each record's own text.
+  const double nan_a = std::bit_cast<double>(std::uint64_t{0x7ff8000000000001});
+  const double nan_b = std::bit_cast<double>(std::uint64_t{0xfff4000000000002});
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  const double stamps[] = {
+      0.0,     0.0,     -0.0,     0.0,     nan_a,        nan_a,
+      nan_b,   nan_a,   kDenorm,  kDenorm, 1e-300,       kDenorm,
+      DBL_MAX, DBL_MAX, -DBL_MAX, DBL_MAX, 0.0009765625, 0.0009765625,
+      -0.0,    -0.0,    0.0,
+  };
+  TraceRecorder rec;
+  rec.set_enabled(true);
+  for (const double ts : stamps) rec.counter(Category::kComm, "c", ts, 1.0);
+  std::ostringstream os;
+  rec.write_text(os);
+  std::istringstream lines(os.str());
+  std::string line;
+  std::size_t i = 0;
+  for (; std::getline(lines, line); ++i) {
+    ASSERT_LT(i, std::size(stamps));
+    const std::string want = printed("%.9f", stamps[i]) + ' ';
+    EXPECT_EQ(line.substr(0, want.size()), want) << "record " << i;
+  }
+  EXPECT_EQ(i, std::size(stamps));
 }
 
 /// Records `counts.size()` events, the i-th with counts[i] fields of every

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/expect.hpp"
+#include "common/max_min.hpp"
 
 namespace autopipe::analysis {
 
@@ -112,44 +113,63 @@ void TraceView::index_events() {
 }
 
 void TraceView::build_saturation() {
-  // Reconstruct each resource's cap/load step functions from the counter
-  // stream and mark the windows where every byte/sec of capacity was
-  // allocated. The simulator emits counters in simulated-time order, but
-  // sort defensively (stable, so same-instant cap-then-load order holds).
-  struct Change {
-    double ts;
-    bool is_cap;
-    double value;
-  };
-  std::map<std::string, std::vector<Change>> changes;
+  // Rebuild each resource's load from its cap: counters and the flow
+  // records, through the simulator's own max-min allocation, and mark the
+  // windows where every byte/sec of capacity was allocated. Load: counters,
+  // which older traces carry, are ignored: the replay gives the same loads.
+  // The simulator records in simulated-time order, but sort defensively
+  // (stable, so an instant keeps its record order).
+  std::vector<const trace::Event*> records;
   for (const trace::Event& ev : *events_) {
-    if (ev.phase != 'C') continue;
-    if (ev.name.rfind("cap:", 0) == 0) {
-      changes[ev.name.substr(4)].push_back(Change{ev.ts, true, ev.value});
-    } else if (ev.name.rfind("load:", 0) == 0) {
-      changes[ev.name.substr(5)].push_back(Change{ev.ts, false, ev.value});
+    if ((ev.phase == 'C' && ev.name.starts_with("cap:")) ||
+        ((ev.phase == 'b' || ev.phase == 'e') && ev.name == "flow")) {
+      records.push_back(&ev);
     }
   }
-  for (auto& [resource, list] : changes) {
-    std::stable_sort(list.begin(), list.end(),
-                     [](const Change& a, const Change& b) {
-                       return a.ts < b.ts;
-                     });
-    IntervalSet& out = saturated_[resource];
-    double cap = 0.0, load = 0.0;
+  auto by_ts = [](const trace::Event* a, const trace::Event* b) {
+    return a->ts < b->ts;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_ts))
+    std::stable_sort(records.begin(), records.end(), by_ts);
+  struct Resource {
+    IntervalSet* out;
+    double cap = 0.0;
+    double load = 0.0;
     bool saturated = false;
     double since = 0.0;
-    for (const Change& c : list) {
-      (c.is_cap ? cap : load) = c.value;
-      const bool now = cap > 0.0 && load >= cap * (1.0 - 1e-9);
-      if (now && !saturated) {
-        since = c.ts;
-      } else if (!now && saturated) {
-        out.add(since, c.ts);
-      }
-      saturated = now;
+  };
+  std::vector<Resource> resources;
+  auto update = [](Resource& r, double ts) {
+    const bool now = r.cap > 0.0 && r.load >= r.cap * (1.0 - 1e-9);
+    if (now && !r.saturated) {
+      r.since = ts;
+    } else if (!now && r.saturated) {
+      r.out->add(r.since, ts);
     }
-    if (saturated) out.add(since, wall_clock_);
+    r.saturated = now;
+  };
+  common::LoadReplay replay([&](double ts, std::size_t r, double load) {
+    resources[r].load = load;
+    update(resources[r], ts);
+  });
+  for (const trace::Event* ev : records) {
+    if (ev->phase == 'C') {
+      const std::string_view resource = std::string_view(ev->name).substr(4);
+      const std::size_t r = replay.capacity(ev->ts, resource, ev->value);
+      if (r == resources.size())
+        resources.push_back(Resource{&saturated_[std::string(resource)]});
+      resources[r].cap = ev->value;
+      update(resources[r], ev->ts);
+    } else if (ev->phase == 'b') {
+      const std::string* path = ev->find_arg("path");
+      replay.begin_flow(ev->ts, ev->id, path == nullptr ? "" : *path);
+    } else {
+      replay.end_flow(ev->ts, ev->id);
+    }
+  }
+  replay.finish();
+  for (const Resource& r : resources) {
+    if (r.saturated) r.out->add(r.since, wall_clock_);
   }
 }
 

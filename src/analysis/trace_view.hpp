@@ -1,9 +1,12 @@
-// Indexed view over a recorded trace: the event semantics PR 1's recorder
-// established (worker rows for fp/bp, the network row for transfers and
-// cap:/load: counters, the control row for switches and iteration marks)
+// Indexed view over a recorded trace: the event semantics the recorder
+// established (worker rows for fp/bp, the network row for transfers, flows
+// and cap: counters, the control row for switches and iteration marks)
 // turned into the structures every analysis needs — per-worker occupancy
 // interval sets, switch spans, iteration completion times, per-resource
-// saturation windows and an inferred worker→server mapping.
+// saturation windows and an inferred worker→server mapping. Loads are not
+// read from the trace: common::LoadReplay derives them from the cap:
+// counters and flow records, and `load:` counters of older traces are
+// ignored.
 //
 // The view borrows the caller's decoded events rather than copying them, so
 // a trace is held in memory once however many analyses read it. The vector
@@ -80,9 +83,10 @@ class TraceView {
   const std::vector<FlowRecord>& flows() const { return flows_; }
 
   /// Windows during which the named resource (e.g. "server0.nic.tx") was
-  /// allocated at its full then-current capacity.
+  /// allocated at its full then-current capacity: cap > 0 and the derived
+  /// load ≥ cap·(1 − 1e-9).
   const IntervalSet& resource_saturated(const std::string& resource) const;
-  /// All resource names seen in cap:/load: counters, sorted.
+  /// All resource names seen in cap: counters, sorted.
   std::vector<std::string> resource_names() const;
 
   /// Windows during which any NIC (tx or rx) or PCIe bus of the worker's

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <set>
 
+#include "common/max_min.hpp"
 #include "common/text_writer.hpp"
 
 namespace autopipe::trace {
@@ -283,6 +284,40 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
     }
     out << '}';
   });
+
+  // Each resource's load track. The flow network records no load values:
+  // they follow from its cap: counters and flow records, which it records in
+  // simulated-time order, so replaying those gives them back.
+  std::vector<std::string> load_names;
+  common::LoadReplay replay([&](double ts, std::size_t resource,
+                                double value) {
+    while (load_names.size() <= resource) {
+      load_names.push_back("load:" +
+                           replay.resource_name(load_names.size()));
+    }
+    out << ",\n{\"name\":";
+    put_json_string(out, load_names[resource]);
+    out << ",\"cat\":\"" << category_name(Category::kComm)
+        << "\",\"ph\":\"C\",\"ts\":" << micros(ts)
+        << ",\"pid\":" << kPidNetwork << ",\"tid\":0,\"args\":{\"value\":"
+        << General{value} << "}}";
+  });
+  for_each_record([&](const Record& r) {
+    const std::string_view name = text(r.name);
+    if (r.phase == 'C' && name.starts_with("cap:")) {
+      replay.capacity(r.ts, name.substr(4), r.span);
+    } else if (r.phase == 'b' && name == "flow") {
+      std::string_view path;
+      for (const StoredField& stored : fields_of(r)) {
+        const Field f = load(stored);
+        if (f.key == "path" && f.kind == Field::Kind::kString) path = f.text;
+      }
+      replay.begin_flow(r.ts, r.id, path);
+    } else if (r.phase == 'e' && name == "flow") {
+      replay.end_flow(r.ts, r.id);
+    }
+  });
+  replay.finish();
 
   // Causal edges as Chrome flow-event pairs: an 's' (start) anchored at the
   // causing event's end and an 'f' (finish, bp:"e") anchored at the caused

@@ -11,7 +11,9 @@
 // Two sinks:
 //  * write_chrome_json — Chrome trace_event JSON, loadable in
 //    chrome://tracing or https://ui.perfetto.dev (timestamps converted to
-//    microseconds, as the format requires).
+//    microseconds, as the format requires). After the records it writes
+//    each network resource's `load:` counter track, derived from the
+//    `cap:` counters and flow records (common/max_min.hpp).
 //  * write_text — one line per event with fixed formatting, byte-identical
 //    across runs of the same scenario; the golden-trace tests diff it.
 //

@@ -35,8 +35,6 @@ void FlowNetwork::set_capacity(ResourceId resource, BytesPerSec capacity) {
   }
   advance_to_now();
   res_capacity_[resource] = capacity;
-  // Before changed(): outside a callback it writes the loads at once, and
-  // the cap: counter comes before the loads it caps.
   emit_capacity(resource);
   changed();
 }
@@ -189,74 +187,11 @@ void FlowNetwork::refresh_rates() {
 }
 
 void FlowNetwork::recompute_rates() {
-  // Progressive filling: repeatedly find the resource whose fair share
-  // (remaining capacity / unfrozen flows through it) is smallest, pin every
-  // unfrozen flow through it to that share, and deduct.
-  //
-  // Runs at event rate (once per instant with a flow start/finish or a
-  // capacity change, traced or not), so the per-resource accumulators are
-  // flat vectors indexed by the dense ResourceId, reused across calls, and
-  // the unfrozen set is a vector of flow slots walked in ascending order —
-  // iteration (and so floating-point deduction order) is part of the
-  // determinism contract.
-  const std::size_t n = res_capacity_.size();
-  if (scratch_cap_.size() < n) {
-    scratch_cap_.resize(n);
-    scratch_count_.resize(n);
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    scratch_cap_[r] = res_capacity_[r];
-    scratch_count_[r] = 0;
-  }
-  const std::size_t flows = flow_id_.size();
-  scratch_unfrozen_.clear();
-  scratch_unfrozen_.reserve(flows);
-  for (std::size_t s = 0; s < flows; ++s) {
-    flow_rate_[s] = 0.0;
-    scratch_unfrozen_.push_back(static_cast<std::uint32_t>(s));
-    for (ResourceId r : flow_path_[s]) ++scratch_count_[r];
-  }
-
-  while (!scratch_unfrozen_.empty()) {
-    // Find the bottleneck resource.
-    bool found = false;
-    ResourceId bottleneck = 0;
-    double best_share = 0.0;
-    for (ResourceId r = 0; r < n; ++r) {
-      const std::size_t count = scratch_count_[r];
-      if (count == 0) continue;
-      const double share = scratch_cap_[r] / static_cast<double>(count);
-      if (!found || share < best_share) {
-        found = true;
-        best_share = share;
-        bottleneck = r;
-      }
-    }
-    if (!found) break;
-    // Pin every unfrozen flow through the bottleneck at the fair share,
-    // compacting the survivors in place.
-    std::size_t kept = 0;
-    for (const std::uint32_t s : scratch_unfrozen_) {
-      const bool through =
-          std::find(flow_path_[s].begin(), flow_path_[s].end(), bottleneck) !=
-          flow_path_[s].end();
-      if (!through) {
-        scratch_unfrozen_[kept++] = s;
-        continue;
-      }
-      flow_rate_[s] = best_share;
-      for (ResourceId r : flow_path_[s]) {
-        scratch_cap_[r] = std::max(0.0, scratch_cap_[r] - best_share);
-        --scratch_count_[r];
-      }
-    }
-    scratch_unfrozen_.resize(kept);
-  }
+  common::max_min_rates(res_capacity_, flow_path_, flow_rate_, scratch_rates_);
 }
 
 void FlowNetwork::flush() {
   refresh_rates();
-  emit_loads();
   Seconds next = kNever;
   for (std::size_t s = 0; s < flow_id_.size(); ++s) {
     if (flow_rate_[s] <= 0.0) continue;
@@ -330,31 +265,6 @@ void FlowNetwork::emit_capacity(ResourceId resource) {
   scratch_name_.assign("cap:").append(res_name_[resource]);
   sim_.tracer().counter(trace::Category::kComm, scratch_name_, sim_.now(),
                         res_capacity_[resource]);
-}
-
-void FlowNetwork::emit_loads() {
-  if (!sim_.tracer().enabled()) return;
-  const std::size_t n = res_capacity_.size();
-  traced_load_.resize(n, 0.0);
-  while (res_load_counter_.size() < n) {
-    res_load_counter_.push_back("load:" +
-                                res_name_[res_load_counter_.size()]);
-  }
-  // All loads in one pass over the flows in slot order. Paths hold no
-  // duplicates (start_flow checks), so each flow counts once per resource,
-  // and each resource sums its flows in resource_load()'s order: the values
-  // are bit-identical to it.
-  scratch_load_.assign(n, 0.0);
-  for (std::size_t s = 0; s < flow_id_.size(); ++s) {
-    for (ResourceId r : flow_path_[s]) scratch_load_[r] += flow_rate_[s];
-  }
-  for (ResourceId r = 0; r < n; ++r) {
-    const BytesPerSec load = scratch_load_[r];
-    if (load == traced_load_[r]) continue;
-    traced_load_[r] = load;
-    sim_.tracer().counter(trace::Category::kComm, res_load_counter_[r],
-                          sim_.now(), load);
-  }
 }
 
 }  // namespace autopipe::sim

@@ -8,7 +8,8 @@
 // Rates follow the classical progressive-filling (max-min fair) allocation,
 // the standard fluid abstraction of a non-blocking switch fabric; this is
 // the "exact communication procedure" AutoPipe's integrated model observes,
-// in contrast to PipeDream's uniform-hierarchy assumption.
+// in contrast to PipeDream's uniform-hierarchy assumption. The allocation is
+// common::max_min_rates, which trace readers replay (common/max_min.hpp).
 //
 // Capacities may change at any simulated instant (background jobs joining or
 // leaving, administrative rate limits); in-flight flows are re-rated and
@@ -17,9 +18,13 @@
 // Re-rating is coalesced per simulated instant: a change marks the rates
 // stale and defers the next-completion push to the Simulator (see
 // Simulator::defer), so the flows a callback starts together — the ring
-// steps of a replicated stage's all-reduce — cost one rating pass, one
-// queue push and, when tracing, one round of `load:` counters. Readers of
-// rates re-rate first when the rates are stale.
+// steps of a replicated stage's all-reduce — cost one rating pass and one
+// queue push. Readers of rates re-rate first when the rates are stale.
+//
+// Tracing records each resource's `cap:<name>` counter and each flow's `b`
+// (bytes, path) and `e` records, and nothing per re-rate: every load is a
+// function of those records, and common::LoadReplay derives it where it is
+// read.
 //
 // Storage is structure-of-arrays: resources and flows each live in parallel
 // flat vectors indexed by a dense slot, and every hot loop (rate integration,
@@ -36,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/max_min.hpp"
 #include "common/units.hpp"
 #include "sim/simulator.hpp"
 
@@ -129,11 +135,12 @@ class FlowNetwork final : private DeferredPush {
   /// Re-rate every flow if a change left the rates stale.
   void refresh_rates();
 
-  /// Progressive filling over all flows (max-min fair rates).
+  /// Max-min fair rates for every flow: common::max_min_rates over the
+  /// resources in id order and the flows in slot order.
   void recompute_rates();
 
-  /// The deferred push: re-rate if stale, write the `load:` counters, then
-  /// (re)schedule the single next-completion event.
+  /// The deferred push: re-rate if stale, then (re)schedule the single
+  /// next-completion event.
   void flush() override;
 
   void complete_due_flows();
@@ -141,11 +148,6 @@ class FlowNetwork final : private DeferredPush {
   /// Trace-only: emit the resource's `cap:<name>` counter. No-op when
   /// tracing is disabled.
   void emit_capacity(ResourceId resource);
-  /// Trace-only, from flush(): emit a `load:<name>` counter for every
-  /// resource whose allocated load changed since the last emission, so a
-  /// callback's changes write one value per resource, after the callback's
-  /// own records. Expects fresh rates. No-op when tracing is disabled.
-  void emit_loads();
 
   Simulator& sim_;
 
@@ -165,19 +167,11 @@ class FlowNetwork final : private DeferredPush {
   FlowId next_flow_id_ = 1;
   Seconds last_update_ = 0.0;
   Bytes bytes_delivered_ = 0.0;
-  /// Last-emitted `load:` counter value per resource (tracing only).
-  std::vector<BytesPerSec> traced_load_;
-  /// "load:<name>" per resource, built when tracing first needs it.
-  std::vector<std::string> res_load_counter_;
-  /// Tracing scratch: each resource's current load, a flow's path and a
-  /// cap: counter name.
-  std::vector<BytesPerSec> scratch_load_;
+  /// Tracing scratch: a flow's path and a cap: counter name.
   std::string scratch_path_;
   std::string scratch_name_;
-  /// Scratch buffers reused by the rating passes, indexed by ResourceId.
-  std::vector<double> scratch_cap_;
-  std::vector<std::size_t> scratch_count_;
-  std::vector<std::uint32_t> scratch_unfrozen_;
+  /// Scratch buffers reused by the rating passes.
+  common::MaxMinScratch scratch_rates_;
   /// Completion callbacks of one complete_due_flows call, reused.
   std::vector<std::function<void()>> scratch_done_;
   /// Generation counter invalidating superseded completion events.

@@ -29,6 +29,7 @@
 #include "analysis/trace_reader.hpp"
 #include "analysis/trace_view.hpp"
 #include "common/expect.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/trace.hpp"
@@ -308,9 +309,10 @@ TEST(TraceReader, UnknownCategorySkipsAndCounts) {
 // ---------------------------------------------------------------------------
 
 /// w0 computes [0,1) and [5,6); w1 computes [2,4). server0's NIC is
-/// saturated over [2,4). One act transfer [1,2) (w0 -> w1) rides flow 1,
-/// whose path names the server NICs. Iteration marks at 6 and 10 pin the
-/// wall clock to 10.
+/// saturated over [2,4): flow 2 takes all of its capacity, first recorded
+/// at 2. One act transfer [1,2) (w0 -> w1) rides flow 1, whose path names
+/// the server NICs; no capacity is recorded for either while it runs, so it
+/// saturates neither. Iteration marks at 6 and 10 pin the wall clock to 10.
 std::vector<trace::Event> known_run() {
   return {
       span(Category::kCompute, "fp", 0.0, 1.0, 0, 0, {arg("batch", 0)}),
@@ -323,9 +325,10 @@ std::vector<trace::Event> known_run() {
                 {arg("bytes", 100.0),
                  arg("path", "server0.nic.tx,server1.nic.rx")}),
       flow_edge('e', 1, 2.0),
-      counter(Category::kResource, "cap:server0.nic.tx", 0.0, 1000.0),
-      counter(Category::kResource, "load:server0.nic.tx", 2.0, 1000.0),
-      counter(Category::kResource, "load:server0.nic.tx", 4.0, 0.0),
+      counter(Category::kResource, "cap:server0.nic.tx", 2.0, 1000.0),
+      flow_edge('b', 2, 2.0,
+                {arg("bytes", 2000.0), arg("path", "server0.nic.tx")}),
+      flow_edge('e', 2, 4.0),
       instant(Category::kMark, "iteration", 6.0, kPidControl, 0,
               {arg("n", 0)}),
       instant(Category::kMark, "iteration", 10.0, kPidControl, 0,
@@ -353,14 +356,14 @@ TEST(TraceView, IndexesTheKnownRun) {
   EXPECT_DOUBLE_EQ(view.comm_busy(0).total(), 1.0);
   EXPECT_DOUBLE_EQ(view.comm_busy(1).total(), 1.0);
 
-  ASSERT_EQ(view.flows().size(), 1u);
+  ASSERT_EQ(view.flows().size(), 2u);
   EXPECT_DOUBLE_EQ(view.flows()[0].bytes, 100.0);
   EXPECT_FALSE(view.flows()[0].cancelled);
 
   EXPECT_EQ(view.iteration_marks().size(), 2u);
   EXPECT_TRUE(view.switch_spans().empty());
 
-  // Saturation reconstructed from the cap/load counters.
+  // Saturation derived from the cap: counter and the flows.
   const IntervalSet& sat = view.resource_saturated("server0.nic.tx");
   EXPECT_DOUBLE_EQ(sat.total(), 2.0);
   EXPECT_DOUBLE_EQ(sat.front_begin(), 2.0);
@@ -627,23 +630,63 @@ TEST(GoldenAnalysis, SummaryJsonMatchesGolden) {
          "regenerate with AUTOPIPE_REGEN_GOLDEN=1";
 }
 
+TEST(GoldenAnalysis, OldLoadCountersAnswerLikeDerivedLoads) {
+  // bandwidth_drop_precausal.trace is the golden run in the oldest format,
+  // with no eids and with the load: counters traces no longer carry;
+  // bandwidth_drop.trace is the same run written today. The reader ignores
+  // those counters and derives every load, so the answers agree.
+  const std::vector<trace::Event> old_events =
+      parse_text_file(golden_path("bandwidth_drop_precausal.trace"));
+  const std::vector<trace::Event> new_events = golden_events();
+  auto loads = [](const std::vector<trace::Event>& events) {
+    std::size_t n = 0;
+    for (const trace::Event& ev : events)
+      n += ev.phase == 'C' && ev.name.starts_with("load:");
+    return n;
+  };
+  ASSERT_GT(loads(old_events), 0u);
+  EXPECT_EQ(loads(new_events), 0u);
+
+  const TraceView old_view(old_events);
+  const TraceView new_view(new_events);
+  const RunAnalysis got = analyze(old_view);
+  const RunAnalysis want = analyze(new_view);
+  EXPECT_GT(want.bubbles.totals[static_cast<std::size_t>(
+                BubbleClass::kNetContention)],
+            0.0);
+  EXPECT_EQ(render_bubbles_text(got), render_bubbles_text(want));
+  EXPECT_EQ(render_critical_path_text(got), render_critical_path_text(want));
+  EXPECT_EQ(render_switches_text(got), render_switches_text(want));
+}
+
 TEST(GoldenAnalysis, SupersededSameInstantLoadsChangeNoAnswer) {
-  // Older traces wrote a load: counter after every flow change, so one
-  // instant could hold several values per resource. Rebuild that shape from
-  // the golden with the most load: counters: before each one, another for
-  // the same resource and instant, alternately its capacity and 0.
+  // Loads are derived, never read: load: counters, as older traces wrote
+  // them, change no answer even when they are wrong. Before every flow
+  // record of a golden, insert one for each resource on the flow's path,
+  // alternately the resource's capacity and 0.
   const std::vector<trace::Event> events =
       parse_text_file(golden_path("replicated_ring.trace"));
   std::map<std::string, double> capacity;
+  std::map<std::uint64_t, std::string> open_paths;
   std::vector<trace::Event> padded;
   bool at_capacity = true;
   for (const trace::Event& ev : events) {
     if (ev.phase == 'C' && ev.name.starts_with("cap:"))
       capacity[ev.name.substr(4)] = ev.value;
-    if (ev.phase == 'C' && ev.name.starts_with("load:")) {
-      trace::Event& superseded = padded.emplace_back(ev);
-      superseded.value = at_capacity ? capacity.at(ev.name.substr(5)) : 0.0;
-      at_capacity = !at_capacity;
+    if (ev.phase == 'b' && ev.name == "flow")
+      open_paths[ev.id] = *ev.find_arg("path");
+    if ((ev.phase == 'b' || ev.phase == 'e') && ev.name == "flow") {
+      const std::string& path = open_paths.at(ev.id);
+      for (const std::string& resource : parse::split(path, ',')) {
+        trace::Event& wrong = padded.emplace_back();
+        wrong.category = Category::kComm;
+        wrong.phase = 'C';
+        wrong.name = "load:" + resource;
+        wrong.ts = ev.ts;
+        wrong.pid = kPidNetwork;
+        wrong.value = at_capacity ? capacity.at(resource) : 0.0;
+        at_capacity = !at_capacity;
+      }
     }
     padded.push_back(ev);
   }

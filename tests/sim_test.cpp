@@ -7,12 +7,14 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
+#include "common/max_min.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
 #include "common/units.hpp"
@@ -226,6 +228,31 @@ TEST(FlowNetwork, DuplicateResourceInPathThrows) {
   EXPECT_THROW(net.start_flow({{r, r}, 10.0, nullptr}), contract_error);
 }
 
+#if AUTOPIPE_TRACING
+/// Each resource's load as a trace reader derives it: the cap: counters and
+/// flow records replayed through common::LoadReplay, the last value per
+/// resource (0 until its first change).
+std::map<std::string, double> replayed_loads(
+    const std::vector<trace::Event>& events) {
+  std::map<std::string, double> last;
+  common::LoadReplay replay([&](double, std::size_t r, double load) {
+    last[replay.resource_name(r)] = load;
+  });
+  for (const trace::Event& ev : events) {
+    if (ev.phase == 'C' && ev.name.starts_with("cap:")) {
+      last.emplace(ev.name.substr(4), 0.0);
+      replay.capacity(ev.ts, std::string_view(ev.name).substr(4), ev.value);
+    } else if (ev.phase == 'b' && ev.name == "flow") {
+      replay.begin_flow(ev.ts, ev.id, *ev.find_arg("path"));
+    } else if (ev.phase == 'e' && ev.name == "flow") {
+      replay.end_flow(ev.ts, ev.id);
+    }
+  }
+  replay.finish();
+  return last;
+}
+#endif
+
 /// Property sweep: for random topologies and flow sets, the max-min
 /// allocation must (a) never oversubscribe a resource and (b) leave no flow
 /// below a share it could claim without displacing anyone (max-min
@@ -273,14 +300,12 @@ TEST_P(FlowNetworkProperty, MaxMinAllocationIsFeasibleAndSaturating) {
                               << net.flow_rate(flows[f]);
   }
 #if AUTOPIPE_TRACING
-  // (c) The written load: counters end at the network's real loads.
-  const std::vector<trace::Event> events = sim.tracer().events();
+  // (c) A trace reader derives the network's real loads, bit for bit.
+  const std::map<std::string, double> derived =
+      replayed_loads(sim.tracer().events());
   for (ResourceId r : resources) {
-    const std::string name = "load:" + net.resource_name(r);
-    double last = 0.0;
-    for (const trace::Event& ev : events)
-      if (ev.phase == 'C' && ev.name == name) last = ev.value;
-    EXPECT_EQ(last, net.resource_load(r)) << name;
+    EXPECT_EQ(derived.at(net.resource_name(r)), net.resource_load(r))
+        << net.resource_name(r);
   }
 #endif
 }
@@ -730,36 +755,49 @@ TEST(CoalescedRerate, CompletionIsCausedByTheLastChange) {
   EXPECT_EQ(ends[0].cause, begins[1].eid);
 }
 
-TEST(CoalescedRerate, OneCallbackWritesOneLoadPerResource) {
-  // The second flow halves the first's rate: b's load is 100 after the
-  // first start and 50 after the second, but only the 50 is written, after
-  // the callback's own records.
+TEST(CoalescedRerate, DerivedLoadsMatchTheNetworkAtEveryInstant) {
+  // The trace holds no load values; after every event, replaying its cap:
+  // counters and flow records must give each resource's load exactly.
   Simulator sim;
   sim.tracer().set_enabled(true);
   FlowNetwork net(sim);
-  const auto a = net.add_resource("a", 100.0);
-  const auto b = net.add_resource("b", 100.0);
-  sim.at(1.0, [&] {
-    net.start_flow({{a, b}, 1000.0, nullptr});
-    net.start_flow({{a}, 1000.0, nullptr});
+  const std::vector<ResourceId> resources{net.add_resource("a", 100.0),
+                                          net.add_resource("b", 100.0),
+                                          net.add_resource("c", 40.0)};
+  const ResourceId a = resources[0], b = resources[1], c = resources[2];
+  FlowId cancelled = 0;
+  sim.at(1.0, [&] {  // three flows in one callback: one re-rate
+    net.start_flow({{a, b}, 150.0, nullptr});
+    cancelled = net.start_flow({{a}, 1000.0, nullptr});
+    net.start_flow({{b, c}, 90.0, nullptr});
   });
-  ASSERT_TRUE(sim.step());
-  std::vector<double> load_a;
-  std::vector<double> load_b;
-  const std::vector<trace::Event> events = sim.tracer().events();
-  std::size_t last_begin = 0;
-  std::size_t first_load = events.size();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const trace::Event& ev = events[i];
-    if (ev.ts != 1.0) continue;
-    if (ev.phase == 'b') last_begin = i;
-    if (ev.name == "load:a") load_a.push_back(ev.value);
-    if (ev.name == "load:b") load_b.push_back(ev.value);
-    if (ev.name.starts_with("load:")) first_load = std::min(first_load, i);
+  sim.at(1.5, [&] { net.start_flow({{a, c}, 60.0, nullptr}); });
+  sim.at(2.0, [&] { net.cancel_flow(cancelled); });
+  sim.at(2.5, [&] { net.set_capacity(b, 30.0); });
+  sim.at(2.75, [&] { net.start_flow({{c}, 100.0, nullptr}); });
+  sim.at(3.0, [&] {
+    net.set_resource_down(c);
+    net.set_capacity(c, 80.0);  // applies when c comes back
+  });
+  sim.at(4.0, [&] { net.set_resource_up(c); });
+  std::size_t steps = 0;
+  while (sim.step()) {
+    ++steps;
+    const std::map<std::string, double> derived =
+        replayed_loads(sim.tracer().events());
+    for (ResourceId r : resources) {
+      EXPECT_EQ(derived.at(net.resource_name(r)), net.resource_load(r))
+          << net.resource_name(r) << " at t=" << sim.now();
+    }
   }
-  EXPECT_EQ(load_a, std::vector<double>{100.0});
-  EXPECT_EQ(load_b, std::vector<double>{50.0});
-  EXPECT_GT(first_load, last_begin);
+  std::size_t completed = 0;
+  for (const trace::Event& ev : sim.tracer().events()) {
+    EXPECT_FALSE(ev.name.starts_with("load:")) << "at t=" << ev.ts;
+    if (ev.phase == 'e' && ev.find_arg("cancelled") == nullptr) ++completed;
+  }
+  EXPECT_EQ(completed, 4u);
+  EXPECT_GE(steps, 10u);
+  EXPECT_EQ(net.active_flow_count(), 0u);
 }
 #endif
 

@@ -8,6 +8,7 @@
 // environment and the checked-in trace is rewritten instead of compared.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -23,6 +24,7 @@
 
 #include "analysis/trace_reader.hpp"
 #include "common/expect.hpp"
+#include "common/max_min.hpp"
 #include "common/metrics.hpp"
 #include "common/text_writer.hpp"
 #include "common/trace.hpp"
@@ -893,22 +895,31 @@ TEST(TraceInvariants, StopTheWorldSwitchShowsDrainGap) {
 
 TEST(TraceInvariants, FlowsNeverExceedLinkCapacity) {
   const GoldenCapture capture = run_golden_scenario();
-  // Replay the cap:/load: counter stream: at no instant may a resource's
-  // allocated load exceed its then-current capacity.
-  std::map<std::string, double> cap;
+  // Derive each resource's load from the cap: counters and flow records, as
+  // a trace reader does: at no instant may it exceed the resource's
+  // then-current capacity.
+  std::vector<double> cap;
   std::size_t loads_checked = 0;
+  common::LoadReplay replay([&](double ts, std::size_t r, double load) {
+    EXPECT_LE(load, cap[r] + 1e-6)
+        << replay.resource_name(r) << " oversubscribed at t=" << ts;
+    ++loads_checked;
+  });
   for (const Event& ev : capture.events) {
-    if (ev.phase != 'C') continue;
-    if (ev.name.rfind("cap:", 0) == 0) {
-      cap[ev.name.substr(4)] = ev.value;
-    } else if (ev.name.rfind("load:", 0) == 0) {
-      const std::string resource = ev.name.substr(5);
-      ASSERT_TRUE(cap.count(resource)) << "load before cap for " << resource;
-      EXPECT_LE(ev.value, cap[resource] + 1e-6)
-          << resource << " oversubscribed at t=" << ev.ts;
-      ++loads_checked;
+    if (ev.phase == 'C' && ev.name.starts_with("cap:")) {
+      const std::size_t r =
+          replay.capacity(ev.ts, std::string_view(ev.name).substr(4), ev.value);
+      cap.resize(std::max(cap.size(), r + 1));
+      cap[r] = ev.value;
+    } else if (ev.phase == 'b' && ev.name == "flow") {
+      const std::string* path = ev.find_arg("path");
+      ASSERT_NE(path, nullptr) << "flow " << ev.id << " has no path";
+      replay.begin_flow(ev.ts, ev.id, *path);
+    } else if (ev.phase == 'e' && ev.name == "flow") {
+      replay.end_flow(ev.ts, ev.id);
     }
   }
+  replay.finish();
   EXPECT_GT(loads_checked, 0u);
 }
 
